@@ -21,7 +21,6 @@ from .core import (
     WatermarkScheme,
     decode,
     enumerate_reduced_keyset,
-    preimage_slice,
 )
 from .construct_a import (
     ImbalanceLedger,
@@ -136,7 +135,6 @@ __all__ = [
     "monte_carlo",
     "optimal_value",
     "parse_mass",
-    "preimage_slice",
     "sample",
     "save_scheme",
     "serialize_scheme",

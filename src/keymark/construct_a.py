@@ -25,8 +25,8 @@ from typing import Sequence
 from .core import (
     JointTable,
     KeySet,
-    KeyVector,
     ReducedKeySet,
+    SparseKey,
     TokenDistribution,
     WatermarkScheme,
     add_mass,
@@ -87,20 +87,17 @@ def structural_keys(keyset: KeySet, omega: Sequence[int]) -> set[int]:
     return {idx for idx, _ in _structural_pairs(keyset, omega)}
 
 
-def _structural_pairs(keyset: KeySet, omega: Sequence[int]) -> list[tuple[int, KeyVector]]:
+def _structural_pairs(keyset: KeySet, omega: Sequence[int]) -> list[tuple[int, SparseKey]]:
     if len(omega) != keyset.length:
         raise ParameterError(f"omega length {len(omega)} != key length {keyset.length}")
     support = [i for i, bit in enumerate(omega) if bit]
     if len(support) != keyset.t:
         raise ParameterError(f"omega must have exactly {keyset.t} ones")
-    pairs: list[tuple[int, KeyVector]] = []
+    pairs: list[tuple[int, SparseKey]] = []
     for values in itertools.permutations(range(1, keyset.t + 1)):
-        entries = [0] * keyset.length
-        for pos, value in zip(support, values):
-            entries[pos] = value
-        key = tuple(entries)
+        key = tuple(zip(support, values))
         try:
-            pairs.append((keyset.index(key), key))
+            pairs.append((keyset.sparse_index(key), key))
         except KeyError:
             continue
     return pairs
@@ -108,31 +105,26 @@ def _structural_pairs(keyset: KeySet, omega: Sequence[int]) -> list[tuple[int, K
 
 def anchored_keys(keyset: KeySet, k: int) -> set[int]:
     """Indices of keys whose last k coordinates are all nonzero."""
-    return {idx for idx, _ in _anchored_pairs(keyset, k)}
+    return {idx for idx, _ in _anchored_tails(keyset, k)}
 
 
-def _anchored_pairs(keyset: KeySet, k: int) -> list[tuple[int, KeyVector]]:
+def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, last k entries) of every key whose last k entries are nonzero."""
     t, length = keyset.t, keyset.length
     if not 1 <= k <= t - 1:
         raise ParameterError(f"anchor width {k} outside [1:{t - 1}]")
-    if not isinstance(keyset, ReducedKeySet):
-        return [
-            (i, keyset.key(i))
-            for i in range(len(keyset))
-            if all(keyset.key(i)[p] != 0 for p in range(length - k, length))
-        ]
-    pairs: list[tuple[int, KeyVector]] = []
     head = length - k
-    for tail_values in itertools.permutations(range(1, t + 1), k):
-        rest = [v for v in range(1, t + 1) if v not in tail_values]
+    if not isinstance(keyset, ReducedKeySet):
+        tails = ((i, keyset.key(i)[head:]) for i in range(len(keyset)))
+        return [(i, tail) for i, tail in tails if all(tail)]
+    anchored: list[tuple[int, tuple[int, ...]]] = []
+    for tail in itertools.permutations(range(1, t + 1), k):
+        rest = [v for v in range(1, t + 1) if v not in tail]
+        tail_pairs = tuple(zip(range(head, length), tail))
         for head_positions in itertools.permutations(range(head), len(rest)):
-            entries = [0] * length
-            for pos, value in zip(head_positions, rest):
-                entries[pos] = value
-            entries[head:] = tail_values
-            key = tuple(entries)
-            pairs.append((keyset.index(key), key))
-    return pairs
+            key = tuple(zip(head_positions, rest)) + tail_pairs
+            anchored.append((keyset.sparse_index(key), tail))
+    return anchored
 
 
 def anchored_cell_count(n: int, t: int, k: int) -> int:
@@ -185,9 +177,8 @@ def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
     for term in decomp.terms:
         share = Fraction(term.weight, share_denominator)
         for idx, key in _structural_pairs(keyset, term.omega):
-            for m in range(1, t + 1):
-                token = key.index(m) + 1
-                add_mass(rows_per_m[m - 1], idx, token, share)
+            for pos, m in key:
+                add_mass(rows_per_m[m - 1], idx, pos + 1, share)
     return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
 
@@ -207,7 +198,7 @@ def build_pm2(
     if steps.k == 0:
         return [JointTable(m, {}) for m in range(1, t + 1)], empty_ledger
     k = steps.k
-    anchored = _anchored_pairs(keyset, k)
+    anchored = _anchored_tails(keyset, k)
     cell_count = anchored_cell_count(length, t, k)
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for j, delta in steps.increments:
@@ -215,10 +206,11 @@ def build_pm2(
             continue
         share = Fraction(delta, cell_count)
         for token in range(length - j + 1, length + 1):
+            slot = token - 1 - (length - k)
             for m in range(1, t + 1):
                 hits = 0
-                for idx, key in anchored:
-                    if key[token - 1] == m:
+                for idx, tail in anchored:
+                    if tail[slot] == m:
                         add_mass(rows_per_m[m - 1], idx, token, share)
                         hits += 1
                 if hits != cell_count:
@@ -276,17 +268,13 @@ def build_pm3(
         )
     zero_index = keyset.zero_index
     if steps.k > 0:
-        anchored = _anchored_pairs(keyset, steps.k)
+        anchored = _anchored_tails(keyset, steps.k)
         cell_count = anchored_cell_count(length, t, steps.k)
         for j, delta in steps.increments:
             if delta == 0:
                 continue
             for m in range(1, t + 1):
-                eligible = [
-                    idx
-                    for idx, key in anchored
-                    if all(key[pos] != m for pos in range(length - j, length))
-                ]
+                eligible = [idx for idx, tail in anchored if m not in tail[steps.k - j:]]
                 if len(eligible) != cell_count * (t - j):
                     raise InvariantError(
                         f"eligible key count {len(eligible)} != "
@@ -325,11 +313,8 @@ def restore_token_order(
     def remap(idx: int) -> int:
         cached = index_map.get(idx)
         if cached is None:
-            key = keyset.key(idx)
-            entries = list(key)
-            for i in range(n):
-                entries[perm[i]] = key[i]
-            cached = index_map[idx] = keyset.index(tuple(entries))
+            moved = [(perm[pos] if pos < n else pos, value) for pos, value in keyset.sparse_key(idx)]
+            cached = index_map[idx] = keyset.sparse_index(moved)
         return cached
 
     out: list[JointTable] = []

@@ -5,7 +5,11 @@ drawn token's position: decode(x, zeta) = zeta[x-1].  The reduced key set
 holds every placement of the values 1..T into L positions plus the all-zero
 key, so its size is L!/(L-T)! + 1.  Key sets are never materialized; they are
 index<->key bijections in lexicographic order on the entry tuples, which puts
-the all-zero key at index 0.
+the all-zero key at index 0.  A key's working form is its sparse key, the
+(position, value) pairs of its nonzero entries: reduced keys rank and unrank
+from their T nonzero positions in O(T) steps, whatever L is.  A scheme
+decodes every stored cell once, on first use, into a view that the checks,
+metrics, sampler and exporter all read.
 
 >>> ks = enumerate_reduced_keyset(3, 2)
 >>> len(ks)
@@ -14,6 +18,8 @@ the all-zero key at index 0.
 (0, 0, 0)
 >>> ks.index((0, 1, 2))
 1
+>>> ks.sparse_key(1)
+((1, 1), (2, 2))
 >>> decode(2, (0, 1, 2))
 1
 """
@@ -22,7 +28,9 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,22 +38,25 @@ from .errors import CapacityError, ParameterError, ValidationError
 
 __all__ = [
     "KeyVector",
+    "SparseKey",
     "TokenDistribution",
     "KeySet",
     "ReducedKeySet",
     "ExplicitKeySet",
     "JointTable",
     "WatermarkScheme",
+    "DecodedCells",
     "ErrorReport",
     "decode",
     "enumerate_reduced_keyset",
-    "preimage_slice",
     "is_reduced_member",
     "DEFAULT_ENUMERATION_CAP",
     "ENUMERATION_CAP_ENV",
 ]
 
 KeyVector = tuple[int, ...]
+# Nonzero entries of a key as (0-based position, value) pairs, by position.
+SparseKey = tuple[tuple[int, int], ...]
 
 DEFAULT_ENUMERATION_CAP = 10**6
 ENUMERATION_CAP_ENV = "KEYMARK_KEYSET_CAP"
@@ -69,6 +80,18 @@ def decode(x: int, zeta: Sequence[int]) -> int:
     if not 1 <= x <= len(zeta):
         raise IndexError(f"token index {x} outside [1:{len(zeta)}]")
     return zeta[x - 1]
+
+
+def _decode_sparse(x: int, pairs: SparseKey) -> int:
+    """decode() on a sparse key: the value paired with position x-1, else 0.
+
+    Keys are kept as pairs, not a value -> position map, because an
+    explicit key may repeat a value.
+    """
+    for pos, value in pairs:
+        if pos == x - 1:
+            return value
+    return 0
 
 
 def is_reduced_member(entries: Sequence[int], t: int) -> bool:
@@ -131,13 +154,6 @@ class TokenDistribution:
         return self.sort_perm == tuple(range(self.n))
 
 
-def _placements(slots: int, values: int) -> int:
-    """Ways to place `values` distinct labels into `slots` ordered positions."""
-    if values < 0 or values > slots:
-        return 0
-    return math.perm(slots, values)
-
-
 class KeySet:
     """Common interface: an ordered, indexable family of key vectors."""
 
@@ -153,6 +169,19 @@ class KeySet:
 
     def index(self, key: Sequence[int]) -> int:
         raise NotImplementedError
+
+    def sparse_key(self, index: int) -> SparseKey:
+        """The key's nonzero entries as (position, value) pairs, by position."""
+        return tuple((pos, value) for pos, value in enumerate(self.key(index)) if value)
+
+    def sparse_index(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Index of the key whose nonzero entries are exactly `pairs`."""
+        entries = [0] * self.length
+        for pos, value in pairs:
+            if not 0 <= pos < self.length:
+                raise ParameterError(f"position {pos} outside [0:{self.length - 1}]")
+            entries[pos] = value
+        return self.index(entries)
 
     def __iter__(self) -> Iterator[KeyVector]:
         return (self.key(i) for i in range(len(self)))
@@ -175,18 +204,20 @@ class ReducedKeySet(KeySet):
 
     Order is lexicographic on entry tuples.  The all-zero key is index 0; a
     placement key's index is 1 plus its lexicographic rank among placements.
-    rank and unrank walk the positions left to right, counting completions of
-    each candidate prefix, so no key ever needs to be materialized.
+    Rank and unrank count the completions of each candidate prefix, visiting
+    only the T nonzero positions: O(T) perm calls to rank and O(T log L) to
+    unrank, so no key vector is ever needed.  key() and index() convert
+    between those sparse keys and full vectors.
     """
 
     kind = "reduced"
 
-    def __init__(self, length: int, t: int, cap: int | None = None) -> None:
+    def __init__(self, length: int, t: int, cap: float | None = None) -> None:
         if t < 1:
             raise ParameterError(f"t must be at least 1, got {t}")
         if t > length:
             raise ParameterError(f"t={t} exceeds key length {length}")
-        placements = _placements(length, t)
+        placements = math.perm(length, t)
         limit = resolve_enumeration_cap(cap)
         if placements > limit:
             raise CapacityError(
@@ -208,44 +239,64 @@ class ReducedKeySet(KeySet):
         return 0
 
     def key(self, index: int) -> KeyVector:
-        if not 0 <= index < self._size:
-            raise ParameterError(f"key index {index} outside [0:{self._size - 1}]")
-        if index == 0:
-            return (0,) * self.length
-        rank = index - 1
-        entries: list[int] = []
-        unused = list(range(1, self.t + 1))
-        for pos in range(self.length):
-            remaining = self.length - pos - 1
-            block = _placements(remaining, len(unused))
-            if rank < block:
-                entries.append(0)
-                continue
-            rank -= block
-            block = _placements(remaining, len(unused) - 1)
-            chosen = rank // block
-            rank -= chosen * block
-            entries.append(unused.pop(chosen))
+        entries = [0] * self.length
+        for pos, value in self.sparse_key(index):
+            entries[pos] = value
         return tuple(entries)
 
     def index(self, key: Sequence[int]) -> int:
         key = tuple(key)
         if len(key) != self.length:
             raise ParameterError(f"key length {len(key)} != {self.length}")
-        if all(v == 0 for v in key):
+        return self.sparse_index((pos, value) for pos, value in enumerate(key) if value != 0)
+
+    def sparse_key(self, index: int) -> SparseKey:
+        if not 0 <= index < self._size:
+            raise ParameterError(f"key index {index} outside [0:{self._size - 1}]")
+        if index == 0:
+            return ()
+        rank = index - 1
+        pairs: list[tuple[int, int]] = []
+        unused = list(range(1, self.t + 1))
+        pos = 0
+        while unused:
+            u = len(unused)
+            # The perm(L-pos-1, u) completions with a zero at pos precede
+            # every other key with this prefix.  That count falls as pos
+            # grows, so the next nonzero position is the first one whose
+            # zero-block no longer exceeds the rank; at pos = L-u it is 0.
+            lo, hi = pos, self.length - u
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if math.perm(self.length - mid - 1, u) <= rank:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            pos = lo
+            remaining = self.length - pos - 1
+            rank -= math.perm(remaining, u)
+            chosen, rank = divmod(rank, math.perm(remaining, u - 1))
+            pairs.append((pos, unused.pop(chosen)))
+            pos += 1
+        return tuple(pairs)
+
+    def sparse_index(self, pairs: Iterable[tuple[int, int]]) -> int:
+        pairs = sorted(pairs)
+        if not pairs:
             return 0
-        if not is_reduced_member(key, self.t):
-            raise KeyError(f"{key} is not a member of {self!r}")
+        if pairs[0][0] < 0 or pairs[-1][0] >= self.length:
+            raise ParameterError(f"positions of {pairs} outside [0:{self.length - 1}]")
+        values = sorted(value for _, value in pairs)
+        if values != list(range(1, self.t + 1)) or len({pos for pos, _ in pairs}) != self.t:
+            raise KeyError(f"nonzero entries {tuple(pairs)} are not a member of {self!r}")
+        # Rank only grows at nonzero positions: by every key with a zero
+        # there, then by every key with a smaller unused value there.
         rank = 0
         unused = list(range(1, self.t + 1))
-        for pos, value in enumerate(key):
+        for pos, value in pairs:
             remaining = self.length - pos - 1
-            if value == 0:
-                continue
-            rank += _placements(remaining, len(unused))
-            per_value = _placements(remaining, len(unused) - 1)
             spot = unused.index(value)
-            rank += spot * per_value
+            rank += math.perm(remaining, len(unused)) + spot * math.perm(remaining, len(unused) - 1)
             unused.pop(spot)
         return rank + 1
 
@@ -291,54 +342,6 @@ class ExplicitKeySet(KeySet):
 def enumerate_reduced_keyset(length: int, t: int, cap: int | None = None) -> ReducedKeySet:
     """The reduced key set over `length` positions: placements of 1..t plus 0."""
     return ReducedKeySet(length, t, cap=cap)
-
-
-def _placement_keys_with(length: int, t: int, fixed: dict[int, int]) -> Iterator[KeyVector]:
-    """All placement keys agreeing with `fixed` (0-based position -> value)."""
-    import itertools
-
-    free_positions = [p for p in range(length) if p not in fixed]
-    free_values = [v for v in range(1, t + 1) if v not in fixed.values()]
-    for positions in itertools.permutations(free_positions, len(free_values)):
-        entries = [0] * length
-        for p, v in fixed.items():
-            entries[p] = v
-        for p, v in zip(positions, free_values):
-            entries[p] = v
-        yield tuple(entries)
-
-
-def _placement_keys_avoiding(length: int, t: int, skip: int) -> Iterator[KeyVector]:
-    """All placement keys whose entry at 0-based position `skip` is zero."""
-    import itertools
-
-    positions = [p for p in range(length) if p != skip]
-    for chosen in itertools.permutations(positions, t):
-        entries = [0] * length
-        for v, p in enumerate(chosen, start=1):
-            entries[p] = v
-        yield tuple(entries)
-
-
-def preimage_slice(keyset: KeySet, x: int, m: int) -> set[int]:
-    """Indices of keys decoding token x to message m: { zeta : zeta[x-1] = m }."""
-    if not 1 <= x <= keyset.length:
-        raise ParameterError(f"token index {x} outside [1:{keyset.length}]")
-    if not 0 <= m <= keyset.t:
-        raise ParameterError(f"message {m} outside [0:{keyset.t}]")
-    if isinstance(keyset, ReducedKeySet):
-        # Generate matching keys directly instead of filtering the whole set.
-        if m == 0:
-            found = {0}
-            if keyset.t <= keyset.length - 1:
-                for key in _placement_keys_avoiding(keyset.length, keyset.t, x - 1):
-                    found.add(keyset.index(key))
-            return found
-        return {
-            keyset.index(key)
-            for key in _placement_keys_with(keyset.length, keyset.t, {x - 1: m})
-        }
-    return {i for i in range(len(keyset)) if keyset.key(i)[x - 1] == m}
 
 
 @dataclass(frozen=True)
@@ -478,6 +481,35 @@ class WatermarkScheme:
         for table in self.tables:
             support |= table.key_support()
         return support
+
+    @cached_property
+    def decoded(self) -> "DecodedCells":
+        """Every stored cell decoded once, built on first use."""
+        # Keys share their (position, value) tuples: there are at most L*T
+        # distinct pairs, so each stored key costs one small tuple.
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        keys = {
+            idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
+            for idx in sorted(self.key_support() | set(self.pz))
+        }
+        messages = tuple(
+            array("I", (_decode_sparse(token, keys[idx]) for idx, token, _ in table.cells()))
+            for table in self.tables
+        )
+        return DecodedCells(keys, messages)
+
+
+@dataclass(frozen=True)
+class DecodedCells:
+    """A scheme's support keys in sparse form and each cell's decoded message.
+
+    keys maps every key index stored in a table or in pz to its sparse key.
+    messages[m-1][i] is the message that the i-th cell of table m, in
+    cells() order, decodes to (0 when the key is zero at that token).
+    """
+
+    keys: Mapping[int, SparseKey]
+    messages: tuple[array, ...]
 
 
 @dataclass(frozen=True)

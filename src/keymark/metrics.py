@@ -22,6 +22,7 @@ __all__ = [
     "check_scheme",
     "miss_detection",
     "worst_false_alarm",
+    "false_alarm_by_token",
     "optimal_value",
     "error_report",
 ]
@@ -69,10 +70,6 @@ class PropertyReport:
         return "\n".join(c.describe() for c in self.checks)
 
 
-def _key_vectors(scheme: WatermarkScheme) -> dict[int, tuple[int, ...]]:
-    return {idx: scheme.keyset.key(idx) for idx in scheme.key_support()}
-
-
 def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     """Verify the five structural properties; failures become report entries.
 
@@ -83,7 +80,6 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
         message is at most alpha;
     (5) all stored masses are positive and each table sums to 1.
     """
-    keys = _key_vectors(scheme)
     cap = Fraction(scheme.alpha, scheme.t)
     checks: list[PropertyCheck] = []
 
@@ -107,7 +103,7 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     checks.append(failure or PropertyCheck("column-sum", True))
 
     failure = None
-    for idx in sorted(keys):
+    for idx in sorted(scheme.key_support()):
         reference = scheme.tables[0].row_sum(idx)
         for table in scheme.tables[1:]:
             actual = table.row_sum(idx)
@@ -121,10 +117,10 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     checks.append(failure or PropertyCheck("row-sum", True))
 
     failure = None
-    for table in scheme.tables:
+    for table, messages in zip(scheme.tables, scheme.decoded.messages):
         hit = [Fraction(0)] * scheme.n
-        for idx, token, mass in table.cells():
-            if keys[idx][token - 1] == table.m:
+        for (_, token, mass), decoded in zip(table.cells(), messages):
+            if decoded == table.m:
                 hit[token - 1] += mass
         for x in range(1, scheme.n + 1):
             floor = min(cap, scheme.px.probs[x - 1])
@@ -138,15 +134,7 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     checks.append(failure or PropertyCheck("capped-column-sum", True))
 
     failure = None
-    for x in range(1, scheme.n + 1):
-        marked = sum(
-            (
-                scheme.pz.get(idx, Fraction(0))
-                for idx, key in keys.items()
-                if key[x - 1] != 0
-            ),
-            Fraction(0),
-        )
+    for x, marked in enumerate(false_alarm_by_token(scheme), start=1):
         if marked > scheme.alpha:
             failure = PropertyCheck(
                 "alpha-bounded-total", False, f"x={x}", scheme.alpha, marked
@@ -179,27 +167,24 @@ def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
         raise ParameterError(
             f"message {m} outside [1:{scheme.t}] (use worst_false_alarm for m=0)"
         )
-    table = scheme.table(m)
-    vectors: dict[int, tuple[int, ...]] = {}
-    missed = Fraction(0)
-    for idx, token, mass in table.cells():
-        key = vectors.get(idx)
-        if key is None:
-            key = vectors[idx] = scheme.keyset.key(idx)
-        if key[token - 1] != m:
-            missed += mass
-    return missed
+    cells = zip(scheme.table(m).cells(), scheme.decoded.messages[m - 1])
+    return sum((mass for (_, _, mass), decoded in cells if decoded != m), Fraction(0))
+
+
+def false_alarm_by_token(scheme: WatermarkScheme) -> list[Fraction]:
+    """Per token x (0-based), the key-marginal mass decoding x to a nonzero message."""
+    per_token = [Fraction(0)] * scheme.n
+    keys = scheme.decoded.keys
+    for idx, mass in scheme.pz.items():
+        for pos, _ in keys[idx]:
+            if pos < scheme.n:
+                per_token[pos] += mass
+    return per_token
 
 
 def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
     """max over tokens of the key-marginal mass decoding that token nonzero."""
-    per_token = [Fraction(0)] * scheme.n
-    for idx, mass in scheme.pz.items():
-        key = scheme.keyset.key(idx)
-        for x in range(scheme.n):
-            if key[x] != 0:
-                per_token[x] += mass
-    return max(per_token) if per_token else Fraction(0)
+    return max(false_alarm_by_token(scheme))
 
 
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:

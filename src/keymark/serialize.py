@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -65,22 +66,37 @@ def serialize_scheme(scheme: WatermarkScheme) -> dict[str, Any]:
     }
 
 
-def _require(doc: Mapping[str, Any], field: str, where: str) -> Any:
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _check_kind(value: Any, kind: type, what: str) -> Any:
+    """Return value if it is a JSON value of the given kind (bools are not ints)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _require(doc: Mapping[str, Any], field: str, where: str, kind: type | None = None) -> Any:
     if field not in doc:
         raise ValidationError(f"{where}: missing field {field!r}")
-    return doc[field]
+    if kind is None:
+        return doc[field]
+    return _check_kind(doc[field], kind, f"{where}: {field!r}")
 
 
-def _parse_keyset(doc: Mapping[str, Any]) -> KeySet:
+def _parse_keyset(doc: Any) -> KeySet:
+    _check_kind(doc, dict, "document: 'keyset'")
     kind = _require(doc, "kind", "keyset")
-    length = _require(doc, "length", "keyset")
-    t = _require(doc, "t", "keyset")
-    if not (isinstance(length, int) and isinstance(t, int)):
-        raise ValidationError("keyset: length and t must be integers")
+    length = _require(doc, "length", "keyset", int)
+    t = _require(doc, "t", "keyset", int)
     if kind == "reduced":
-        return ReducedKeySet(length, t)
+        # Loading enumerates no keys, so the enumeration cap does not apply.
+        return ReducedKeySet(length, t, cap=math.inf)
     if kind in ("bijective", "explicit-list"):
-        keys = _require(doc, "keys", "keyset")
+        keys = _require(doc, "keys", "keyset", list)
+        for position, key in enumerate(keys):
+            for value in _check_kind(key, list, f"keyset.keys[{position}]"):
+                _check_kind(value, int, f"keyset.keys[{position}] entries")
         return ExplicitKeySet(keys, t, kind=kind)
     raise ValidationError(f"keyset: unknown kind {kind!r}")
 
@@ -89,24 +105,29 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
     version = _require(doc, "version", "document")
     if version != DOCUMENT_VERSION:
         raise ValidationError(f"document: unsupported version {version!r}")
-    n = _require(doc, "n", "document")
-    t = _require(doc, "t", "document")
+    n = _require(doc, "n", "document", int)
+    t = _require(doc, "t", "document", int)
     alpha = parse_mass(_require(doc, "alpha", "document"))
-    px_texts = _require(doc, "px", "document")
+    px_texts = _require(doc, "px", "document", list)
     if len(px_texts) != n:
         raise ValidationError(f"document: px has {len(px_texts)} entries, n={n}")
     px = TokenDistribution.from_strings(px_texts)
     keyset = _parse_keyset(_require(doc, "keyset", "document"))
-    tables_doc = _require(doc, "tables", "document")
+    if keyset.t != t or keyset.length < n:
+        raise ValidationError(
+            f"keyset: length={keyset.length}, t={keyset.t} does not fit n={n}, t={t}"
+        )
+    tables_doc = _require(doc, "tables", "document", dict)
     tables: list[JointTable] = []
     for m in range(1, t + 1):
         cells = tables_doc.get(str(m))
         if cells is None:
             raise ValidationError(f"tables: missing table for m={m}")
+        _check_kind(cells, list, f"tables: table m={m}")
         rows: dict[int, dict[int, Fraction]] = {}
         for position, cell in enumerate(cells):
             where = f"tables.{m}[{position}]"
-            if len(cell) != 3:
+            if not isinstance(cell, list) or len(cell) != 3:
                 raise ValidationError(f"{where}: expected [key_index, token, mass]")
             key_index, token, mass_text = cell
             if not (isinstance(key_index, int) and isinstance(token, int)):
@@ -123,7 +144,7 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
                 raise ValidationError(f"{where}: duplicate cell for token {token}")
             row[token] = mass
         tables.append(JointTable(m, rows))
-    provenance = doc.get("provenance", {})
+    provenance = _check_kind(doc.get("provenance", {}), dict, "document: 'provenance'")
     return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)
 
 
@@ -149,10 +170,13 @@ def export_csv(scheme: WatermarkScheme) -> str:
     writer.writerow(["# t", scheme.t])
     writer.writerow(["# alpha", mass_to_string(scheme.alpha)])
     writer.writerow(["m", "key_index", "key", "token", "mass"])
+    texts: dict[int, str] = {}
+    for key_index, pairs in scheme.decoded.keys.items():
+        entries = ["0"] * scheme.keyset.length
+        for pos, value in pairs:
+            entries[pos] = str(value)
+        texts[key_index] = " ".join(entries)
     for table in scheme.tables:
         for key_index, token, mass in table.cells():
-            key = scheme.keyset.key(key_index)
-            writer.writerow(
-                [table.m, key_index, " ".join(map(str, key)), token, mass_to_string(mass)]
-            )
+            writer.writerow([table.m, key_index, texts[key_index], token, mass_to_string(mass)])
     return out.getvalue()

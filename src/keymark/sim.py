@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TokenDistribution, WatermarkScheme
 from .errors import ParameterError
-from .metrics import miss_detection
+from .metrics import false_alarm_by_token, miss_detection
 
 __all__ = ["TrialReport", "sample", "monte_carlo"]
 
@@ -62,14 +62,7 @@ def _table_support(scheme: WatermarkScheme, m: int):
     if not cells:
         raise ParameterError(f"table m={m} is empty")
     masses = [mass for _, _, mass in cells]
-    vectors: dict[int, tuple[int, ...]] = {}
-    decoded = []
-    for idx, token, _ in cells:
-        key = vectors.get(idx)
-        if key is None:
-            key = vectors[idx] = scheme.keyset.key(idx)
-        decoded.append(key[token - 1])
-    return cells, masses, np.asarray(decoded)
+    return cells, masses, np.asarray(scheme.decoded.messages[m - 1])
 
 
 def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
@@ -77,9 +70,9 @@ def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     pz_masses = [scheme.pz[idx] for idx in key_indices]
     nonzero = np.zeros((len(key_indices), scheme.n), dtype=bool)
     for row, idx in enumerate(key_indices):
-        key = scheme.keyset.key(idx)
-        for x in range(scheme.n):
-            nonzero[row, x] = key[x] != 0
+        for pos, _ in scheme.decoded.keys[idx]:
+            if pos < scheme.n:
+                nonzero[row, pos] = True
     return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), nonzero
 
 
@@ -121,12 +114,7 @@ def monte_carlo(
         ks = np.searchsorted(pz_cdf, rng.random(trials), side="right")
         hits = int(nonzero[ks, xs].sum())
         exact = sum(
-            (
-                qx.probs[x] * scheme.pz[key_indices[k]]
-                for k in range(len(key_indices))
-                for x in range(scheme.n)
-                if nonzero[k, x]
-            ),
+            (q * marked for q, marked in zip(qx.probs, false_alarm_by_token(scheme))),
             Fraction(0),
         )
         return TrialReport.from_counts(0, trials, hits, exact)

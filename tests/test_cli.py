@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from keymark.cli import main
+from keymark.construct_b import construct_b
+from keymark.core import ENUMERATION_CAP_ENV, TokenDistribution
+from keymark.serialize import save_scheme
 
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
 INSTANCE_B = ["--px", "0.1,0.3,0.6", "--alpha", "0.8", "--t", "2"]
@@ -79,6 +83,35 @@ def test_verify_reports_failures(capsys, tmp_path) -> None:
     assert not payload["ok"]
     failed = {p["name"] for p in payload["properties"] if not p["passed"]}
     assert "column-sum" in failed and "mass" in failed
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(tables=list(d["tables"].values())),
+        lambda d: d["tables"]["1"].__setitem__(0, 7),
+        lambda d: d.update(n="4"),
+    ],
+)
+def test_verify_malformed_document_exits_2(capsys, tmp_path, mutate) -> None:
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_loads_scheme_built_above_the_cap(capsys, tmp_path, monkeypatch) -> None:
+    # perm(200, 3) = 7,880,400 placements exceed the default cap, which only
+    # construction needs; loading enumerates nothing.
+    monkeypatch.delenv(ENUMERATION_CAP_ENV, raising=False)
+    px = TokenDistribution.from_fractions([Fraction(1, 200)] * 200)
+    path = tmp_path / "uniform.json"
+    save_scheme(construct_b(px, Fraction(1, 2), 3, cap=10**7), path)
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert payload["ok"]
 
 
 def test_optimal_value_command(capsys) -> None:

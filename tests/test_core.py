@@ -18,7 +18,6 @@ from keymark.core import (
     enumerate_reduced_keyset,
     is_reduced_member,
     merge_tables,
-    preimage_slice,
     resolve_enumeration_cap,
 )
 from keymark.errors import CapacityError, ParameterError, ValidationError
@@ -79,6 +78,54 @@ def test_keyset_matches_brute_force(length: int, t: int) -> None:
         assert ks.index(key) == i
 
 
+def lexicographic_placements(length: int, t: int) -> list[tuple[int, ...]]:
+    """Oracle: the zero key, then every placement of 1..t in sorted order."""
+    placements = []
+    for positions in itertools.permutations(range(length), t):
+        entries = [0] * length
+        for value, pos in enumerate(positions, start=1):
+            entries[pos] = value
+        placements.append(tuple(entries))
+    return [(0,) * length] + sorted(placements)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda length: st.tuples(st.just(length), st.integers(1, min(length, 4)))
+    )
+)
+def test_sparse_rank_unrank_match_enumeration(shape: tuple[int, int]) -> None:
+    length, t = shape
+    ks = ReducedKeySet(length, t)
+    expected = lexicographic_placements(length, t)
+    assert len(ks) == len(expected)
+    for i, key in enumerate(expected):
+        pairs = tuple((pos, value) for pos, value in enumerate(key) if value)
+        assert ks.sparse_key(i) == pairs
+        assert ks.sparse_index(pairs) == i
+        assert ks.sparse_index(reversed(pairs)) == i
+        assert ks.key(i) == key
+        assert ks.index(key) == i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4096, 32768]), st.data())
+def test_sparse_round_trip_and_order_at_vocabulary_sizes(length: int, data) -> None:
+    ks = ReducedKeySet(length, 3, cap=math.inf)
+    assert len(ks) == math.perm(length, 3) + 1
+    i = data.draw(st.integers(0, len(ks) - 2), label="i")
+    j = data.draw(st.integers(i + 1, len(ks) - 1), label="j")
+    for index in (i, i + 1, j):
+        pairs = ks.sparse_key(index)
+        assert ks.sparse_index(pairs) == index
+        positions = [pos for pos, _ in pairs]
+        assert positions == sorted(set(positions))
+        assert sorted(value for _, value in pairs) == ([] if index == 0 else [1, 2, 3])
+    assert ks.key(i) < ks.key(i + 1) <= ks.key(j)
+    assert ks.index(ks.key(j)) == j
+
+
 def test_keyset_zero_key_is_first() -> None:
     ks = enumerate_reduced_keyset(5, 3)
     assert ks.key(0) == (0, 0, 0, 0, 0)
@@ -103,6 +150,14 @@ def test_keyset_rejects_non_members() -> None:
         ks.key(-1)
     assert (0, 1, 2, 3) in ks
     assert (1, 1, 2, 3) not in ks
+    with pytest.raises(KeyError):
+        ks.sparse_index([(0, 1), (0, 2), (3, 3)])
+    with pytest.raises(KeyError):
+        ks.sparse_index([(0, 1), (1, 2)])
+    with pytest.raises(ParameterError):
+        ks.sparse_index([(0, 1), (1, 2), (4, 3)])
+    with pytest.raises(ParameterError):
+        ks.sparse_key(25)
 
 
 def test_keyset_parameter_validation() -> None:
@@ -141,6 +196,9 @@ def test_explicit_keyset() -> None:
     assert ks.index((2, 1, 0)) == 2
     assert ks.zero_index == 0
     assert list(ks) == keys
+    assert ks.sparse_key(2) == ((0, 2), (1, 1))
+    assert ks.sparse_index([(1, 1), (0, 2)]) == 2
+    assert ks.sparse_index([]) == 0
 
 
 def test_explicit_keyset_validation() -> None:
@@ -152,46 +210,6 @@ def test_explicit_keyset_validation() -> None:
         ExplicitKeySet([(0, 3)], t=2)
     with pytest.raises(ParameterError):
         ExplicitKeySet([], t=1)
-
-
-@pytest.mark.parametrize(
-    ("length", "t"),
-    [(2, 2), (3, 2), (4, 3), (5, 2), (5, 4)],
-)
-def test_preimage_slice_matches_filter(length: int, t: int) -> None:
-    ks = enumerate_reduced_keyset(length, t)
-    for x in range(1, length + 1):
-        for m in range(t + 1):
-            expected = {i for i in range(len(ks)) if ks.key(i)[x - 1] == m}
-            assert preimage_slice(ks, x, m) == expected
-
-
-def test_preimage_slice_examples() -> None:
-    ks = enumerate_reduced_keyset(4, 3)
-    hits = preimage_slice(ks, 3, 1)
-    assert len(hits) == 6
-    assert ks.index((3, 2, 1, 0)) in hits
-    assert ks.index((2, 3, 1, 0)) in hits
-    # Decode-to-zero slice contains the all-zero key plus avoiding placements.
-    zeros = preimage_slice(ks, 3, 0)
-    assert len(zeros) == 7
-    assert ks.zero_index in zeros
-
-
-def test_preimage_slice_t_equals_length() -> None:
-    # No placement can avoid a position when every position is filled.
-    ks = enumerate_reduced_keyset(3, 3)
-    assert preimage_slice(ks, 2, 0) == {ks.zero_index}
-
-
-def test_preimage_slice_explicit_keyset() -> None:
-    ks = ExplicitKeySet([(0, 0, 0), (1, 2, 0), (2, 1, 0), (0, 1, 2)], t=2)
-    assert preimage_slice(ks, 2, 1) == {2, 3}
-    assert preimage_slice(ks, 1, 0) == {0, 3}
-    with pytest.raises(ParameterError):
-        preimage_slice(ks, 4, 0)
-    with pytest.raises(ParameterError):
-        preimage_slice(ks, 1, 3)
 
 
 def test_token_distribution_basics() -> None:

@@ -7,16 +7,31 @@ from hypothesis import strategies as st
 
 from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
-from keymark.core import TokenDistribution, WatermarkScheme
+from keymark.core import (
+    ExplicitKeySet,
+    JointTable,
+    KeySet,
+    TokenDistribution,
+    WatermarkScheme,
+    add_mass,
+    decode,
+    enumerate_reduced_keyset,
+)
 from keymark.errors import ParameterError
+from keymark.lp import bijective_keyset
 from keymark.metrics import (
     PROPERTY_NAMES,
+    PropertyCheck,
     check_scheme,
     error_report,
+    false_alarm_by_token,
     miss_detection,
     optimal_value,
     worst_false_alarm,
 )
+from keymark.rationals import mass_to_string
+from keymark.serialize import export_csv
+from keymark.sim import _table_support, monte_carlo
 
 PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
 ALPHA_A = F(9, 10)
@@ -266,3 +281,97 @@ def test_error_report_instance_b() -> None:
     assert report.beta == (F(1, 5), F(1, 5))
     assert report.gap == 0
     assert report.worst_false_alarm <= F(4, 5)
+
+
+def random_scheme(keyset: KeySet, n: int, rng: random.Random) -> WatermarkScheme:
+    """Random positive tables of total mass 1 over a key set; most fail checks."""
+    px = TokenDistribution.from_fractions([F(1, n)] * n)
+    tables = []
+    for m in range(1, keyset.t + 1):
+        cells = sorted({(rng.randrange(len(keyset)), rng.randint(1, n)) for _ in range(3 * n)})
+        weights = [rng.randint(1, 9) for _ in cells]
+        rows: dict[int, dict[int, F]] = {}
+        for (idx, token), weight in zip(cells, weights):
+            add_mass(rows, idx, token, F(weight, sum(weights)))
+        tables.append(JointTable(m, rows))
+    return WatermarkScheme.assemble(F(rng.randint(1, 9), 10), px, keyset, tables)
+
+
+def view_cases() -> list[WatermarkScheme]:
+    rng = random.Random(11)
+    # A key that repeats a value: (1, 1, 2) decodes tokens 1 and 2 to m=1.
+    repeats = ExplicitKeySet([(0, 0, 0), (1, 1, 2), (2, 0, 2), (0, 2, 1), (1, 0, 0)], t=2)
+    px_unsorted = TokenDistribution.from_strings(["0.3", "0.05", "0.4", "0.1", "0.15"])
+    cases = [
+        construct_a(px_unsorted, F(3, 5), 3),
+        construct_a(TokenDistribution.from_strings(["0.6", "0.02", "0.3", "0.08"]), F(1, 2), 3),
+        construct_b(px_unsorted, F(1, 2), 2, force_pseudo=True),
+    ]
+    for _ in range(4):
+        cases.append(random_scheme(enumerate_reduced_keyset(5, 3), 5, rng))
+        cases.append(random_scheme(bijective_keyset(4, 3), 4, rng))
+        cases.append(random_scheme(repeats, 3, rng))
+    return cases
+
+
+def reference_decodes(scheme: WatermarkScheme, m: int) -> list[int]:
+    return [decode(token, scheme.keyset.key(idx)) for idx, token, _ in scheme.table(m).cells()]
+
+
+def reference_marked(scheme: WatermarkScheme) -> list[F]:
+    keys = {idx: scheme.keyset.key(idx) for idx in scheme.key_support()}
+    return [
+        sum((scheme.pz.get(idx, F(0)) for idx, key in keys.items() if key[x] != 0), F(0))
+        for x in range(scheme.n)
+    ]
+
+
+def reference_capped_check(scheme: WatermarkScheme) -> PropertyCheck:
+    cap = F(scheme.alpha, scheme.t)
+    for table in scheme.tables:
+        hit = [F(0)] * scheme.n
+        for (_, token, mass), decoded in zip(table.cells(), reference_decodes(scheme, table.m)):
+            if decoded == table.m:
+                hit[token - 1] += mass
+        for x in range(1, scheme.n + 1):
+            floor = min(cap, scheme.px.probs[x - 1])
+            if hit[x - 1] < floor:
+                return PropertyCheck("capped-column-sum", False, f"m={table.m}, x={x}", floor, hit[x - 1])
+    return PropertyCheck("capped-column-sum", True)
+
+
+def test_decoded_view_consumers_match_per_cell_decode() -> None:
+    outcomes = set()
+    repeats_seen = False
+    for scheme in view_cases():
+        marked = reference_marked(scheme)
+        over = [x for x, mass in enumerate(marked, start=1) if mass > scheme.alpha]
+        bounded = (
+            PropertyCheck("alpha-bounded-total", False, f"x={over[0]}", scheme.alpha, marked[over[0] - 1])
+            if over
+            else PropertyCheck("alpha-bounded-total", True)
+        )
+        checks = check_scheme(scheme).checks
+        assert checks[2] == reference_capped_check(scheme)
+        assert checks[3] == bounded
+        outcomes.add((checks[2].passed, checks[3].passed))
+        assert false_alarm_by_token(scheme) == marked
+        assert worst_false_alarm(scheme) == max(marked)
+        exact_alarm = sum((q * a for q, a in zip(scheme.px.probs, marked)), F(0))
+        assert monte_carlo(scheme, 0, trials=10, seed=0).exact == exact_alarm
+        for m in range(1, scheme.t + 1):
+            decoded = reference_decodes(scheme, m)
+            missed = [mass for (_, _, mass), d in zip(scheme.table(m).cells(), decoded) if d != m]
+            assert miss_detection(scheme, m) == sum(missed, F(0))
+            assert _table_support(scheme, m)[2].tolist() == decoded
+        assert export_csv(scheme).strip().splitlines()[4:] == [
+            f"{table.m},{idx},{' '.join(map(str, scheme.keyset.key(idx)))},{token},{mass_to_string(mass)}"
+            for table in scheme.tables
+            for idx, token, mass in table.cells()
+        ]
+        if (1, 1, 2) in scheme.keyset:
+            repeats_seen |= scheme.keyset.index((1, 1, 2)) in scheme.key_support()
+    assert repeats_seen
+    # The cases reach both outcomes of both decode-reading properties.
+    assert {passed for passed, _ in outcomes} == {True, False}
+    assert {passed for _, passed in outcomes} == {True, False}

@@ -86,6 +86,17 @@ def test_pz_recomputed_from_first_table() -> None:
         (lambda d: d["tables"]["1"].__setitem__(0, [0, 1]), "expected"),
         (lambda d: d["keyset"].update(kind="mystery"), "unknown kind"),
         (lambda d: d.update(px=["0.5", "0.5", "0"]), "entries"),
+        (lambda d: d.update(tables=list(d["tables"].values())), "'tables' must be an object"),
+        (lambda d: d["tables"]["1"].__setitem__(0, 7), "key_index, token, mass"),
+        (lambda d: d.update(n="2"), "'n' must be an integer"),
+        (lambda d: d.update(t=True), "'t' must be an integer"),
+        (lambda d: d.update(px="0.75,0.25"), "'px' must be a list"),
+        (lambda d: d.update(keyset=[]), "'keyset' must be an object"),
+        (lambda d: d["keyset"]["keys"].__setitem__(0, 5), r"keys\[0\] must be a list"),
+        (lambda d: d["keyset"]["keys"].__setitem__(0, ["0", 0]), "entries must be an integer"),
+        (lambda d: d["tables"].update({"1": {}}), "table m=1 must be a list"),
+        (lambda d: d.update(provenance=[]), "'provenance' must be an object"),
+        (lambda d: d["keyset"].update(t=2), "does not fit"),
     ],
 )
 def test_deserialize_rejects_bad_documents(mutate, message_part: str) -> None:
