@@ -79,9 +79,10 @@ def construct_b(
 ) -> WatermarkScheme:
     """Full scheme via extension; keys have length N + n, tokens stay 1..N.
 
-    A caller-supplied decomposition replaces the greedy one (it must
-    reconstruct the extended vector exactly); term supports are read in the
-    sorted token order.
+    A caller-supplied decomposition replaces the greedy one: every term must
+    have a positive weight and a 0/1 omega with exactly T ones, and the terms
+    must reconstruct the extended vector exactly; term supports are read in
+    the sorted token order.
     """
     alpha = Fraction(alpha)
     view = _sorted_view(px)
@@ -96,6 +97,11 @@ def construct_b(
             raise ParameterError(
                 f"supplied terms have lengths {sorted(widths)}, expected {length}"
             )
+        for k, term in enumerate(decomposition.terms, 1):
+            if term.weight <= 0:
+                raise ParameterError(f"supplied term {k} has non-positive weight {term.weight}")
+            if set(term.omega) - {0, 1} or sum(term.omega) != t:
+                raise ParameterError(f"supplied term {k} is not a {t}-hot 0/1 vector")
         if decomposition.reconstruct(length) != ext.px_prime:
             raise ParameterError(
                 "supplied decomposition does not reconstruct the extended vector"

@@ -66,14 +66,17 @@ def _table_support(scheme: WatermarkScheme, m: int):
 
 
 def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
+    """Keys of pz in order, both CDFs, and each key's nonzero positions as a
+    (keys, widest key) array padded with -1, which no token index matches.
+    Reduced keys have T nonzero entries; explicit keys may have more."""
     key_indices = sorted(scheme.pz)
     pz_masses = [scheme.pz[idx] for idx in key_indices]
-    nonzero = np.zeros((len(key_indices), scheme.n), dtype=bool)
-    for row, idx in enumerate(key_indices):
-        for pos, _ in scheme.decoded.keys[idx]:
-            if pos < scheme.n:
-                nonzero[row, pos] = True
-    return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), nonzero
+    keys = [scheme.decoded.keys[idx] for idx in key_indices]
+    positions = np.full((len(keys), max(map(len, keys))), -1, dtype=np.int64)
+    for row, pairs in enumerate(keys):
+        for j, (pos, _) in enumerate(pairs):
+            positions[row, j] = pos
+    return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), positions
 
 
 def sample(
@@ -109,10 +112,11 @@ def monte_carlo(
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
         qx = qx or scheme.px
-        key_indices, qx_cdf, pz_cdf, nonzero = _marginals(scheme, qx)
+        key_indices, qx_cdf, pz_cdf, positions = _marginals(scheme, qx)
         xs = np.searchsorted(qx_cdf, rng.random(trials), side="right")
         ks = np.searchsorted(pz_cdf, rng.random(trials), side="right")
-        hits = int(nonzero[ks, xs].sum())
+        # A key's nonzero positions are distinct, so at most one column matches.
+        hits = sum(int((column[ks] == xs).sum()) for column in positions.T)
         exact = sum(
             (q * marked for q, marked in zip(qx.probs, false_alarm_by_token(scheme))),
             Fraction(0),

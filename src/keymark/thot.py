@@ -5,12 +5,19 @@ most its total (boundary equality included).  The greedy decomposition picks
 the T largest residual entries each round and removes the largest weight that
 keeps the residual non-negative and representable; each round zeroes an entry
 or drives another to the boundary, so at most L rounds run.
+
+The residual entries stay sorted across rounds and their sum is a running
+value, so a round does exact work only on the T entries it lowers: O(T log L)
+comparisons to reinsert them, and O(T) invariant checks.  Omega is still a
+dense length-L tuple, so building it costs O(L) plain list work per term.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Sequence
 
 from .errors import InvariantError, ParameterError
@@ -65,43 +72,67 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     For a representable nonzero residual the weight is provably positive, and
     the set {i : v(i)=0 or T*v(i)=sum(v)} gains a member every round, so the
     loop runs at most L times.
+
+    The indices are kept sorted by (-v(i), i), so the support is the first T
+    of them and the outer minimum is sum(v) - T * (the (T+1)-th largest).  A
+    round lowers its T support entries by the same weight, which keeps their
+    relative order, and reinserts them by binary search; the sum is a running
+    value.  Every invariant is checked on what changed: only support entries
+    can go negative, the largest entry is the first in order, zeros only grow
+    (from the support) and the boundary entries T*v(i)=sum(v) are a prefix of
+    the order with at most T members.  A round costs O(T log L) exact
+    operations plus O(L) list moves for the order and omega, so after the
+    initial sort the at most L rounds take O(L T log L) exact operations.
     """
     _check_inputs(a, t)
     residual = [Fraction(v) for v in a]
     length = len(residual)
-    if t * max(residual) > sum(residual):
+    total = sum(residual)
+    if t * max(residual) > total:
         raise ParameterError(f"vector is not {t}-hot representable")
 
-    def saturated(v: list[Fraction]) -> frozenset[int]:
-        s = sum(v)
-        return frozenset(i for i in range(length) if v[i] == 0 or t * v[i] == s)
+    def order_key(i: int) -> tuple[Fraction, int]:
+        return -residual[i], i
 
+    def boundary() -> list[int]:
+        return list(takewhile(lambda i: t * residual[i] == total, order))
+
+    order = sorted(range(length), key=order_key)
     terms: list[THotTerm] = []
-    frozen = saturated(residual)
+    frozen = boundary()
     for _ in range(length + 1):
-        total = sum(residual)
         if total == 0:
             break
-        support = sorted(range(length), key=lambda i: (-residual[i], i))[:t]
-        in_support = set(support)
-        inner = min(t * residual[j] for j in support)
-        outer = min(
-            (total - t * residual[j] for j in range(length) if j not in in_support),
-            default=inner,
-        )
+        support = order[:t]
+        inner = t * residual[support[-1]]
+        outer = total - t * residual[order[t]] if t < length else inner
         weight = Fraction(min(inner, outer), t)
         if weight <= 0:
             raise InvariantError("greedy step produced a non-positive weight")
-        omega = tuple(1 if i in in_support else 0 for i in range(length))
-        terms.append(THotTerm(omega, weight))
+        bits = [0] * length
+        for j in support:
+            bits[j] = 1
+        terms.append(THotTerm(tuple(bits), weight))
+        del order[:t]
         for j in support:
             residual[j] -= weight
-        if any(v < 0 for v in residual):
+            insort(order, j, key=order_key)
+        total -= t * weight
+        if any(residual[j] < 0 for j in support):
             raise InvariantError("residual went negative")
-        if t * max(residual) > sum(residual):
+        if t * residual[order[0]] > total:
             raise InvariantError("residual lost representability")
-        grown = saturated(residual)
-        if sum(residual) != 0 and not (frozen < grown):
+        if total == 0:
+            continue
+        # The saturated set is {zeros} + boundary, disjoint while the total is
+        # nonzero.  Zeros stay zero (a zero in the support would have given a
+        # zero weight), so the set grows strictly exactly when the old
+        # boundary stays saturated and new zeros plus the new boundary
+        # outnumber the old boundary.
+        grown = boundary()
+        new_zeros = sum(1 for j in support if residual[j] == 0)
+        kept = all(residual[i] == 0 or t * residual[i] == total for i in frozen)
+        if not kept or new_zeros + len(grown) <= len(frozen):
             raise InvariantError("saturated index set failed to grow")
         frozen = grown
     else:

@@ -210,6 +210,21 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     capsys.readouterr()
 
 
+def test_construct_rejects_cancelling_terms(capsys, tmp_path) -> None:
+    # The greedy terms plus four that cancel still reconstruct px', but two
+    # of them carry negative mass; nothing may be written.
+    greedy = ["1/5:0011", "1/10:1100", "1/20:0110", "1/20:0101"]
+    cancelling = ["1/100:1100", "1/100:0011", "-1/100:1010", "-1/100:0101"]
+    terms = [f"--term={term}" for term in greedy + cancelling]
+    path = tmp_path / "scheme.json"
+    argv = ["construct", "--px", "0.1,0.2,0.3,0.4", "--alpha", "1/2", "--t", "2", "--method", "b"]
+    assert main([*argv, *terms[:4], "--out", str(path)]) == 0
+    path.unlink()
+    assert main([*argv, *terms, "--out", str(path)]) == 2
+    assert "non-positive weight" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_argparse_level_errors(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["construct", *INSTANCE_A, "--method", "c"])

@@ -88,6 +88,36 @@ def test_construct_b_rejects_bad_injected_decompositions() -> None:
         construct_b(PX_B, F(4, 5), 2, force_pseudo=True, decomposition=wrong_sum)
 
 
+GREEDY_B = [(omega, weight) for weight, omega in INSTANCE_B_TERMS]
+
+
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        # Four extra terms that cancel out.
+        (
+            GREEDY_B + [((1, 1, 0, 0), F(1, 100)), ((0, 0, 1, 1), F(1, 100)),
+                        ((1, 0, 1, 0), F(-1, 100)), ((0, 1, 0, 1), F(-1, 100))],
+            "non-positive weight",
+        ),
+        (GREEDY_B + [((1, 1, 0, 0), F(0))], "non-positive weight"),
+        # reconstruct() reads any nonzero bit as 1, so entries 2 slip through it.
+        ([((2, 2, 0, 0), F(1, 10))] + GREEDY_B[1:], "2-hot"),
+        (
+            [((1, 0, 0, 0), F(1, 10)), ((0, 1, 1, 1), F(1, 10)), ((0, 1, 1, 0), F(1, 10)),
+             ((0, 1, 1, 1), F(1, 10)), ((0, 0, 1, 0), F(1, 10))],
+            "2-hot",
+        ),
+    ],
+    ids=["cancelling", "zero-weight", "entry-2", "mixed-widths"],
+)
+def test_construct_b_rejects_terms_that_reconstruct_but_are_not_t_hot(terms, match) -> None:
+    decomposition = THotDecomposition(tuple(THotTerm(omega, weight) for omega, weight in terms))
+    assert decomposition.reconstruct(4) == extend_px(PX_B, F(4, 5), 2, force_pseudo=True).px_prime
+    with pytest.raises(ParameterError, match=match):
+        construct_b(PX_B, F(4, 5), 2, force_pseudo=True, decomposition=decomposition)
+
+
 def test_construct_b_without_extension() -> None:
     scheme = construct_b(PX_B, F(4, 5), 2)
     assert scheme.keyset.length == 3

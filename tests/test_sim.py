@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from goldens import COMBINED_A
 from keymark.construct_a import construct_a
+from keymark.construct_b import construct_b
 from keymark.core import (
     ExplicitKeySet,
     JointTable,
@@ -12,7 +14,7 @@ from keymark.core import (
     WatermarkScheme,
 )
 from keymark.errors import ParameterError
-from keymark.sim import TrialReport, monte_carlo, sample
+from keymark.sim import TrialReport, _cdf, monte_carlo, sample
 
 PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
 
@@ -103,6 +105,27 @@ def test_monte_carlo_seed_behaviour() -> None:
     assert first.hits != other.hits
     for seed in (1, 2, 3):
         assert abs(monte_carlo(scheme, 2, 5000, seed=seed).z_score) <= 4
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        scheme_a(),
+        # One pseudo token: keys are longer than the vocabulary.
+        construct_b(PX_A, F(9, 10), 3),
+        # No extension: the leftover sits on the all-zero key.
+        construct_b(TokenDistribution.from_strings(["0.1", "0.3", "0.6"]), F(4, 5), 2),
+    ],
+)
+def test_false_alarm_hits_match_full_key_lookup(scheme) -> None:
+    # Redraw the same Philox stream and test each drawn token on the full key.
+    trials, seed = 5000, 13
+    rng = np.random.Generator(np.random.Philox(seed))
+    keys = sorted(scheme.pz)
+    xs = np.searchsorted(_cdf(list(scheme.px.probs)), rng.random(trials), side="right")
+    ks = np.searchsorted(_cdf([scheme.pz[k] for k in keys]), rng.random(trials), side="right")
+    expected = sum(1 for x, k in zip(xs, ks) if scheme.keyset.key(keys[k])[x] != 0)
+    assert monte_carlo(scheme, 0, trials, seed).hits == expected
 
 
 def test_null_draws_are_independent() -> None:

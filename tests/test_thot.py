@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keymark.core import TokenDistribution
 from keymark.errors import ParameterError
+from keymark.split import split_px
 from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot, is_t_hot_representable
 
 
@@ -120,3 +122,88 @@ def test_first_term_keeps_representability(case) -> None:
         assert all(v >= 0 for v in residual)
         assert t * max(residual) <= sum(residual)
     assert sum(residual) == 0
+
+
+def reference_decompose(a, t):
+    """The quadratic greedy: re-sorts, re-sums and rescans every round."""
+    residual = [F(v) for v in a]
+    length = len(residual)
+    if t * max(residual) > sum(residual):
+        raise ParameterError("not representable")
+
+    def saturated(v):
+        s = sum(v)
+        return frozenset(i for i in range(length) if v[i] == 0 or t * v[i] == s)
+
+    terms = []
+    frozen = saturated(residual)
+    for _ in range(length + 1):
+        total = sum(residual)
+        if total == 0:
+            break
+        support = sorted(range(length), key=lambda i: (-residual[i], i))[:t]
+        inner = min(t * residual[j] for j in support)
+        outer = min(
+            (total - t * residual[j] for j in range(length) if j not in support),
+            default=inner,
+        )
+        weight = F(min(inner, outer), t)
+        assert weight > 0
+        terms.append(THotTerm(tuple(1 if i in support else 0 for i in range(length)), weight))
+        for j in support:
+            residual[j] -= weight
+        assert all(v >= 0 for v in residual)
+        assert t * max(residual) <= sum(residual)
+        grown = saturated(residual)
+        assert sum(residual) == 0 or frozen < grown
+        frozen = grown
+    else:
+        raise AssertionError("no termination")
+    return THotDecomposition(tuple(terms))
+
+
+@st.composite
+def tied_vectors(draw):
+    """Length <= 40 vectors with ties and zeros: T-hot sums, raw small
+    numerators, or either with one entry lifted to the boundary T*max == sum."""
+    length = draw(st.integers(min_value=1, max_value=40))
+    t = draw(st.integers(min_value=1, max_value=length))
+    if draw(st.booleans()):
+        values = [F(0)] * length
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            support = draw(st.permutations(range(length)))[:t]
+            weight = F(draw(st.integers(min_value=1, max_value=6)), 12)
+            for i in support:
+                values[i] += weight
+    else:
+        values = [F(v, 6) for v in draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))]
+    if t > 1 and draw(st.booleans()):
+        top = max(range(length), key=lambda i: values[i])
+        values[top] = F(sum(values) - values[top], t - 1)
+    return values, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_vectors())
+def test_matches_quadratic_reference(case) -> None:
+    values, t = case
+    if t * max(values) > sum(values):
+        with pytest.raises(ParameterError):
+            reference_decompose(values, t)
+        with pytest.raises(ParameterError):
+            decompose_t_hot(values, t)
+        return
+    assert decompose_t_hot(values, t) == reference_decompose(values, t)
+
+
+def test_reconstructs_zipf_px1_at_4096_tokens() -> None:
+    length, grid = 4096, 10**6
+    harmonic = sum(F(1, i) for i in range(1, length + 1))
+    units = [max(1, int(F(grid, i) / harmonic)) for i in range(1, length + 1)]
+    units[0] += grid - sum(units)
+    px = TokenDistribution.from_fractions(sorted(F(u, grid) for u in units))
+    px1 = split_px(px, F(1, 2), 3).px1
+    decomp = decompose_t_hot(px1, 3)
+    assert decomp.reconstruct(length) == px1
+    assert len(decomp.terms) <= length
+    assert all(term.weight > 0 and sum(term.omega) == 3 for term in decomp.terms)
