@@ -57,6 +57,18 @@ class RunConfig:
                 value = default
         return value
 
+    @property
+    def as_json(self) -> bool:
+        return bool(self.get("json", False, parse=_parse_bool))
+
+
+def _parse_int(value: Any, name: str) -> int:
+    """An integer setting from a flag or the config file."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from exc
+
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -116,7 +128,7 @@ def _instance(config: RunConfig) -> tuple[TokenDistribution, Fraction, int]:
         raise ParameterError("--px, --alpha, and --t are required")
     px = px_raw if isinstance(px_raw, TokenDistribution) else _parse_px(px_raw)
     alpha = alpha_raw if isinstance(alpha_raw, Fraction) else parse_mass(alpha_raw)
-    return px, alpha, int(t_raw)
+    return px, alpha, _parse_int(t_raw, "t")
 
 
 def _scheme_summary(scheme: WatermarkScheme) -> tuple[dict, list[str]]:
@@ -144,7 +156,6 @@ def _scheme_summary(scheme: WatermarkScheme) -> tuple[dict, list[str]]:
 def cmd_construct(config: RunConfig) -> int:
     px, alpha, t = _instance(config)
     method = config.get("method", "a")
-    cap = config.get("cap", parse=int)
     terms = config.get("term")
     force = bool(config.get("force_pseudo", False, parse=_parse_bool))
     if method == "a":
@@ -152,12 +163,10 @@ def cmd_construct(config: RunConfig) -> int:
             raise ParameterError("--term applies only to --method b")
         if force:
             raise ParameterError("--force-pseudo applies only to --method b")
-        scheme = construct_a(px, alpha, t, cap=cap)
+        scheme = construct_a(px, alpha, t)
     elif method == "b":
         decomposition = _parse_terms(terms) if terms else None
-        scheme = construct_b(
-            px, alpha, t, force_pseudo=force, cap=cap, decomposition=decomposition
-        )
+        scheme = construct_b(px, alpha, t, force_pseudo=force, decomposition=decomposition)
     else:
         raise ParameterError(f"unknown method {method!r} (expected a or b)")
     out = config.get("out")
@@ -167,9 +176,9 @@ def cmd_construct(config: RunConfig) -> int:
     if out:
         payload["written"] = str(out)
         lines.append(f"scheme written to {out}")
-    elif config.get("json", False):
+    elif config.as_json:
         payload["scheme"] = serialize_scheme(scheme)
-    _emit(payload, config.get("json", False), lines)
+    _emit(payload, config.as_json, lines)
     return 0
 
 
@@ -191,7 +200,7 @@ def cmd_verify(config: RunConfig) -> int:
         "ok": report.ok,
         **summary,
     }
-    _emit(payload, config.get("json", False), [report.describe(), *lines])
+    _emit(payload, config.as_json, [report.describe(), *lines])
     return 0 if report.ok else 1
 
 
@@ -200,7 +209,7 @@ def cmd_optimal(config: RunConfig) -> int:
     value = optimal_value(px, alpha, t)
     _emit(
         {"optimal": mass_to_string(value)},
-        config.get("json", False),
+        config.as_json,
         [mass_to_string(value)],
     )
     return 0
@@ -210,7 +219,7 @@ def cmd_lp(config: RunConfig) -> int:
     px, alpha, t = _instance(config)
     kind = config.get("keyset", "reduced")
     if kind == "reduced":
-        keyset = ReducedKeySet(px.n, t, cap=config.get("cap", parse=int))
+        keyset = ReducedKeySet(px.n, t)
     elif kind == "bijective":
         keyset = bijective_keyset(px.n, t)
     else:
@@ -224,13 +233,13 @@ def cmd_lp(config: RunConfig) -> int:
     payload = {
         "status": solution.status,
         "keyset": kind,
-        "keys": len(keyset),
+        "keys": keyset.size,
         "variables": problem.nvars,
         "formula": mass_to_string(formula),
     }
     lines = [
         f"status: {solution.status}",
-        f"keyset: {kind} ({len(keyset)} keys), {problem.nvars} variables",
+        f"keyset: {kind} ({keyset.size} keys), {problem.nvars} variables",
         f"formula optimum: {mass_to_string(formula)}",
     ]
     if solution.status == "optimal":
@@ -245,7 +254,7 @@ def cmd_lp(config: RunConfig) -> int:
     if export_path:
         payload["exported"] = str(export_path)
         lines.append(f"lp text written to {export_path}")
-    _emit(payload, config.get("json", False), lines)
+    _emit(payload, config.as_json, lines)
     return 0 if solution.status == "optimal" else 1
 
 
@@ -253,9 +262,9 @@ def cmd_simulate(config: RunConfig) -> int:
     scheme = load_scheme(config.get("scheme"))
     report = monte_carlo(
         scheme,
-        int(config.get("m", 1)),
-        int(config.get("trials", 100_000)),
-        int(config.get("seed", 0)),
+        _parse_int(config.get("m", 1), "m"),
+        _parse_int(config.get("trials", 100_000), "trials"),
+        _parse_int(config.get("seed", 0), "seed"),
     )
     payload = {
         "m": report.m,
@@ -271,7 +280,7 @@ def cmd_simulate(config: RunConfig) -> int:
         f"estimate: {report.estimate:.6f} (exact {mass_to_string(report.exact)})",
         f"stderr: {report.stderr:.6f}  z: {report.z_score:+.3f}",
     ]
-    _emit(payload, config.get("json", False), lines)
+    _emit(payload, config.as_json, lines)
     return 0
 
 
@@ -314,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--force-pseudo", action="store_true", default=False, dest="force_pseudo")
     sub.add_argument("--term", action="append", help="MASS:BITS decomposition term (method b)")
     sub.add_argument("--out", help="write the scheme document here")
-    sub.add_argument("--cap", type=int, help="key enumeration cap override")
     _add_common_flags(sub)
     sub.set_defaults(func=cmd_construct)
 
@@ -332,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sub)
     sub.add_argument("--keyset", choices=["reduced", "bijective"], help="key family")
     sub.add_argument("--export-lp", dest="export_lp", help="write LP text here")
-    sub.add_argument("--cap", type=int, help="key enumeration cap override")
     _add_common_flags(sub)
     sub.set_defaults(func=cmd_lp)
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    DEFAULT_ENUMERATION_CAP,
     JointTable,
     KeySet,
     ReducedKeySet,
@@ -32,7 +33,7 @@ from .core import (
     add_mass,
     merge_tables,
 )
-from .errors import InvariantError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError
 from .split import PxSplit, split_px
 from .thot import THotDecomposition, decompose_t_hot
 
@@ -109,7 +110,12 @@ def anchored_keys(keyset: KeySet, k: int) -> set[int]:
 
 
 def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(index, last k entries) of every key whose last k entries are nonzero."""
+    """(index, last k entries) of every key whose last k entries are nonzero.
+
+    On the reduced key set these are perm(t, k) * perm(L-k, t-k) keys, which
+    are listed one by one, so a count above DEFAULT_ENUMERATION_CAP raises
+    CapacityError before the first.
+    """
     t, length = keyset.t, keyset.length
     if not 1 <= k <= t - 1:
         raise ParameterError(f"anchor width {k} outside [1:{t - 1}]")
@@ -117,6 +123,12 @@ def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]
     if not isinstance(keyset, ReducedKeySet):
         tails = ((i, keyset.key(i)[head:]) for i in range(len(keyset)))
         return [(i, tail) for i, tail in tails if all(tail)]
+    count = math.perm(t, k) * math.perm(head, t - k)
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} anchored keys (length={length}, t={t}, k={k}) exceed "
+            f"the enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
     anchored: list[tuple[int, tuple[int, ...]]] = []
     for tail in itertools.permutations(range(1, t + 1), k):
         rest = [v for v in range(1, t + 1) if v not in tail]
@@ -330,14 +342,12 @@ def _sorted_view(px: TokenDistribution) -> TokenDistribution:
     return TokenDistribution(px.sorted_probs, tuple(range(px.n)))
 
 
-def construct_a(
-    px: TokenDistribution, alpha: Fraction, t: int, cap: int | None = None
-) -> WatermarkScheme:
+def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
     """Full scheme on the reduced key set over the real tokens only."""
     alpha = Fraction(alpha)
     view = _sorted_view(px)
     split = split_px(view, alpha, t)
-    keyset = ReducedKeySet(px.n, t, cap=cap)
+    keyset = ReducedKeySet(px.n, t)
     decomp = decompose_t_hot(split.px1, t)
     steps = step_decomposition(split.px2, t)
     pm1 = build_pm1(decomp, keyset)

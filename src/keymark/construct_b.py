@@ -74,7 +74,6 @@ def construct_b(
     alpha: Fraction,
     t: int,
     force_pseudo: bool = False,
-    cap: int | None = None,
     decomposition: THotDecomposition | None = None,
 ) -> WatermarkScheme:
     """Full scheme via extension; keys have length N + n, tokens stay 1..N.
@@ -88,7 +87,7 @@ def construct_b(
     view = _sorted_view(px)
     ext = extend_px(view, alpha, t, force_pseudo=force_pseudo)
     length = px.n + ext.n
-    keyset = ReducedKeySet(length, t, cap=cap)
+    keyset = ReducedKeySet(length, t)
     if decomposition is None:
         decomposition = decompose_t_hot(ext.px_prime, t)
     else:

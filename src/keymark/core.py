@@ -27,14 +27,13 @@ metrics, sampler and exporter all read.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CapacityError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 
 __all__ = [
     "KeyVector",
@@ -51,28 +50,15 @@ __all__ = [
     "enumerate_reduced_keyset",
     "is_reduced_member",
     "DEFAULT_ENUMERATION_CAP",
-    "ENUMERATION_CAP_ENV",
 ]
 
 KeyVector = tuple[int, ...]
 # Nonzero entries of a key as (0-based position, value) pairs, by position.
 SparseKey = tuple[tuple[int, int], ...]
 
+# Most keys that an operation may list one by one; the lazy key sets
+# themselves have no size limit.
 DEFAULT_ENUMERATION_CAP = 10**6
-ENUMERATION_CAP_ENV = "KEYMARK_KEYSET_CAP"
-
-
-def resolve_enumeration_cap(cap: int | None) -> int:
-    """Explicit argument wins, then the environment override, then the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENUMERATION_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParameterError(f"{ENUMERATION_CAP_ENV}={env!r} is not an integer") from exc
-    return DEFAULT_ENUMERATION_CAP
 
 
 def decode(x: int, zeta: Sequence[int]) -> int:
@@ -155,14 +141,19 @@ class TokenDistribution:
 
 
 class KeySet:
-    """Common interface: an ordered, indexable family of key vectors."""
+    """Common interface: an ordered, indexable family of key vectors.
+
+    size is the number of keys.  len() returns it too, but Python caps len()
+    at sys.maxsize, which large reduced key sets exceed.
+    """
 
     kind: str
     length: int
     t: int
+    size: int
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.size
 
     def key(self, index: int) -> KeyVector:
         raise NotImplementedError
@@ -184,7 +175,7 @@ class KeySet:
         return self.index(entries)
 
     def __iter__(self) -> Iterator[KeyVector]:
-        return (self.key(i) for i in range(len(self)))
+        return (self.key(i) for i in range(self.size))
 
     def __contains__(self, key: Sequence[int]) -> bool:
         try:
@@ -207,29 +198,20 @@ class ReducedKeySet(KeySet):
     Rank and unrank count the completions of each candidate prefix, visiting
     only the T nonzero positions: O(T) perm calls to rank and O(T log L) to
     unrank, so no key vector is ever needed.  key() and index() convert
-    between those sparse keys and full vectors.
+    between those sparse keys and full vectors.  Nothing is listed, so the
+    set has no size limit; only operations that list keys check one.
     """
 
     kind = "reduced"
 
-    def __init__(self, length: int, t: int, cap: float | None = None) -> None:
+    def __init__(self, length: int, t: int) -> None:
         if t < 1:
             raise ParameterError(f"t must be at least 1, got {t}")
         if t > length:
             raise ParameterError(f"t={t} exceeds key length {length}")
-        placements = math.perm(length, t)
-        limit = resolve_enumeration_cap(cap)
-        if placements > limit:
-            raise CapacityError(
-                f"reduced key set for length={length}, t={t} has {placements} "
-                f"placement keys, above the enumeration cap {limit}"
-            )
         self.length = length
         self.t = t
-        self._size = placements + 1
-
-    def __len__(self) -> int:
-        return self._size
+        self.size = math.perm(length, t) + 1
 
     def __repr__(self) -> str:
         return f"ReducedKeySet(length={self.length}, t={self.t})"
@@ -251,8 +233,8 @@ class ReducedKeySet(KeySet):
         return self.sparse_index((pos, value) for pos, value in enumerate(key) if value != 0)
 
     def sparse_key(self, index: int) -> SparseKey:
-        if not 0 <= index < self._size:
-            raise ParameterError(f"key index {index} outside [0:{self._size - 1}]")
+        if not 0 <= index < self.size:
+            raise ParameterError(f"key index {index} outside [0:{self.size - 1}]")
         if index == 0:
             return ()
         rank = index - 1
@@ -321,11 +303,9 @@ class ExplicitKeySet(KeySet):
         self.kind = kind
         self.length = length
         self.t = t
+        self.size = len(stored)
         self._keys = stored
         self._index = {k: i for i, k in enumerate(stored)}
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
     def __repr__(self) -> str:
         return f"ExplicitKeySet({len(self._keys)} keys, length={self.length}, t={self.t})"
@@ -339,9 +319,9 @@ class ExplicitKeySet(KeySet):
         return self._index[tuple(key)]
 
 
-def enumerate_reduced_keyset(length: int, t: int, cap: int | None = None) -> ReducedKeySet:
+def enumerate_reduced_keyset(length: int, t: int) -> ReducedKeySet:
     """The reduced key set over `length` positions: placements of 1..t plus 0."""
-    return ReducedKeySet(length, t, cap=cap)
+    return ReducedKeySet(length, t)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,12 @@ class ParameterError(KeymarkError, ValueError):
 
 
 class CapacityError(KeymarkError, RuntimeError):
-    """A configured size cap (key enumeration, LP variables) would be exceeded."""
+    """An operation would list more keys or LP variables than its fixed cap.
+
+    Two operations check one: listing the anchored keys of the reduced key
+    set (DEFAULT_ENUMERATION_CAP) and building an LP's table variables
+    (DEFAULT_VARIABLE_CAP).
+    """
 
 
 class ValidationError(KeymarkError, ValueError):

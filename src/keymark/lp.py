@@ -100,7 +100,6 @@ def build_primal(
     alpha: Fraction,
     t: int,
     keyset: KeySet,
-    variable_cap: int = DEFAULT_VARIABLE_CAP,
 ) -> LpProblem:
     alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
@@ -110,11 +109,11 @@ def build_primal(
         raise ParameterError(f"key length {keyset.length} != token count {n}")
     if keyset.t != t:
         raise ParameterError(f"key set carries t={keyset.t}, requested {t}")
-    nz = len(keyset)
+    nz = keyset.size
     table_vars = t * n * nz
     nvars = table_vars + nz + 1
-    if table_vars > variable_cap:
-        raise CapacityError(f"{table_vars} table variables exceed cap {variable_cap}")
+    if table_vars > DEFAULT_VARIABLE_CAP:
+        raise CapacityError(f"{table_vars} table variables exceed cap {DEFAULT_VARIABLE_CAP}")
     keys = tuple(keyset.key(i) for i in range(nz))
 
     def pm(m: int, x: int, k: int) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -90,8 +89,7 @@ def _parse_keyset(doc: Any) -> KeySet:
     length = _require(doc, "length", "keyset", int)
     t = _require(doc, "t", "keyset", int)
     if kind == "reduced":
-        # Loading enumerates no keys, so the enumeration cap does not apply.
-        return ReducedKeySet(length, t, cap=math.inf)
+        return ReducedKeySet(length, t)
     if kind in ("bijective", "explicit-list"):
         keys = _require(doc, "keys", "keyset", list)
         for position, key in enumerate(keys):
@@ -102,7 +100,7 @@ def _parse_keyset(doc: Any) -> KeySet:
 
 
 def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
-    version = _require(doc, "version", "document")
+    version = _require(doc, "version", "document", int)
     if version != DOCUMENT_VERSION:
         raise ValidationError(f"document: unsupported version {version!r}")
     n = _require(doc, "n", "document", int)
@@ -130,9 +128,9 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
             if not isinstance(cell, list) or len(cell) != 3:
                 raise ValidationError(f"{where}: expected [key_index, token, mass]")
             key_index, token, mass_text = cell
-            if not (isinstance(key_index, int) and isinstance(token, int)):
-                raise ValidationError(f"{where}: indices must be integers")
-            if not 0 <= key_index < len(keyset):
+            _check_kind(key_index, int, f"{where}: key index")
+            _check_kind(token, int, f"{where}: token")
+            if not 0 <= key_index < keyset.size:
                 raise ValidationError(f"{where}: key index {key_index} out of range")
             if not 1 <= token <= n:
                 raise ValidationError(f"{where}: token {token} outside [1:{n}]")

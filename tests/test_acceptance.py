@@ -124,7 +124,7 @@ def test_criterion_3_optimality_closure_random_instances() -> None:
             px, alpha, t = random_instance(rng)
             target = optimal_value(px, alpha, t)
             for builder in (construct_a, construct_b):
-                report = error_report(builder(px, alpha, t, cap=10**9))
+                report = error_report(builder(px, alpha, t))
                 assert max(report.beta) == target
                 assert report.worst_false_alarm <= alpha
         elapsed = time.perf_counter() - start

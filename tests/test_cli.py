@@ -7,7 +7,7 @@ import pytest
 
 from keymark.cli import main
 from keymark.construct_b import construct_b
-from keymark.core import ENUMERATION_CAP_ENV, TokenDistribution
+from keymark.core import TokenDistribution
 from keymark.serialize import save_scheme
 
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
@@ -91,6 +91,7 @@ def test_verify_reports_failures(capsys, tmp_path) -> None:
         lambda d: d.update(tables=list(d["tables"].values())),
         lambda d: d["tables"]["1"].__setitem__(0, 7),
         lambda d: d.update(n="4"),
+        lambda d: d["tables"]["1"][0].__setitem__(0, True),
     ],
 )
 def test_verify_malformed_document_exits_2(capsys, tmp_path, mutate) -> None:
@@ -102,13 +103,12 @@ def test_verify_malformed_document_exits_2(capsys, tmp_path, mutate) -> None:
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_loads_scheme_built_above_the_cap(capsys, tmp_path, monkeypatch) -> None:
-    # perm(200, 3) = 7,880,400 placements exceed the default cap, which only
-    # construction needs; loading enumerates nothing.
-    monkeypatch.delenv(ENUMERATION_CAP_ENV, raising=False)
+def test_verify_loads_scheme_built_above_the_cap(capsys, tmp_path) -> None:
+    # perm(200, 3) = 7,880,400 placements exceed the enumeration cap, but
+    # neither construct_b nor loading lists them.
     px = TokenDistribution.from_fractions([Fraction(1, 200)] * 200)
     path = tmp_path / "uniform.json"
-    save_scheme(construct_b(px, Fraction(1, 2), 3, cap=10**7), path)
+    save_scheme(construct_b(px, Fraction(1, 2), 3), path)
     code, payload = run_json(capsys, "verify", str(path))
     assert code == 0
     assert payload["ok"]
@@ -208,6 +208,27 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     bool_cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\nmethod=b\nforce_pseudo=maybe\n")
     assert main(["construct", "--config", str(bool_cfg)]) == 2
     capsys.readouterr()
+    assert main(["optimal", "--px", "0.2,0.3,0.5", "--alpha", "0.5", "--t", "abc"]) == 2
+    assert "t must be an integer, got 'abc'" in capsys.readouterr().err
+    path = write_scheme(capsys, tmp_path)
+    for setting in ("m=x", "trials=1e5", "seed=0.5"):
+        int_cfg = tmp_path / "sim.cfg"
+        int_cfg.write_text(setting + "\n")
+        assert main(["simulate", str(path), "--config", str(int_cfg)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
+def test_config_file_json_setting(capsys, tmp_path) -> None:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\njson=false\n")
+    code, out = run(capsys, "optimal", "--config", str(cfg))
+    assert (code, out) == (0, "0.2\n")
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\njson=true\n")
+    code, out = run(capsys, "optimal", "--config", str(cfg))
+    assert (code, json.loads(out)) == (0, {"optimal": "0.2"})
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\njson=sometimes\n")
+    assert main(["optimal", "--config", str(cfg)]) == 2
+    capsys.readouterr()
 
 
 def test_construct_rejects_cancelling_terms(capsys, tmp_path) -> None:
@@ -229,15 +250,24 @@ def test_argparse_level_errors(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["construct", *INSTANCE_A, "--method", "c"])
     assert exc.value.code == 2
+    for command in (["construct", *INSTANCE_A], ["lp", *SKEWED]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cap", "1"])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
 
 
 def test_capacity_errors_exit_3(capsys) -> None:
-    assert main(["construct", *INSTANCE_A, "--cap", "1"]) == 3
-    assert main(["lp", *SKEWED, "--cap", "1"]) == 3
-    capsys.readouterr()
+    # 5 * perm(24, 4) = 1,275,120 anchored keys to list.
+    heavy = ",".join(["1/480"] * 24 + ["0.95"])
+    assert main(["construct", "--px", heavy, "--alpha", "1/2", "--t", "5"]) == 3
+    assert "anchored keys" in capsys.readouterr().err
+    # n=20, T=3: 410,460 LP table variables.
+    uniform = ",".join(["0.05"] * 20)
+    assert main(["lp", "--px", uniform, "--alpha", "1/2", "--t", "3"]) == 3
+    assert "table variables" in capsys.readouterr().err
 
 
 def test_installed_entry_point() -> None:

@@ -17,13 +17,14 @@ from keymark.construct_a import (
     structural_keys,
 )
 from keymark.core import (
+    DEFAULT_ENUMERATION_CAP,
     ExplicitKeySet,
     TokenDistribution,
     WatermarkScheme,
     decode,
     enumerate_reduced_keyset,
 )
-from keymark.errors import ParameterError
+from keymark.errors import CapacityError, ParameterError
 from keymark.split import split_px
 from keymark.thot import decompose_t_hot
 
@@ -118,6 +119,19 @@ def test_anchored_keys_validation() -> None:
         anchored_keys(ks, 0)
     with pytest.raises(ParameterError):
         anchored_keys(ks, 3)
+
+
+def test_anchored_listing_cap() -> None:
+    # heavy-40's listing: 3 * perm(39, 2) = 4,446 anchored keys.
+    assert len(anchored_keys(enumerate_reduced_keyset(40, 3), 1)) == 4446
+    # 5 * perm(24, 4) = 1,275,120 anchored keys are refused before any is listed.
+    assert math.perm(5, 1) * math.perm(24, 4) > DEFAULT_ENUMERATION_CAP
+    with pytest.raises(CapacityError, match="1275120 anchored keys"):
+        anchored_keys(enumerate_reduced_keyset(25, 5), 1)
+    # construct_a reaches the guard on a 25-token T=5 input with one 0.95 token.
+    px = TokenDistribution.from_strings(["1/480"] * 24 + ["0.95"])
+    with pytest.raises(CapacityError, match="anchored keys"):
+        construct_a(px, F(1, 2), 5)
 
 
 def test_anchored_cell_count_matches_filter() -> None:

@@ -8,6 +8,7 @@ from keymark.construct_a import build_pm1, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import TokenDistribution, decode, enumerate_reduced_keyset
 from keymark.errors import ParameterError
+from keymark.metrics import check_scheme, error_report
 from keymark.thot import THotDecomposition, THotTerm
 
 from test_construct_a import assert_scheme_properties
@@ -189,5 +190,15 @@ def test_construct_b_random_instances() -> None:
         px = TokenDistribution.from_fractions(F(w, total) for w in weights)
         alpha = F(rng.randint(1, 99), 100)
         force = rng.random() < 0.5
-        scheme = construct_b(px, alpha, t, force_pseudo=force, cap=10**9)
+        scheme = construct_b(px, alpha, t, force_pseudo=force)
         assert_scheme_properties(scheme)
+
+
+def test_constructions_on_a_zipf_vocabulary_of_200() -> None:
+    # perm(200, 3) = 7,880,400 placement keys: the key set lists none of them.
+    weights = [10**6 // i for i in range(1, 201)]
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    for builder in (construct_a, construct_b):
+        scheme = builder(px, F(1, 2), 3)
+        assert check_scheme(scheme).ok
+        assert error_report(scheme).gap == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from keymark.core import (
     DEFAULT_ENUMERATION_CAP,
-    ENUMERATION_CAP_ENV,
     ExplicitKeySet,
     JointTable,
     ReducedKeySet,
@@ -18,9 +18,8 @@ from keymark.core import (
     enumerate_reduced_keyset,
     is_reduced_member,
     merge_tables,
-    resolve_enumeration_cap,
 )
-from keymark.errors import CapacityError, ParameterError, ValidationError
+from keymark.errors import ParameterError, ValidationError
 
 
 def brute_force_keys(length: int, t: int) -> list[tuple[int, ...]]:
@@ -112,7 +111,7 @@ def test_sparse_rank_unrank_match_enumeration(shape: tuple[int, int]) -> None:
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([4096, 32768]), st.data())
 def test_sparse_round_trip_and_order_at_vocabulary_sizes(length: int, data) -> None:
-    ks = ReducedKeySet(length, 3, cap=math.inf)
+    ks = ReducedKeySet(length, 3)
     assert len(ks) == math.perm(length, 3) + 1
     i = data.draw(st.integers(0, len(ks) - 2), label="i")
     j = data.draw(st.integers(i + 1, len(ks) - 1), label="j")
@@ -167,25 +166,17 @@ def test_keyset_parameter_validation() -> None:
         ReducedKeySet(3, 4)
 
 
-def test_enumeration_cap() -> None:
-    with pytest.raises(CapacityError):
-        enumerate_reduced_keyset(30, 10)
-    # Explicit cap overrides the default in both directions.
-    with pytest.raises(CapacityError):
-        enumerate_reduced_keyset(4, 3, cap=10)
-    assert len(enumerate_reduced_keyset(12, 8, cap=10**9)) == math.perm(12, 8) + 1
-
-
-def test_cap_resolution(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv(ENUMERATION_CAP_ENV, raising=False)
-    assert resolve_enumeration_cap(None) == DEFAULT_ENUMERATION_CAP
-    assert resolve_enumeration_cap(55) == 55
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "123")
-    assert resolve_enumeration_cap(None) == 123
-    assert resolve_enumeration_cap(7) == 7
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "many")
-    with pytest.raises(ParameterError):
-        resolve_enumeration_cap(None)
+def test_reduced_keyset_has_no_size_cap(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The key set lists nothing, so no size or environment setting limits it;
+    # the listing guard lives on the anchored-key listing (test_construct_a).
+    monkeypatch.setenv("KEYMARK_KEYSET_CAP", "1")
+    ks = enumerate_reduced_keyset(100, 10)
+    # size is exact even beyond sys.maxsize, where len() cannot report it.
+    assert ks.size == math.perm(100, 10) + 1 > sys.maxsize
+    assert len(enumerate_reduced_keyset(30, 10)) == math.perm(30, 10) + 1 > DEFAULT_ENUMERATION_CAP
+    last = ks.sparse_key(ks.size - 1)
+    assert last == tuple((pos, 10 - pos) for pos in range(10))
+    assert ks.sparse_index(last) == ks.size - 1
 
 
 def test_explicit_keyset() -> None:

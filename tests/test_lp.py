@@ -177,8 +177,17 @@ def test_build_primal_validation() -> None:
 
 
 def test_build_primal_variable_cap() -> None:
+    # n=20, T=3: 3 * 20 * (perm(20, 3) + 1) = 410,460 table variables.
+    px = TokenDistribution.from_fractions([F(1, 20)] * 20)
+    with pytest.raises(CapacityError, match="410460 table variables"):
+        build_primal(px, F(1, 2), 3, enumerate_reduced_keyset(20, 3))
+    # n=8, T=2 is 2 * 8 * 57 = 912 variables, well inside the cap.
+    px = TokenDistribution.from_fractions([F(1, 8)] * 8)
+    assert build_primal(px, F(1, 2), 2, enumerate_reduced_keyset(8, 2)).nvars == 912 + 57 + 1
+    # More keys than len() can count still ends in the typed error.
+    px = TokenDistribution.from_fractions([F(1, 100)] * 100)
     with pytest.raises(CapacityError):
-        build_primal(PX_SKEWED, F(1, 2), 2, enumerate_reduced_keyset(3, 2), variable_cap=10)
+        build_primal(px, F(1, 2), 10, enumerate_reduced_keyset(100, 10))
 
 
 def test_bijective_keyset_builtin_three_two() -> None:

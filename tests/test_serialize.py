@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keymark.construct_a import construct_a
 from keymark.core import (
@@ -12,7 +14,7 @@ from keymark.core import (
     WatermarkScheme,
     enumerate_reduced_keyset,
 )
-from keymark.errors import ValidationError
+from keymark.errors import ParameterError, ValidationError
 from keymark.serialize import (
     DOCUMENT_VERSION,
     deserialize_scheme,
@@ -97,6 +99,9 @@ def test_pz_recomputed_from_first_table() -> None:
         (lambda d: d["tables"].update({"1": {}}), "table m=1 must be a list"),
         (lambda d: d.update(provenance=[]), "'provenance' must be an object"),
         (lambda d: d["keyset"].update(t=2), "does not fit"),
+        (lambda d: d["tables"]["1"].__setitem__(0, [True, 2, "0.05"]), "key index must be an int"),
+        (lambda d: d["tables"]["1"].__setitem__(0, [1, True, "0.05"]), "token must be an int"),
+        (lambda d: d.update(version=True), "'version' must be an integer"),
     ],
 )
 def test_deserialize_rejects_bad_documents(mutate, message_part: str) -> None:
@@ -105,6 +110,74 @@ def test_deserialize_rejects_bad_documents(mutate, message_part: str) -> None:
     mutate(doc)
     with pytest.raises(ValidationError, match=message_part):
         deserialize_scheme(doc)
+
+
+def _paths(node, prefix=()):
+    """(container path, key) of every value in a JSON document, depth first.
+
+    Only the first two items of a list are visited; the rest repeat their
+    structure.
+    """
+    items = node.items() if isinstance(node, dict) else list(enumerate(node))[:2]
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*prefix, key))
+
+
+DROP = object()
+# Dropped fields, values of other JSON kinds (bools too), integers out of
+# range and malformed mass strings.
+MUTATIONS = [
+    DROP,
+    *(None, True, False, 0, 1, 2.5, "", "x", [], {}, [1, 2, 3]),
+    *(-(10**30), -2, -1, 3, 5, 26, 10**20, 10**30),
+    *("abc", "1/0", "0/0", "1e-3", "nan", "inf", "-0.1", "1/-2", "0.5.5", "1//2", "2"),
+]
+FUZZ_DOCS = [
+    serialize_scheme(tiny_scheme()),
+    serialize_scheme(construct_a(PX_A, Fraction(9, 10), 3)),
+]
+
+
+def _mutate(doc, prefix, key, value) -> None:
+    parent = doc
+    for step in prefix:
+        parent = parent[step]
+    if value is DROP:
+        del parent[key]
+    else:
+        parent[key] = json.loads(json.dumps(value))
+
+
+def _load_typed(doc) -> None:
+    """Load a mutated document; it may load, or fail with a typed input error."""
+    try:
+        deserialize_scheme(doc)
+    except (ValidationError, ParameterError):
+        pass
+
+
+def test_every_single_mutation_fails_typed() -> None:
+    for source in FUZZ_DOCS:
+        for prefix, key in _paths(source):
+            for value in MUTATIONS:
+                doc = json.loads(json.dumps(source))
+                _mutate(doc, prefix, key, value)
+                _load_typed(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_DOCS), st.data())
+def test_mutated_documents_fail_typed(source, data) -> None:
+    doc = json.loads(json.dumps(source))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        prefix, key = data.draw(st.sampled_from(paths), label="path")
+        _mutate(doc, prefix, key, data.draw(st.sampled_from(MUTATIONS), label="value"))
+    _load_typed(doc)
 
 
 def test_load_scheme_reports_json_errors(tmp_path: Path) -> None:
