@@ -10,7 +10,7 @@ restricted (bijective) key families cannot.
 """
 
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     ErrorReport,
     ExplicitKeySet,
     JointTable,
@@ -82,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
     "DualCertificate",
     "ErrorReport",
     "ExplicitKeySet",

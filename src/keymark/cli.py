@@ -46,6 +46,8 @@ class RunConfig:
     def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
         self._args = args
         self._file = file_values
+        # Parsed up front so a bad setting fails before any work is done.
+        self.as_json = bool(self.get("json", False, parse=_parse_bool))
 
     def get(self, name: str, default: Any = None, parse: Callable | None = None) -> Any:
         value = getattr(self._args, name, None)
@@ -56,10 +58,6 @@ class RunConfig:
             elif value is None:
                 value = default
         return value
-
-    @property
-    def as_json(self) -> bool:
-        return bool(self.get("json", False, parse=_parse_bool))
 
 
 def _parse_int(value: Any, name: str) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     JointTable,
     KeySet,
     ReducedKeySet,
@@ -31,9 +31,10 @@ from .core import (
     TokenDistribution,
     WatermarkScheme,
     add_mass,
+    check_listing,
     merge_tables,
 )
-from .errors import CapacityError, InvariantError, ParameterError
+from .errors import InvariantError, ParameterError
 from .split import PxSplit, split_px
 from .thot import THotDecomposition, decompose_t_hot
 
@@ -84,7 +85,12 @@ class ImbalanceLedger:
 
 
 def structural_keys(keyset: KeySet, omega: Sequence[int]) -> set[int]:
-    """Indices of keys whose nonzero positions equal the support of omega."""
+    """Indices of keys whose nonzero positions equal the support of omega.
+
+    These are the T! orderings of 1..T over the support, listed one by one,
+    so T! above ENUMERATION_CAP raises CapacityError before the first.
+    """
+    check_listing(math.factorial(keyset.t), "structural keys", ENUMERATION_CAP)
     return {idx for idx, _ in _structural_pairs(keyset, omega)}
 
 
@@ -113,7 +119,7 @@ def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]
     """(index, last k entries) of every key whose last k entries are nonzero.
 
     On the reduced key set these are perm(t, k) * perm(L-k, t-k) keys, which
-    are listed one by one, so a count above DEFAULT_ENUMERATION_CAP raises
+    are listed one by one, so a count above ENUMERATION_CAP raises
     CapacityError before the first.
     """
     t, length = keyset.t, keyset.length
@@ -123,12 +129,11 @@ def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]
     if not isinstance(keyset, ReducedKeySet):
         tails = ((i, keyset.key(i)[head:]) for i in range(len(keyset)))
         return [(i, tail) for i, tail in tails if all(tail)]
-    count = math.perm(t, k) * math.perm(head, t - k)
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} anchored keys (length={length}, t={t}, k={k}) exceed "
-            f"the enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
+    check_listing(
+        math.perm(t, k) * math.perm(head, t - k),
+        f"anchored keys (length={length}, t={t}, k={k})",
+        ENUMERATION_CAP,
+    )
     anchored: list[tuple[int, tuple[int, ...]]] = []
     for tail in itertools.permutations(range(1, t + 1), k):
         rest = [v for v in range(1, t + 1) if v not in tail]
@@ -179,11 +184,18 @@ def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
 
     Every key with the term's support assigns each message to exactly one
     token, so each key contributes one cell per message and column sums
-    reconstruct the decomposed vector.
+    reconstruct the decomposed vector.  The T! keys of every term are listed
+    one by one, so more than ENUMERATION_CAP of them in all raise
+    CapacityError before the first.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-1 allocation requires the reduced key set")
     t = keyset.t
+    check_listing(
+        len(decomp.terms) * math.factorial(t),
+        f"structural keys ({len(decomp.terms)} terms, t={t})",
+        ENUMERATION_CAP,
+    )
     share_denominator = math.factorial(t - 1)
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for term in decomp.terms:

@@ -33,7 +33,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParameterError, ValidationError
+from .errors import CapacityError, ParameterError, ValidationError
 
 __all__ = [
     "KeyVector",
@@ -49,16 +49,23 @@ __all__ = [
     "decode",
     "enumerate_reduced_keyset",
     "is_reduced_member",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_CAP",
+    "check_listing",
 ]
 
 KeyVector = tuple[int, ...]
 # Nonzero entries of a key as (0-based position, value) pairs, by position.
 SparseKey = tuple[tuple[int, int], ...]
 
-# Most keys that an operation may list one by one; the lazy key sets
-# themselves have no size limit.
-DEFAULT_ENUMERATION_CAP = 10**6
+# Most keys that an operation may list one by one.  The limit is fixed, and
+# the lazy key sets themselves have no size limit.
+ENUMERATION_CAP = 10**6
+
+
+def check_listing(count: int, what: str, limit: int) -> None:
+    """Raise CapacityError, before anything is listed, when count > limit."""
+    if count > limit:
+        raise CapacityError(f"{count} {what} exceed the fixed cap {limit}")
 
 
 def decode(x: int, zeta: Sequence[int]) -> int:

@@ -21,9 +21,10 @@ class ParameterError(KeymarkError, ValueError):
 class CapacityError(KeymarkError, RuntimeError):
     """An operation would list more keys or LP variables than its fixed cap.
 
-    Two operations check one: listing the anchored keys of the reduced key
-    set (DEFAULT_ENUMERATION_CAP) and building an LP's table variables
-    (DEFAULT_VARIABLE_CAP).
+    Only the operations that list keys check one: construction A's
+    structural keys (T! per decomposition term) and anchored keys on the
+    reduced key set (ENUMERATION_CAP), and an LP's table variables
+    (VARIABLE_CAP).  Key sets themselves have no size limit.
     """
 
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ExplicitKeySet, KeySet, KeyVector, TokenDistribution
-from .errors import CapacityError, ParameterError
+from .core import ExplicitKeySet, KeySet, KeyVector, TokenDistribution, check_listing
+from .errors import ParameterError
 from .rationals import mass_to_string
 from .simplex import SimplexResult, simplex_solve
 
 __all__ = [
-    "DEFAULT_VARIABLE_CAP",
+    "VARIABLE_CAP",
     "LpProblem",
     "LpSolution",
     "DualCertificate",
@@ -34,7 +34,8 @@ __all__ = [
     "export_lp_text",
 ]
 
-DEFAULT_VARIABLE_CAP = 10**5
+# Most LP table variables that build_primal lists; the limit is fixed.
+VARIABLE_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ def build_primal(
     nz = keyset.size
     table_vars = t * n * nz
     nvars = table_vars + nz + 1
-    if table_vars > DEFAULT_VARIABLE_CAP:
-        raise CapacityError(f"{table_vars} table variables exceed cap {DEFAULT_VARIABLE_CAP}")
+    check_listing(table_vars, "table variables", VARIABLE_CAP)
     keys = tuple(keyset.key(i) for i in range(nz))
 
     def pm(m: int, x: int, k: int) -> int:

@@ -229,6 +229,11 @@ def test_config_file_json_setting(capsys, tmp_path) -> None:
     cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\njson=sometimes\n")
     assert main(["optimal", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    # A bad setting is refused before a scheme is built or written.
+    out = tmp_path / "scheme.json"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "not a boolean" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_rejects_cancelling_terms(capsys, tmp_path) -> None:
@@ -268,6 +273,12 @@ def test_capacity_errors_exit_3(capsys) -> None:
     uniform = ",".join(["0.05"] * 20)
     assert main(["lp", "--px", uniform, "--alpha", "1/2", "--t", "3"]) == 3
     assert "table variables" in capsys.readouterr().err
+    # T=10: 10! structural keys for every decomposition term, either method.
+    twelve = ",".join(["1/12"] * 12)
+    for method in ("a", "b"):
+        argv = ["construct", "--px", twelve, "--alpha", "1/2", "--t", "10", "--method", method]
+        assert main(argv) == 3
+        assert "structural keys" in capsys.readouterr().err
 
 
 def test_installed_entry_point() -> None:

@@ -17,7 +17,7 @@ from keymark.construct_a import (
     structural_keys,
 )
 from keymark.core import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     ExplicitKeySet,
     TokenDistribution,
     WatermarkScheme,
@@ -125,13 +125,29 @@ def test_anchored_listing_cap() -> None:
     # heavy-40's listing: 3 * perm(39, 2) = 4,446 anchored keys.
     assert len(anchored_keys(enumerate_reduced_keyset(40, 3), 1)) == 4446
     # 5 * perm(24, 4) = 1,275,120 anchored keys are refused before any is listed.
-    assert math.perm(5, 1) * math.perm(24, 4) > DEFAULT_ENUMERATION_CAP
+    assert math.perm(5, 1) * math.perm(24, 4) > ENUMERATION_CAP
     with pytest.raises(CapacityError, match="1275120 anchored keys"):
         anchored_keys(enumerate_reduced_keyset(25, 5), 1)
     # construct_a reaches the guard on a 25-token T=5 input with one 0.95 token.
     px = TokenDistribution.from_strings(["1/480"] * 24 + ["0.95"])
     with pytest.raises(CapacityError, match="anchored keys"):
         construct_a(px, F(1, 2), 5)
+
+
+def test_structural_listing_cap() -> None:
+    # T! structural keys per term: 9! = 362,880 fit, 10! = 3,628,800 do not.
+    assert math.factorial(9) <= ENUMERATION_CAP < math.factorial(10)
+    with pytest.raises(CapacityError, match="3628800 structural keys"):
+        structural_keys(enumerate_reduced_keyset(10, 10), (1,) * 10)
+    # Three 9-hot terms list 3 * 9! keys in all, which build_pm1 refuses.
+    decomp = decompose_t_hot([F(1, 30)] * 10, 9)
+    assert len(decomp.terms) * math.factorial(9) > ENUMERATION_CAP
+    with pytest.raises(CapacityError, match="structural keys"):
+        build_pm1(decomp, enumerate_reduced_keyset(10, 9))
+    # construct_a reaches the guard on 12 uniform tokens with T=10.
+    px = TokenDistribution.from_strings(["1/12"] * 12)
+    with pytest.raises(CapacityError, match="structural keys"):
+        construct_a(px, F(1, 2), 10)
 
 
 def test_anchored_cell_count_matches_filter() -> None:

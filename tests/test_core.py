@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keymark.core import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     ExplicitKeySet,
     JointTable,
     ReducedKeySet,
@@ -173,7 +173,7 @@ def test_reduced_keyset_has_no_size_cap(monkeypatch: pytest.MonkeyPatch) -> None
     ks = enumerate_reduced_keyset(100, 10)
     # size is exact even beyond sys.maxsize, where len() cannot report it.
     assert ks.size == math.perm(100, 10) + 1 > sys.maxsize
-    assert len(enumerate_reduced_keyset(30, 10)) == math.perm(30, 10) + 1 > DEFAULT_ENUMERATION_CAP
+    assert len(enumerate_reduced_keyset(30, 10)) == math.perm(30, 10) + 1 > ENUMERATION_CAP
     last = ks.sparse_key(ks.size - 1)
     assert last == tuple((pos, 10 - pos) for pos in range(10))
     assert ks.sparse_index(last) == ks.size - 1

@@ -158,7 +158,7 @@ def _load_typed(doc) -> None:
         pass
 
 
-def test_every_single_mutation_fails_typed() -> None:
+def test_every_single_mutation_loads_or_fails_typed() -> None:
     for source in FUZZ_DOCS:
         for prefix, key in _paths(source):
             for value in MUTATIONS:
@@ -169,7 +169,7 @@ def test_every_single_mutation_fails_typed() -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(FUZZ_DOCS), st.data())
-def test_mutated_documents_fail_typed(source, data) -> None:
+def test_mutated_documents_load_or_fail_typed(source, data) -> None:
     doc = json.loads(json.dumps(source))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         paths = list(_paths(doc))
