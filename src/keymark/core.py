@@ -336,7 +336,8 @@ class JointTable:
     """Sparse joint distribution over (token, key) pairs for one message.
 
     rows maps key index -> {token (1-based) -> mass}.  Zero masses are never
-    stored; builders drop cells that cancel to zero.
+    stored; builders drop cells that cancel to zero.  The table keeps its
+    own copy of rows, ordered by key index and each row by token.
     """
 
     m: int
@@ -345,22 +346,25 @@ class JointTable:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValidationError(f"message index {self.m} must be >= 1")
-        for key_index, row in self.rows.items():
+        ordered: dict[int, dict[int, Fraction]] = {}
+        for key_index in sorted(self.rows):
+            row = self.rows[key_index]
             for token, mass in row.items():
                 if mass == 0:
                     raise ValidationError(
                         f"explicit zero mass at key {key_index}, token {token}"
                     )
+            ordered[key_index] = dict(sorted(row.items()))
+        object.__setattr__(self, "rows", ordered)
 
     def cell(self, key_index: int, token: int) -> Fraction:
         return self.rows.get(key_index, {}).get(token, Fraction(0))
 
     def cells(self) -> Iterator[tuple[int, int, Fraction]]:
-        """(key_index, token, mass) triples in deterministic order."""
-        for key_index in sorted(self.rows):
-            row = self.rows[key_index]
-            for token in sorted(row):
-                yield key_index, token, row[token]
+        """(key_index, token, mass) triples by key index, then token."""
+        for key_index, row in self.rows.items():
+            for token, mass in row.items():
+                yield key_index, token, mass
 
     def row_sum(self, key_index: int) -> Fraction:
         return sum(self.rows.get(key_index, {}).values(), Fraction(0))

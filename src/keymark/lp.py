@@ -9,13 +9,17 @@ objective minimizes t.  Inequalities: one miss-rate row per message
 (message, key).  On the full reduced key set the optimum equals the
 closed-form 1 - sum min(alpha/T, px); on restricted key sets it can be
 strictly larger, which a feasible dual certificate can prove from below.
+
+Constraint rows are sparse {column: coefficient} maps filled from each
+key's nonzero (position, value) pairs; the exact simplex, the dual check
+and the LP text export all read them in that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import ExplicitKeySet, KeySet, KeyVector, TokenDistribution, check_listing
 from .errors import ParameterError
@@ -40,17 +44,21 @@ VARIABLE_CAP = 10**5
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . v  s.t.  ineq . v <= ineq_rhs,  eq . v = eq_rhs,  v >= 0."""
+    """min objective . v  s.t.  ineq . v <= ineq_rhs,  eq . v = eq_rhs,  v >= 0.
+
+    Each constraint row maps a column index to its nonzero coefficient, in
+    increasing column order; nkeys is the size of the key set.
+    """
 
     n: int
     t: int
     alpha: Fraction
     px: tuple[Fraction, ...]
-    keys: tuple[KeyVector, ...]
+    nkeys: int
     objective: tuple[Fraction, ...]
-    ineq: tuple[tuple[Fraction, ...], ...]
+    ineq: tuple[Mapping[int, Fraction], ...]
     ineq_rhs: tuple[Fraction, ...]
-    eq: tuple[tuple[Fraction, ...], ...]
+    eq: tuple[Mapping[int, Fraction], ...]
     eq_rhs: tuple[Fraction, ...]
 
     @property
@@ -58,7 +66,7 @@ class LpProblem:
         return len(self.objective)
 
     def var_name(self, j: int) -> str:
-        nz = len(self.keys)
+        nz = self.nkeys
         if j < self.t * self.n * nz:
             m, rest = divmod(j, self.n * nz)
             x, k = divmod(rest, nz)
@@ -74,7 +82,7 @@ class LpProblem:
         if i < self.t * self.n:
             m, x = divmod(i, self.n)
             return f"col_m{m + 1}_x{x + 1}"
-        m, k = divmod(i - self.t * self.n, len(self.keys))
+        m, k = divmod(i - self.t * self.n, self.nkeys)
         return f"bal_m{m + 1}_k{k}"
 
 
@@ -114,7 +122,6 @@ def build_primal(
     table_vars = t * n * nz
     nvars = table_vars + nz + 1
     check_listing(table_vars, "table variables", VARIABLE_CAP)
-    keys = tuple(keyset.key(i) for i in range(nz))
 
     def pm(m: int, x: int, k: int) -> int:
         return ((m - 1) * n + (x - 1)) * nz + k
@@ -123,43 +130,32 @@ def build_primal(
     t_var = table_vars + nz
     zero = Fraction(0)
     one = Fraction(1)
+    minus_one = Fraction(-1)
 
-    ineq: list[tuple[Fraction, ...]] = []
-    ineq_rhs: list[Fraction] = []
-    for m in range(1, t + 1):
-        row = [zero] * nvars
-        for x in range(1, n + 1):
-            for k, key in enumerate(keys):
-                if key[x - 1] != m:
-                    row[pm(m, x, k)] = one
-        row[t_var] = Fraction(-1)
-        ineq.append(tuple(row))
-        ineq_rhs.append(zero)
-    for x in range(1, n + 1):
-        row = [zero] * nvars
-        for k, key in enumerate(keys):
-            if key[x - 1] != 0:
-                row[pz_base + k] = one
-        ineq.append(tuple(row))
-        ineq_rhs.append(alpha)
+    # Row m of the miss block covers every (x, k) of message m except the
+    # cells where key k decodes token x to m; dropping those keeps the
+    # remaining columns in increasing order.
+    miss = [dict.fromkeys(range(pm(m, 1, 0), pm(m + 1, 1, 0)), one) for m in range(1, t + 1)]
+    cap: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for k in range(nz):
+        for pos, value in keyset.sparse_key(k):
+            del miss[value - 1][pm(value, pos + 1, k)]
+            cap[pos][pz_base + k] = one
+    for row in miss:
+        row[t_var] = minus_one
+    ineq = (*miss, *cap)
+    ineq_rhs = (zero,) * t + (alpha,) * n
 
-    eq: list[tuple[Fraction, ...]] = []
-    eq_rhs: list[Fraction] = []
+    eq: list[dict[int, Fraction]] = []
     for m in range(1, t + 1):
         for x in range(1, n + 1):
-            row = [zero] * nvars
-            for k in range(nz):
-                row[pm(m, x, k)] = one
-            eq.append(tuple(row))
-            eq_rhs.append(px.probs[x - 1])
+            eq.append(dict.fromkeys(range(pm(m, x, 0), pm(m, x, nz)), one))
     for m in range(1, t + 1):
         for k in range(nz):
-            row = [zero] * nvars
-            for x in range(1, n + 1):
-                row[pm(m, x, k)] = one
-            row[pz_base + k] = Fraction(-1)
-            eq.append(tuple(row))
-            eq_rhs.append(zero)
+            row = {pm(m, x, k): one for x in range(1, n + 1)}
+            row[pz_base + k] = minus_one
+            eq.append(row)
+    eq_rhs = px.probs * t + (zero,) * (t * nz)
 
     objective = [zero] * nvars
     objective[t_var] = one
@@ -168,12 +164,12 @@ def build_primal(
         t=t,
         alpha=alpha,
         px=px.probs,
-        keys=keys,
+        nkeys=nz,
         objective=tuple(objective),
-        ineq=tuple(ineq),
-        ineq_rhs=tuple(ineq_rhs),
+        ineq=ineq,
+        ineq_rhs=ineq_rhs,
         eq=tuple(eq),
-        eq_rhs=tuple(eq_rhs),
+        eq_rhs=eq_rhs,
     )
 
 
@@ -204,13 +200,14 @@ def check_dual(problem: LpProblem, cert: DualCertificate) -> tuple[bool, Fractio
         raise ParameterError(f"z has {len(cert.z)} entries, expected {len(problem.eq)}")
     feasible = all(v >= 0 for v in cert.y)
     if feasible:
-        for j in range(problem.nvars):
-            lhs = -sum(
-                (row[j] * y for row, y in zip(problem.ineq, cert.y)), Fraction(0)
-            ) - sum((row[j] * z for row, z in zip(problem.eq, cert.z)), Fraction(0))
-            if lhs > problem.objective[j]:
-                feasible = False
-                break
+        # A'y + E'z, accumulated over each row's nonzeros once.
+        weighted = [Fraction(0)] * problem.nvars
+        for rows, duals in ((problem.ineq, cert.y), (problem.eq, cert.z)):
+            for row, dual in zip(rows, duals):
+                if dual:
+                    for j, coeff in row.items():
+                        weighted[j] += coeff * dual
+        feasible = all(-w <= d for w, d in zip(weighted, problem.objective))
     value = -sum(
         (y * b for y, b in zip(cert.y, problem.ineq_rhs)), Fraction(0)
     ) - sum((z * c for z, c in zip(cert.z, problem.eq_rhs)), Fraction(0))
@@ -285,9 +282,9 @@ def export_lp_text(problem: LpProblem) -> str:
     lines.append(" obj: " + " + ".join(terms))
     lines.append("Subject To")
 
-    def render(row: Sequence[Fraction]) -> str:
+    def render(row: Mapping[int, Fraction]) -> str:
         parts: list[str] = []
-        for j, coeff in enumerate(row):
+        for j, coeff in sorted(row.items()):
             if coeff == 0:
                 continue
             name = problem.var_name(j)

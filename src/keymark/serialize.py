@@ -17,12 +17,14 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .core import (
+    ENUMERATION_CAP,
     ExplicitKeySet,
     JointTable,
     KeySet,
     ReducedKeySet,
     TokenDistribution,
     WatermarkScheme,
+    check_listing,
 )
 from .errors import ValidationError
 from .rationals import mass_to_string, parse_mass
@@ -162,6 +164,8 @@ def load_scheme(path: str | Path) -> WatermarkScheme:
 
 def export_csv(scheme: WatermarkScheme) -> str:
     """One row per stored (m, key, token, mass) cell, after a parameter block."""
+    # Each row spells its key out in full.
+    check_listing(scheme.keyset.length, "key entries per CSV row", ENUMERATION_CAP)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["# n", scheme.n])

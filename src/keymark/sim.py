@@ -24,7 +24,11 @@ __all__ = ["TrialReport", "sample", "monte_carlo"]
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Monte Carlo estimate of one error rate against its exact value."""
+    """Monte Carlo estimate of one error rate against its exact value.
+
+    stderr is the binomial standard error at the exact rate, so no hits of
+    a small positive rate still give a finite z-score.
+    """
 
     m: int
     trials: int
@@ -37,7 +41,7 @@ class TrialReport:
     @classmethod
     def from_counts(cls, m: int, trials: int, hits: int, exact: Fraction) -> "TrialReport":
         estimate = hits / trials
-        stderr = math.sqrt(estimate * (1 - estimate) / trials)
+        stderr = math.sqrt(exact * (1 - exact) / trials)
         if stderr > 0:
             z = (estimate - float(exact)) / stderr
         else:

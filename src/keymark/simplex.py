@@ -2,9 +2,9 @@
 
 Solves  min d.v  s.t.  A.v <= b,  E.v = c,  v >= 0  with a dense two-phase
 tableau and Bland's entering/leaving rule, so cycling is impossible and
-every reported number is exact.  Arithmetic uses gmpy2 rationals when the
-package is importable and fractions.Fraction otherwise; inputs and outputs
-are always Fractions.
+every reported number is an exact fractions.Fraction.  Each constraint row
+arrives as a sparse {column: coefficient} map and is scattered into the
+tableau.
 
 Artificial columns are kept (banned from entering) through phase 2: they
 hold the running basis inverse, which yields the dual vector at optimality
@@ -15,14 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import SolverError
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
 
 __all__ = ["SimplexResult", "simplex_solve"]
 
@@ -48,29 +43,20 @@ class SimplexResult:
     pivots: int
 
 
-def _to_q(value: Fraction):
-    return _Q(value.numerator, value.denominator)
-
-
-def _to_fraction(value) -> Fraction:
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
 class _Tableau:
-    def __init__(self, nvars: int, rows: list[list], rhs: list, art_start: int):
+    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], art_start: int):
         self.rows = rows
         self.rhs = rhs
-        self.nvars = nvars
         self.art_start = art_start
-        self.ncols = len(rows[0]) if rows else 0
+        self.ncols = len(rows[0])
         self.basis = list(range(art_start, art_start + len(rows)))
-        self.cost = [_Q(0)] * self.ncols
-        self.cost_rhs = _Q(0)
+        self.cost = [Fraction(0)] * self.ncols
+        self.cost_rhs = Fraction(0)
         self.pivots = 0
 
-    def set_cost(self, coeffs: list) -> None:
-        self.cost = list(coeffs) + [_Q(0)] * (self.ncols - len(coeffs))
-        self.cost_rhs = _Q(0)
+    def set_cost(self, coeffs: list[Fraction]) -> None:
+        self.cost = list(coeffs) + [Fraction(0)] * (self.ncols - len(coeffs))
+        self.cost_rhs = Fraction(0)
         for i, b in enumerate(self.basis):
             cb = self.cost[b]
             if cb != 0:
@@ -107,13 +93,13 @@ class _Tableau:
             self.cost_rhs -= factor * self.rhs[r]
         self.basis[r] = j
 
-    def run(self, allow_artificial: bool) -> str:
+    def run(self) -> str:
         """Bland's rule: smallest negative-reduced-cost column enters; the
-        eligible row whose basic variable has the smallest index leaves."""
-        limit = self.ncols if allow_artificial else self.art_start
+        eligible row whose basic variable has the smallest index leaves.
+        Artificial columns never enter."""
         while True:
             enter = -1
-            for j in range(limit):
+            for j in range(self.art_start):
                 if self.cost[j] < 0:
                     enter = j
                     break
@@ -137,46 +123,46 @@ class _Tableau:
 
 def simplex_solve(
     objective: Sequence[Fraction],
-    ineq_rows: Sequence[Sequence[Fraction]],
+    ineq_rows: Sequence[Mapping[int, Fraction]],
     ineq_rhs: Sequence[Fraction],
-    eq_rows: Sequence[Sequence[Fraction]],
+    eq_rows: Sequence[Mapping[int, Fraction]],
     eq_rhs: Sequence[Fraction],
 ) -> SimplexResult:
+    """Each row maps a column index in [0, len(objective)) to its coefficient;
+    absent columns are zero."""
     nv = len(objective)
     n_ineq, n_eq = len(ineq_rows), len(eq_rows)
     n_rows = n_ineq + n_eq
     if n_rows == 0:
         raise SolverError("no constraints")
-    n_slack = n_ineq
-    art_start = nv + n_slack
+    if len(ineq_rhs) != n_ineq or len(eq_rhs) != n_eq:
+        raise SolverError("each constraint row needs exactly one right-hand side")
+    art_start = nv + n_ineq
     ncols = art_start + n_rows
 
-    rows: list[list] = []
-    rhs: list = []
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
     signs: list[int] = []
-    for i in range(n_rows):
-        src = ineq_rows[i] if i < n_ineq else eq_rows[i - n_ineq]
-        if len(src) != nv:
-            raise SolverError(f"row {i} has {len(src)} coefficients, expected {nv}")
-        row = [_to_q(v) for v in src] + [_Q(0)] * (n_slack + n_rows)
-        b = _to_q(ineq_rhs[i] if i < n_ineq else eq_rhs[i - n_ineq])
+    for i, (src, b) in enumerate(zip((*ineq_rows, *eq_rows), (*ineq_rhs, *eq_rhs))):
+        # A row with a negative right-hand side is negated, slack included,
+        # so that its artificial starts the basis at a non-negative value.
+        sign = -1 if b < 0 else 1
+        row = [Fraction(0)] * ncols
+        for col, value in src.items():
+            if not 0 <= col < nv:
+                raise SolverError(f"row {i} has column {col} outside [0, {nv})")
+            row[col] = sign * Fraction(value)
         if i < n_ineq:
-            row[nv + i] = _Q(1)
-        sign = 1
-        if b < 0:
-            sign = -1
-            b = -b
-            for k in range(nv + n_slack):
-                row[k] = -row[k]
-        row[art_start + i] = _Q(1)
+            row[nv + i] = Fraction(sign)
+        row[art_start + i] = Fraction(1)
         rows.append(row)
-        rhs.append(b)
+        rhs.append(sign * Fraction(b))
         signs.append(sign)
 
-    tableau = _Tableau(nv, rows, rhs, art_start)
-    phase1 = [_Q(0)] * art_start + [_Q(1)] * n_rows
+    tableau = _Tableau(rows, rhs, art_start)
+    phase1 = [Fraction(0)] * art_start + [Fraction(1)] * n_rows
     tableau.set_cost(phase1)
-    status = tableau.run(allow_artificial=False)
+    status = tableau.run()
     if status != "optimal":
         raise SolverError("phase 1 reported unbounded, which is impossible")
     if -tableau.cost_rhs > 0:
@@ -190,8 +176,8 @@ def simplex_solve(
                     tableau.pivot(i, j)
                     break
 
-    tableau.set_cost([_to_q(v) for v in objective])
-    status = tableau.run(allow_artificial=False)
+    tableau.set_cost([Fraction(v) for v in objective])
+    status = tableau.run()
     if status == "unbounded":
         return SimplexResult(
             "unbounded", Fraction(0), (), (), (), tuple(tableau.basis), tableau.pivots
@@ -200,13 +186,11 @@ def simplex_solve(
     values = [Fraction(0)] * nv
     for i, b in enumerate(tableau.basis):
         if b < nv:
-            values[b] = _to_fraction(tableau.rhs[i])
-    duals = [
-        signs[i] * _to_fraction(tableau.cost[art_start + i]) for i in range(n_rows)
-    ]
+            values[b] = tableau.rhs[i]
+    duals = [signs[i] * tableau.cost[art_start + i] for i in range(n_rows)]
     return SimplexResult(
         "optimal",
-        _to_fraction(-tableau.cost_rhs),
+        -tableau.cost_rhs,
         tuple(values),
         tuple(duals[:n_ineq]),
         tuple(duals[n_ineq:]),

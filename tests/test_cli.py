@@ -170,6 +170,19 @@ def test_export_command(capsys, tmp_path) -> None:
     assert csv_path.read_text().startswith("# n,4")
 
 
+def test_export_refuses_keys_too_long_to_spell_out(capsys, tmp_path) -> None:
+    # A reduced document may declare any key length >= n; each CSV row
+    # would spell out 10^20 entries.
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["keyset"]["length"] = 10**20
+    path.write_text(json.dumps(doc))
+    csv_path = tmp_path / "scheme.csv"
+    assert main(["export", str(path), "--out", str(csv_path)]) == 3
+    assert "key entries per CSV row" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path) -> None:
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -247,11 +247,12 @@ def test_token_distribution_sort_perm_property(weights: list[int]) -> None:
 
 
 def test_joint_table_accessors() -> None:
+    # Rows given out of order; cells() still runs by key index, then token.
     table = JointTable(
         1,
         {
+            3: {4: Fraction(3, 80), 2: Fraction(1, 20)},
             0: {4: Fraction(1, 10)},
-            3: {2: Fraction(1, 20), 4: Fraction(3, 80)},
         },
     )
     assert table.cell(3, 2) == Fraction(1, 20)

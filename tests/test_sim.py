@@ -158,8 +158,17 @@ def test_trial_report_fields() -> None:
     clean = TrialReport.from_counts(2, 10, 0, F(0))
     assert clean.stderr == 0.0 and clean.z_score == 0.0
 
-    surprising = TrialReport.from_counts(2, 10, 0, F(1, 10))
-    assert surprising.stderr == 0.0 and math.isinf(surprising.z_score)
+    # No hits of a positive rate: the standard error comes from the exact
+    # rate, so z stays finite (0 hits in 10 at 1/10 has probability 0.35).
+    unlucky = TrialReport.from_counts(2, 10, 0, F(1, 10))
+    assert unlucky.stderr == pytest.approx(math.sqrt(0.1 * 0.9 / 10))
+    assert unlucky.z_score == pytest.approx(-1.054, abs=1e-3)
+
+    rare = TrialReport.from_counts(1, 10**5, 0, F("2.733e-5"))
+    assert rare.estimate == 0.0 and abs(rare.z_score) < 2
+
+    impossible = TrialReport.from_counts(2, 10, 1, F(0))
+    assert impossible.stderr == 0.0 and math.isinf(impossible.z_score)
 
     saturated = TrialReport.from_counts(1, 10, 10, F(1))
     assert saturated.estimate == 1.0 and saturated.z_score == 0.0

@@ -7,6 +7,15 @@ from keymark.errors import SolverError
 from keymark.simplex import SimplexResult, simplex_solve
 
 
+def sparse(rows):
+    """Dense literal rows as the {column: coefficient} maps the solver takes."""
+    return [{j: a for j, a in enumerate(row) if a != 0} for row in rows]
+
+
+def solve_dense(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs) -> SimplexResult:
+    return simplex_solve(objective, sparse(ineq_rows), ineq_rhs, sparse(eq_rows), eq_rhs)
+
+
 def verify_certificates(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs, res: SimplexResult) -> None:
     """Primal feasibility, dual feasibility, and strong duality, all exact."""
     v = res.values
@@ -33,7 +42,7 @@ def verify_certificates(objective, ineq_rows, ineq_rhs, eq_rows, eq_rhs, res: Si
 def test_single_inequality() -> None:
     objective = [F(-1), F(-1)]
     ineq = [[F(1), F(1)]]
-    res = simplex_solve(objective, ineq, [F(1)], [], [])
+    res = solve_dense(objective, ineq, [F(1)], [], [])
     assert res.status == "optimal"
     assert res.objective == F(-1)
     assert sum(res.values) == 1
@@ -43,7 +52,7 @@ def test_single_inequality() -> None:
 def test_single_equality() -> None:
     objective = [F(1), F(2)]
     eq = [[F(1), F(1)]]
-    res = simplex_solve(objective, [], [], eq, [F(1)])
+    res = solve_dense(objective, [], [], eq, [F(1)])
     assert res.status == "optimal"
     assert res.objective == F(1)
     assert res.values == (F(1), F(0))
@@ -55,7 +64,7 @@ def test_mixed_constraints() -> None:
     objective = [F(2), F(3)]
     ineq = [[F(-1), F(-1)], [F(0), F(1)]]
     rhs = [F(-2), F(5)]
-    res = simplex_solve(objective, ineq, rhs, [], [])
+    res = solve_dense(objective, ineq, rhs, [], [])
     assert res.status == "optimal"
     assert res.objective == F(4)
     assert res.values == (F(2), F(0))
@@ -67,7 +76,7 @@ def test_negative_equality_rhs() -> None:
     objective = [F(1), F(0)]
     eq = [[F(1), F(-1)], [F(1), F(1)]]
     rhs = [F(-3), F(5)]
-    res = simplex_solve(objective, [], [], eq, rhs)
+    res = solve_dense(objective, [], [], eq, rhs)
     assert res.status == "optimal"
     assert res.values == (F(1), F(4))
     verify_certificates(objective, [], [], eq, rhs, res)
@@ -82,7 +91,7 @@ def test_beale_degenerate_cycle_guard() -> None:
         [F(0), F(0), F(1), F(0)],
     ]
     rhs = [F(0), F(0), F(1)]
-    res = simplex_solve(objective, ineq, rhs, [], [])
+    res = solve_dense(objective, ineq, rhs, [], [])
     assert res.status == "optimal"
     assert res.objective == F(-1, 20)
     assert res.values == (F(1, 25), F(0), F(1), F(0))
@@ -90,17 +99,17 @@ def test_beale_degenerate_cycle_guard() -> None:
 
 
 def test_infeasible_inequality() -> None:
-    res = simplex_solve([F(1)], [[F(1)]], [F(-1)], [], [])
+    res = solve_dense([F(1)], [[F(1)]], [F(-1)], [], [])
     assert res.status == "infeasible"
 
 
 def test_infeasible_equalities() -> None:
-    res = simplex_solve([F(1)], [], [], [[F(1)], [F(1)]], [F(2), F(3)])
+    res = solve_dense([F(1)], [], [], [[F(1)], [F(1)]], [F(2), F(3)])
     assert res.status == "infeasible"
 
 
 def test_unbounded() -> None:
-    res = simplex_solve([F(-1), F(0)], [[F(1), F(-1)]], [F(1)], [], [])
+    res = solve_dense([F(-1), F(0)], [[F(1), F(-1)]], [F(1)], [], [])
     assert res.status == "unbounded"
 
 
@@ -109,9 +118,19 @@ def test_no_constraints_rejected() -> None:
         simplex_solve([F(1)], [], [], [], [])
 
 
-def test_row_width_mismatch_rejected() -> None:
-    with pytest.raises(SolverError):
-        simplex_solve([F(1), F(1)], [[F(1)]], [F(1)], [], [])
+def test_right_hand_side_count_mismatch_rejected() -> None:
+    with pytest.raises(SolverError, match="right-hand side"):
+        simplex_solve([F(1)], [{0: F(1)}, {0: F(1)}], [F(1)], [{0: F(1)}], [F(1), F(1)])
+    with pytest.raises(SolverError, match="right-hand side"):
+        simplex_solve([F(1)], [], [], [{0: F(1)}], [])
+
+
+def test_column_outside_range_rejected() -> None:
+    for column in (-1, 2, 5):
+        with pytest.raises(SolverError, match="outside"):
+            simplex_solve([F(1), F(1)], [{column: F(1)}], [F(1)], [], [])
+        with pytest.raises(SolverError, match="outside"):
+            simplex_solve([F(1), F(1)], [], [], [{0: F(1), column: F(1)}], [F(1)])
 
 
 def test_degenerate_equalities_with_redundancy() -> None:
@@ -120,7 +139,7 @@ def test_degenerate_equalities_with_redundancy() -> None:
     objective = [F(1), F(1)]
     eq = [[F(1), F(1)], [F(1), F(1)], [F(2), F(2)]]
     rhs = [F(1), F(1), F(2)]
-    res = simplex_solve(objective, [], [], eq, rhs)
+    res = solve_dense(objective, [], [], eq, rhs)
     assert res.status == "optimal"
     assert res.objective == F(1)
     verify_certificates(objective, [], [], eq, rhs, res)
@@ -138,7 +157,7 @@ def test_random_lps_satisfy_certificates() -> None:
         ineq_rhs = [F(rng.randint(-2, 4)) for _ in range(n_ineq)]
         eq = [[F(rng.randint(-3, 3)) for _ in range(nv)] for _ in range(n_eq)]
         eq_rhs = [F(rng.randint(-2, 4)) for _ in range(n_eq)]
-        res = simplex_solve(objective, ineq, ineq_rhs, eq, eq_rhs)
+        res = solve_dense(objective, ineq, ineq_rhs, eq, eq_rhs)
         assert res.status in ("optimal", "infeasible", "unbounded")
         if res.status == "optimal":
             optimal_seen += 1
