@@ -26,7 +26,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .lp import bijective_keyset, build_primal, export_lp_text, solve
+from .lp import bijective_keyset, build_primal, check_dual, export_lp_text, solve
 from .metrics import check_scheme, error_report, optimal_value
 from .rationals import mass_to_string, parse_mass
 from .serialize import export_csv, load_scheme, save_scheme, serialize_scheme
@@ -234,6 +234,9 @@ def cmd_lp(config: RunConfig) -> int:
         "keys": keyset.size,
         "variables": problem.nvars,
         "formula": mass_to_string(formula),
+        "phase1_pivots": solution.phase1_pivots,
+        "phase2_pivots": solution.phase2_pivots,
+        "degenerate_pivots": solution.degenerate_pivots,
     }
     lines = [
         f"status: {solution.status}",
@@ -241,6 +244,14 @@ def cmd_lp(config: RunConfig) -> int:
         f"formula optimum: {mass_to_string(formula)}",
     ]
     if solution.status == "optimal":
+        # The optimum is reported only once its dual passes the exact check.
+        feasible, value = check_dual(problem, solution.dual)
+        if not feasible or value != solution.objective:
+            raise SolverError(
+                f"dual certificate rejected: feasible={feasible}, value "
+                f"{mass_to_string(value)} against lp optimum "
+                f"{mass_to_string(solution.objective)}"
+            )
         gap = solution.objective - formula
         payload["lp_optimal"] = mass_to_string(solution.objective)
         payload["lp_minus_formula"] = mass_to_string(gap)

@@ -32,6 +32,7 @@ from .core import (
     WatermarkScheme,
     add_mass,
     check_listing,
+    exact_rational,
     merge_tables,
 )
 from .errors import InvariantError, ParameterError
@@ -356,7 +357,7 @@ def _sorted_view(px: TokenDistribution) -> TokenDistribution:
 
 def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
     """Full scheme on the reduced key set over the real tokens only."""
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha, "alpha")
     view = _sorted_view(px)
     split = split_px(view, alpha, t)
     keyset = ReducedKeySet(px.n, t)

@@ -20,6 +20,7 @@ from .core import (
     TokenDistribution,
     WatermarkScheme,
     add_mass,
+    exact_rational,
 )
 from .errors import InvariantError, ParameterError
 from .split import cap_vector
@@ -83,7 +84,7 @@ def construct_b(
     must reconstruct the extended vector exactly; term supports are read in
     the sorted token order.
     """
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha, "alpha")
     view = _sorted_view(px)
     ext = extend_px(view, alpha, t, force_pseudo=force_pseudo)
     length = px.n + ext.n

@@ -51,6 +51,7 @@ __all__ = [
     "is_reduced_member",
     "ENUMERATION_CAP",
     "check_listing",
+    "exact_rational",
 ]
 
 KeyVector = tuple[int, ...]
@@ -66,6 +67,19 @@ def check_listing(count: int, what: str, limit: int) -> None:
     """Raise CapacityError, before anything is listed, when count > limit."""
     if count > limit:
         raise CapacityError(f"{count} {what} exceed the fixed cap {limit}")
+
+
+def exact_rational(value: object, what: str = "value") -> Fraction:
+    """value as a Fraction.  Only ints and Fractions are accepted: a float or
+    a bool would pass through Fraction() silently and is not an exact
+    rational input, so it raises ParameterError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ParameterError(
+        f"{what} must be an int or a Fraction, got {type(value).__name__} {value!r}"
+    )
 
 
 def decode(x: int, zeta: Sequence[int]) -> int:
@@ -124,7 +138,7 @@ class TokenDistribution:
 
     @classmethod
     def from_fractions(cls, probs: Iterable[Fraction]) -> "TokenDistribution":
-        values = tuple(Fraction(p) for p in probs)
+        values = tuple(exact_rational(p, "probability") for p in probs)
         perm = tuple(sorted(range(len(values)), key=lambda i: values[i]))
         return cls(values, perm)
 
@@ -454,7 +468,7 @@ class WatermarkScheme:
         return cls(
             n=px.n,
             t=len(tables),
-            alpha=Fraction(alpha),
+            alpha=exact_rational(alpha, "alpha"),
             px=px,
             keyset=keyset,
             tables=tables,

@@ -33,7 +33,9 @@ class ValidationError(KeymarkError, ValueError):
 
 
 class SolverError(KeymarkError, RuntimeError):
-    """The LP solver exceeded its iteration cap."""
+    """The LP solver failed: it exceeded its iteration cap, was given a
+    number that is not an exact rational, or gave an optimum whose dual
+    certificate failed the exact check."""
 
 
 class InvariantError(KeymarkError, AssertionError):

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ExplicitKeySet, KeySet, KeyVector, TokenDistribution, check_listing
+from .core import (
+    ExplicitKeySet,
+    KeySet,
+    KeyVector,
+    TokenDistribution,
+    check_listing,
+    exact_rational,
+)
 from .errors import ParameterError
 from .rationals import mass_to_string
 from .simplex import SimplexResult, simplex_solve
@@ -88,12 +95,18 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """pivots is the total; the phase counts and degenerate (ratio 0)
+    pivots are the simplex telemetry of SimplexResult."""
+
     status: str
     objective: Fraction
     values: tuple[Fraction, ...]
     basis: tuple[int, ...]
     dual: "DualCertificate | None"
     pivots: int
+    phase1_pivots: int
+    phase2_pivots: int
+    degenerate_pivots: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,7 @@ def build_primal(
     t: int,
     keyset: KeySet,
 ) -> LpProblem:
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha, "alpha")
     if not 0 <= alpha < 1:
         raise ParameterError(f"alpha={alpha} outside [0,1)")
     n = px.n
@@ -187,6 +200,9 @@ def solve(problem: LpProblem) -> LpSolution:
         basis=result.basis,
         dual=dual,
         pivots=result.pivots,
+        phase1_pivots=result.phase1_pivots,
+        phase2_pivots=result.phase2_pivots,
+        degenerate_pivots=result.degenerate_pivots,
     )
 
 

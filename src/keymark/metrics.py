@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ErrorReport, TokenDistribution, WatermarkScheme
+from .core import ErrorReport, TokenDistribution, WatermarkScheme, exact_rational
 from .errors import ParameterError
 
 __all__ = [
@@ -189,7 +189,7 @@ def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
 
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:
     """Smallest achievable worst-case miss rate: 1 - sum_x min(alpha/T, px(x))."""
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha, "alpha")
     if not 0 <= alpha < 1:
         raise ParameterError(f"alpha={alpha} outside [0,1)")
     if not 1 <= t <= px.n:

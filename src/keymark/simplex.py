@@ -6,6 +6,14 @@ every reported number is an exact fractions.Fraction.  Each constraint row
 arrives as a sparse {column: coefficient} map and is scattered into the
 tableau.
 
+The tableau is integer-preserving (Edmonds 1967; Bareiss 1968): each
+constraint row is scaled to integers by the lcm of its denominators, and
+every entry is then a Python int over one shared positive determinant.  A
+pivot is one cross-multiplication and an exact division per entry, so no
+rational is normalised inside the pivot loop.  The scaling changes no sign
+and no ratio of the rational tableau, so the pivots are those of the plain
+rational tableau with Bland's rule, one for one.
+
 Artificial columns are kept (banned from entering) through phase 2: they
 hold the running basis inverse, which yields the dual vector at optimality
 for free.
@@ -15,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .errors import SolverError
+from .core import exact_rational
+from .errors import ParameterError, SolverError
 
 __all__ = ["SimplexResult", "simplex_solve"]
 
@@ -31,7 +41,9 @@ class SimplexResult:
     values, dual_ineq, dual_eq, and objective are meaningful only at
     status=optimal.  dual conventions: y >= 0, objective = -y.b - z.c,
     feasibility -A'y - E'z <= d.  basis lists the basic variable of each
-    tableau row (slack and artificial indices included).
+    tableau row (slack and artificial indices included).  pivots is the
+    total of phase1_pivots (artificial drive-out included) and
+    phase2_pivots; degenerate_pivots counts the pivots whose ratio was 0.
     """
 
     status: str
@@ -41,56 +53,80 @@ class SimplexResult:
     dual_eq: tuple[Fraction, ...]
     basis: tuple[int, ...]
     pivots: int
+    phase1_pivots: int
+    phase2_pivots: int
+    degenerate_pivots: int
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], art_start: int):
+    """Entry k of row i is rows[i][k] / det in the rational tableau of the
+    row-scaled LP, rhs[i] / det its right-hand side, and cost[k] /
+    (det * cost_scale) the reduced cost of column k."""
+
+    def __init__(self, rows: list[list[int]], rhs: list[int], art_start: int):
         self.rows = rows
         self.rhs = rhs
         self.art_start = art_start
         self.ncols = len(rows[0])
         self.basis = list(range(art_start, art_start + len(rows)))
-        self.cost = [Fraction(0)] * self.ncols
-        self.cost_rhs = Fraction(0)
+        self.det = 1
+        self.cost = [0] * self.ncols
+        self.cost_rhs = 0
+        self.cost_scale = 1
         self.pivots = 0
+        self.degenerate = 0
 
-    def set_cost(self, coeffs: list[Fraction]) -> None:
-        self.cost = list(coeffs) + [Fraction(0)] * (self.ncols - len(coeffs))
-        self.cost_rhs = Fraction(0)
+    def set_cost(self, coeffs: Sequence[Fraction]) -> None:
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        ints += [0] * (self.ncols - len(ints))
+        det = self.det
+        cost = [det * c for c in ints]
+        cost_rhs = 0
         for i, b in enumerate(self.basis):
-            cb = self.cost[b]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        self.cost[j] -= cb * row[j]
-                self.cost_rhs -= cb * self.rhs[i]
+            cb = ints[b]
+            if cb:
+                cost = [c - cb * a for c, a in zip(cost, self.rows[i])]
+                cost_rhs -= cb * self.rhs[i]
+        self.cost, self.cost_rhs, self.cost_scale = cost, cost_rhs, scale
 
     def pivot(self, r: int, j: int) -> None:
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise SolverError(f"pivot budget {MAX_PIVOTS} exhausted")
-        row = self.rows[r]
-        inv = 1 / row[j]
-        if inv != 1:
-            for k in range(self.ncols):
-                if row[k] != 0:
-                    row[k] *= inv
-            self.rhs[r] *= inv
+        if self.rhs[r] == 0:
+            self.degenerate += 1
+        row, rhs, det = self.rows[r], self.rhs, self.det
+        p, b = row[j], rhs[r]
+        # Up to one common sign, every new entry is an entry of
+        # adj(B)[A | b] for the new basis matrix B of the integer-scaled LP
+        # (for the cost row, of det(B)*cs*c - (cs*c_B)*adj(B)A, with cs*c
+        # integer).  So it is an integer, and each // below divides exactly
+        # (Sylvester's identity; Bareiss 1968).  Row r stays as it is, and
+        # p becomes the determinant.
         for i, other in enumerate(self.rows):
-            if i == r or other[j] == 0:
+            if i == r:
                 continue
-            factor = other[j]
-            for k in range(self.ncols):
-                if row[k] != 0:
-                    other[k] -= factor * row[k]
-            self.rhs[i] -= factor * self.rhs[r]
-        factor = self.cost[j]
-        if factor != 0:
-            for k in range(self.ncols):
-                if row[k] != 0:
-                    self.cost[k] -= factor * row[k]
-            self.cost_rhs -= factor * self.rhs[r]
+            f = other[j]
+            if f:
+                self.rows[i] = [(p * a - f * e) // det for a, e in zip(other, row)]
+                rhs[i] = (p * rhs[i] - f * b) // det
+            elif p != det:
+                self.rows[i] = [p * a // det for a in other]
+                rhs[i] = p * rhs[i] // det
+        f = self.cost[j]
+        self.cost = [(p * a - f * e) // det for a, e in zip(self.cost, row)]
+        self.cost_rhs = (p * self.cost_rhs - f * b) // det
+        if p < 0:
+            # Only the artificial drive-out pivots on a negative entry.
+            # Negating the whole tableau keeps det positive, so the sign of
+            # an integer entry is the sign of the rational one.
+            self.rows = [[-a for a in other] for other in self.rows]
+            self.rhs = [-a for a in rhs]
+            self.cost = [-a for a in self.cost]
+            self.cost_rhs = -self.cost_rhs
+            p = -p
+        self.det = p
         self.basis[r] = j
 
     def run(self) -> str:
@@ -99,26 +135,36 @@ class _Tableau:
         Artificial columns never enter."""
         while True:
             enter = -1
+            cost = self.cost
             for j in range(self.art_start):
-                if self.cost[j] < 0:
+                if cost[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return "optimal"
             leave = -1
-            best = None
+            best_rhs = best_coeff = 0
             for i, row in enumerate(self.rows):
                 coeff = row[enter]
                 if coeff > 0:
-                    ratio = self.rhs[i] / coeff
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+                    # rhs[i]/coeff against best_rhs/best_coeff, both
+                    # denominators positive; det cancels.
+                    lhs, rhs = self.rhs[i] * best_coeff, best_rhs * coeff
+                    if leave < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
+                        best_rhs, best_coeff = self.rhs[i], coeff
                         leave = i
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter)
+
+
+def _rational(value: object) -> Fraction:
+    try:
+        return exact_rational(value, "LP coefficient")
+    except ParameterError as exc:
+        raise SolverError(str(exc)) from None
 
 
 def simplex_solve(
@@ -129,7 +175,7 @@ def simplex_solve(
     eq_rhs: Sequence[Fraction],
 ) -> SimplexResult:
     """Each row maps a column index in [0, len(objective)) to its coefficient;
-    absent columns are zero."""
+    absent columns are zero.  Every number must be an int or a Fraction."""
     nv = len(objective)
     n_ineq, n_eq = len(ineq_rows), len(eq_rows)
     n_rows = n_ineq + n_eq
@@ -139,61 +185,77 @@ def simplex_solve(
         raise SolverError("each constraint row needs exactly one right-hand side")
     art_start = nv + n_ineq
     ncols = art_start + n_rows
+    costs = [_rational(v) for v in objective]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     signs: list[int] = []
+    scales: list[int] = []
     for i, (src, b) in enumerate(zip((*ineq_rows, *eq_rows), (*ineq_rhs, *eq_rhs))):
-        # A row with a negative right-hand side is negated, slack included,
-        # so that its artificial starts the basis at a non-negative value.
-        sign = -1 if b < 0 else 1
-        row = [Fraction(0)] * ncols
+        b = _rational(b)
+        entries = {}
         for col, value in src.items():
             if not 0 <= col < nv:
                 raise SolverError(f"row {i} has column {col} outside [0, {nv})")
-            row[col] = sign * Fraction(value)
+            entries[col] = _rational(value)
+        # A row with a negative right-hand side is negated, slack included,
+        # so that its artificial starts the basis at a non-negative value.
+        # The row is then scaled by s, the lcm of its denominators; its
+        # artificial keeps coefficient 1 and so stands for s times the
+        # unscaled one.
+        sign = -1 if b < 0 else 1
+        scale = lcm(b.denominator, *(v.denominator for v in entries.values()))
+        row = [0] * ncols
+        for col, value in entries.items():
+            row[col] = sign * value.numerator * (scale // value.denominator)
         if i < n_ineq:
-            row[nv + i] = Fraction(sign)
-        row[art_start + i] = Fraction(1)
+            row[nv + i] = sign * scale
+        row[art_start + i] = 1
         rows.append(row)
-        rhs.append(sign * Fraction(b))
+        rhs.append(sign * b.numerator * (scale // b.denominator))
         signs.append(sign)
+        scales.append(scale)
 
     tableau = _Tableau(rows, rhs, art_start)
-    phase1 = [Fraction(0)] * art_start + [Fraction(1)] * n_rows
-    tableau.set_cost(phase1)
-    status = tableau.run()
-    if status != "optimal":
+    # Cost 1/s on each scaled artificial makes phase 1 minimise the sum of
+    # the unscaled artificials, so it follows the same pivots.
+    tableau.set_cost([Fraction(0)] * art_start + [Fraction(1, s) for s in scales])
+    if tableau.run() != "optimal":
         raise SolverError("phase 1 reported unbounded, which is impossible")
-    if -tableau.cost_rhs > 0:
-        return SimplexResult(
-            "infeasible", Fraction(0), (), (), (), tuple(tableau.basis), tableau.pivots
-        )
-    for i in range(n_rows):
-        if tableau.basis[i] >= art_start:
-            for j in range(art_start):
-                if tableau.rows[i][j] != 0:
-                    tableau.pivot(i, j)
-                    break
+    status, phase1_pivots = "infeasible", tableau.pivots
+    if tableau.cost_rhs >= 0:
+        for i in range(n_rows):
+            if tableau.basis[i] >= art_start:
+                for j in range(art_start):
+                    if tableau.rows[i][j] != 0:
+                        tableau.pivot(i, j)
+                        break
+        phase1_pivots = tableau.pivots
+        tableau.set_cost(costs)
+        status = tableau.run()
 
-    tableau.set_cost([Fraction(v) for v in objective])
-    status = tableau.run()
-    if status == "unbounded":
-        return SimplexResult(
-            "unbounded", Fraction(0), (), (), (), tuple(tableau.basis), tableau.pivots
+    value, values, duals = Fraction(0), (), ()
+    if status == "optimal":
+        det, denominator = tableau.det, tableau.det * tableau.cost_scale
+        value = Fraction(-tableau.cost_rhs, denominator)
+        primal = [Fraction(0)] * nv
+        for i, b in enumerate(tableau.basis):
+            if b < nv:
+                primal[b] = Fraction(tableau.rhs[i], det)
+        values = tuple(primal)
+        duals = tuple(
+            Fraction(signs[i] * scales[i] * tableau.cost[art_start + i], denominator)
+            for i in range(n_rows)
         )
-
-    values = [Fraction(0)] * nv
-    for i, b in enumerate(tableau.basis):
-        if b < nv:
-            values[b] = tableau.rhs[i]
-    duals = [signs[i] * tableau.cost[art_start + i] for i in range(n_rows)]
     return SimplexResult(
-        "optimal",
-        -tableau.cost_rhs,
-        tuple(values),
-        tuple(duals[:n_ineq]),
-        tuple(duals[n_ineq:]),
+        status,
+        value,
+        values,
+        duals[:n_ineq],
+        duals[n_ineq:],
         tuple(tableau.basis),
         tableau.pivots,
+        phase1_pivots,
+        tableau.pivots - phase1_pivots,
+        tableau.degenerate,
     )

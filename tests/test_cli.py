@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from keymark.cli import main
 from keymark.construct_b import construct_b
 from keymark.core import TokenDistribution
+from keymark.lp import DualCertificate
 from keymark.serialize import save_scheme
 
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
@@ -302,3 +304,31 @@ def test_installed_entry_point() -> None:
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "0.3"
+
+
+def test_lp_reports_solver_telemetry(capsys) -> None:
+    code, payload = run_json(capsys, "lp", *SKEWED, "--keyset", "bijective")
+    assert code == 0
+    phases = payload["phase1_pivots"], payload["phase2_pivots"]
+    assert all(isinstance(count, int) and count >= 0 for count in phases)
+    assert 0 <= payload["degenerate_pivots"] <= sum(phases)
+    code, out = run(capsys, "lp", *SKEWED, "--keyset", "bijective")
+    assert "pivot" not in out
+
+
+def test_lp_rejects_a_tampered_dual_certificate(capsys, monkeypatch) -> None:
+    import keymark.cli as cli
+
+    def tampered(problem):
+        solution = real_solve(problem)
+        y = (solution.dual.y[0] + 1, *solution.dual.y[1:])
+        return dataclasses.replace(solution, dual=DualCertificate(y, solution.dual.z))
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", tampered)
+    for argv in (["lp", *SKEWED], ["lp", *SKEWED, "--json"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dual certificate rejected" in captured.err
+        assert "Traceback" not in captured.err

@@ -13,13 +13,19 @@ from keymark.core import (
     JointTable,
     ReducedKeySet,
     TokenDistribution,
+    WatermarkScheme,
     add_mass,
     decode,
     enumerate_reduced_keyset,
+    exact_rational,
     is_reduced_member,
     merge_tables,
 )
+from keymark.construct_a import construct_a
+from keymark.construct_b import construct_b
 from keymark.errors import ParameterError, ValidationError
+from keymark.lp import build_primal
+from keymark.metrics import optimal_value
 
 
 def brute_force_keys(length: int, t: int) -> list[tuple[int, ...]]:
@@ -297,3 +303,29 @@ def test_merge_tables() -> None:
     assert merged.total_mass() == 1
     with pytest.raises(ParameterError):
         merge_tables(1, part1)
+
+
+PX_3 = TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
+FLOAT_ENTRY_POINTS = {
+    "exact_rational": lambda v: exact_rational(v),
+    "from_fractions": lambda v: TokenDistribution.from_fractions([v, Fraction(1, 2)]),
+    "assemble": lambda v: WatermarkScheme.assemble(
+        v, TokenDistribution.from_strings(["1"]), ExplicitKeySet([(0,), (1,)], t=1),
+        [JointTable(1, {1: {1: Fraction(1)}})],
+    ),
+    "optimal_value": lambda v: optimal_value(PX_3, v, 2),
+    "build_primal": lambda v: build_primal(PX_3, v, 2, ReducedKeySet(3, 2)),
+    "construct_a": lambda v: construct_a(PX_3, v, 2),
+    "construct_b": lambda v: construct_b(PX_3, v, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+def test_float_inputs_rejected(entry: str) -> None:
+    # 0.5 and 0.1 as floats would pass through Fraction() unnoticed, the
+    # latter as 3602879701896397/36028797018963968.
+    call = FLOAT_ENTRY_POINTS[entry]
+    for value in (0.5, 0.1, True):
+        with pytest.raises(ParameterError, match="int or a Fraction"):
+            call(value)
+    call(Fraction(1, 2))

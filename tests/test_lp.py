@@ -194,6 +194,29 @@ def test_lp_bijective_keyset_strictly_worse() -> None:
     assert solution.objective == F(47, 100)
 
 
+# The benchmark's lp-cert LP set: reduced n=5, 4, 3 at T=2 on the 1/100
+# grid with alpha=3/4, and the bijective instance.
+LP_CERT_SET = (
+    (("0.06", "0.13", "0.2", "0.27", "0.34"), F(3, 4), "reduced"),
+    (("0.1", "0.2", "0.3", "0.4"), F(3, 4), "reduced"),
+    (("0.2", "0.3", "0.5"), F(3, 4), "reduced"),
+    (("0.01", "0.04", "0.95"), ALPHA_SKEWED, "bijective"),
+)
+
+
+@pytest.mark.parametrize("texts, alpha, kind", LP_CERT_SET)
+def test_solver_telemetry_adds_up_on_lp_cert(texts, alpha, kind) -> None:
+    px = TokenDistribution.from_strings(texts)
+    keyset = enumerate_reduced_keyset(px.n, 2) if kind == "reduced" else bijective_keyset(px.n, 2)
+    problem = build_primal(px, alpha, 2, keyset)
+    solution = solve(problem)
+    assert solution.status == "optimal"
+    assert solution.pivots == solution.phase1_pivots + solution.phase2_pivots
+    assert solution.phase1_pivots > 0 and solution.phase2_pivots > 0
+    assert 0 <= solution.degenerate_pivots <= solution.pivots
+    assert check_dual(problem, solution.dual) == (True, solution.objective)
+
+
 def test_lp_matches_formula_spot_instances() -> None:
     cases = [
         (["0.2", "0.3", "0.5"], F(1, 2), 2),

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from simplex_reference import reference_solve
 
+import keymark.simplex as simplex_module
 from keymark.errors import SolverError
 from keymark.simplex import SimplexResult, simplex_solve
 
@@ -163,3 +167,78 @@ def test_random_lps_satisfy_certificates() -> None:
             optimal_seen += 1
             verify_certificates(objective, ineq, ineq_rhs, eq, eq_rhs, res)
     assert optimal_seen > 50
+
+
+def test_float_coefficients_rejected() -> None:
+    with pytest.raises(SolverError, match="float"):
+        simplex_solve([F(1)], [{0: 0.5}], [F(1)], [], [])
+    with pytest.raises(SolverError, match="float"):
+        simplex_solve([F(1)], [{0: F(1)}], [1.0], [], [])
+    with pytest.raises(SolverError, match="float"):
+        simplex_solve([0.1], [{0: F(1)}], [F(1)], [], [])
+    with pytest.raises(SolverError, match="float"):
+        simplex_solve([0.1], [{0: F(1)}], [F(-1)], [], [])  # infeasible
+    with pytest.raises(SolverError, match="bool"):
+        simplex_solve([F(1)], [], [], [{0: True}], [F(1)])
+
+
+def test_drive_out_pivot_on_negative_entry(monkeypatch) -> None:
+    # The equality -x0/2 - x1/3 = 0 keeps its artificial basic at zero
+    # through phase 1 with only non-positive entries, so the drive-out
+    # pivots on a negative entry and the integer tableau is negated.
+    entries = []
+    original = simplex_module._Tableau.pivot
+
+    def recording_pivot(self, r, j):
+        entries.append(self.rows[r][j])
+        original(self, r, j)
+
+    monkeypatch.setattr(simplex_module._Tableau, "pivot", recording_pivot)
+    lp = ([F(1), F(0), F(-1)], [{0: F(1), 2: F(2, 3)}], [F(3)], [{0: F(-1, 2), 1: F(-1, 3)}], [F(0)])
+    res = simplex_solve(*lp)
+    assert entries[2] < 0 and all(p > 0 for p in entries[3:])
+    assert res.objective == F(-9, 2)
+    assert res.values == (F(0), F(0), F(9, 2))
+    assert (res.phase1_pivots, res.phase2_pivots, res.degenerate_pivots) == (3, 1, 2)
+    assert res == reference_solve(*lp)
+
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def small_lps(draw):
+    nv = draw(st.integers(1, 6))
+    n_ineq = draw(st.integers(0, 3))
+    n_eq = draw(st.integers(0 if n_ineq else 1, 3))
+
+    def row():
+        return {j: a for j in range(nv) if (a := draw(small_fractions)) != 0}
+
+    objective = [draw(small_fractions) for _ in range(nv)]
+    ineq = [row() for _ in range(n_ineq)]
+    ineq_rhs = [draw(small_fractions) for _ in range(n_ineq)]
+    eq = [row() for _ in range(n_eq)]
+    eq_rhs = [draw(small_fractions) for _ in range(n_eq)]
+    return objective, ineq, ineq_rhs, eq, eq_rhs
+
+
+def dense(rows, nv):
+    return [[row.get(j, F(0)) for j in range(nv)] for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps())
+@example(([F(1)], [{0: F(1)}], [F(-1, 2)], [], []))  # infeasible
+@example(([F(-1, 3), F(0)], [{0: F(2, 3), 1: F(-1)}], [F(1, 2)], [], []))  # unbounded
+@example(([F(1), F(1)], [], [], [{0: F(1, 2), 1: F(1, 3)}, {0: F(3, 2), 1: F(1)}], [F(1, 5), F(3, 5)]))  # redundant
+def test_integer_tableau_matches_fraction_reference(lp) -> None:
+    """Same Bland pivots, so every field of the result is identical."""
+    res = simplex_solve(*lp)
+    assert res == reference_solve(*lp)
+    assert res.pivots == res.phase1_pivots + res.phase2_pivots
+    if res.status == "optimal":
+        objective, ineq, ineq_rhs, eq, eq_rhs = lp
+        verify_certificates(
+            objective, dense(ineq, len(objective)), ineq_rhs, dense(eq, len(objective)), eq_rhs, res
+        )
