@@ -57,6 +57,7 @@ from .metrics import (
     PropertyReport,
     check_scheme,
     error_report,
+    false_alarm_by_token,
     miss_detection,
     optimal_value,
     worst_false_alarm,
@@ -128,6 +129,7 @@ __all__ = [
     "export_csv",
     "export_lp_text",
     "extend_px",
+    "false_alarm_by_token",
     "is_t_hot_representable",
     "load_scheme",
     "mass_to_string",

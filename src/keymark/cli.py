@@ -294,11 +294,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 
 def cmd_export(config: RunConfig) -> int:
-    scheme = load_scheme(config.get("scheme"))
-    fmt = config.get("format", "csv")
-    if fmt != "csv":
-        raise ParameterError(f"unknown export format {fmt!r}")
-    text = export_csv(scheme)
+    text = export_csv(load_scheme(config.get("scheme")))
     out = config.get("out")
     if out:
         Path(out).write_text(text)
@@ -362,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("export", help="export a scheme document as CSV")
     sub.add_argument("scheme", help="scheme JSON path")
-    sub.add_argument("--format", help="csv")
     sub.add_argument("--out", help="write here instead of stdout")
     _add_common_flags(sub)
     sub.set_defaults(func=cmd_export)

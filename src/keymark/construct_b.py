@@ -109,6 +109,8 @@ def construct_b(
     prime_tables = build_pm1(decomposition, keyset)
 
     n = px.n
+    # Pseudo-token mass folds back only onto tokens with leftover r(x) > 0.
+    shares = [(x, r / ext.R) for x, r in enumerate(ext.r, start=1) if r > 0]
     tables: list[JointTable] = []
     for table in prime_tables:
         rows: dict[int, dict[int, Fraction]] = {}
@@ -116,8 +118,8 @@ def construct_b(
             if token <= n:
                 add_mass(rows, key_index, token, mass)
             else:
-                for x in range(1, n + 1):
-                    add_mass(rows, key_index, x, mass * ext.r[x - 1] / ext.R)
+                for x, share in shares:
+                    add_mass(rows, key_index, x, mass * share)
         if ext.n == 0:
             for x in range(1, n + 1):
                 add_mass(rows, keyset.zero_index, x, ext.r[x - 1])

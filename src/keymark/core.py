@@ -9,7 +9,8 @@ the all-zero key at index 0.  A key's working form is its sparse key, the
 (position, value) pairs of its nonzero entries: reduced keys rank and unrank
 from their T nonzero positions in O(T) steps, whatever L is.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
-metrics, sampler and exporter all read.
+metrics, sampler and exporter all read, with the exact sums per token that
+the checks and metrics compare.
 
 >>> ks = enumerate_reduced_keyset(3, 2)
 >>> len(ks)
@@ -426,7 +427,8 @@ class WatermarkScheme:
 
     Keys may be longer than the token count (pseudo-token constructions use
     length n + extension), but table cells only ever reference real tokens
-    1..n.  pz is defined as the row sums of the m=1 table.
+    1..n, and construction rejects any other token.  pz is defined as the
+    row sums of the m=1 table.
     """
 
     n: int
@@ -448,6 +450,10 @@ class WatermarkScheme:
         for m, table in enumerate(self.tables, start=1):
             if table.m != m:
                 raise ValidationError(f"table at slot {m} is labeled m={table.m}")
+            rows = [row for row in table.rows.values() if row]
+            for token in (min(map(min, rows), default=1), max(map(max, rows), default=1)):
+                if not 1 <= token <= self.n:
+                    raise ValidationError(f"table m={m}: token {token} outside [1:{self.n}]")
         if sum(self.pz.values(), Fraction(0)) != 1:
             raise ValidationError("key marginal does not sum to 1")
 
@@ -489,7 +495,7 @@ class WatermarkScheme:
 
     @cached_property
     def decoded(self) -> "DecodedCells":
-        """Every stored cell decoded once, built on first use."""
+        """Every stored cell decoded and summed once, on first use."""
         # Keys share their (position, value) tuples: there are at most L*T
         # distinct pairs, so each stored key costs one small tuple.
         shared: dict[tuple[int, int], tuple[int, int]] = {}
@@ -497,24 +503,45 @@ class WatermarkScheme:
             idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
             for idx in sorted(self.key_support() | set(self.pz))
         }
-        messages = tuple(
-            array("I", (_decode_sparse(token, keys[idx]) for idx, token, _ in table.cells()))
-            for table in self.tables
-        )
-        return DecodedCells(keys, messages)
+        messages, columns, captured = [], [], []
+        for m, table in enumerate(self.tables, start=1):
+            decodes, column, hit = array("I"), [Fraction(0)] * self.n, [Fraction(0)] * self.n
+            for idx, row in table.rows.items():
+                for token, mass in row.items():
+                    decoded = _decode_sparse(token, keys[idx])
+                    decodes.append(decoded)
+                    column[token - 1] += mass
+                    if decoded == m:
+                        hit[token - 1] += mass
+            messages.append(decodes)
+            columns.append(tuple(column))
+            captured.append(tuple(hit))
+        marked = [Fraction(0)] * self.n
+        for idx, mass in self.pz.items():
+            for pos, _ in keys[idx]:
+                if pos < self.n:
+                    marked[pos] += mass
+        return DecodedCells(keys, tuple(messages), tuple(columns), tuple(captured), tuple(marked))
 
 
 @dataclass(frozen=True)
 class DecodedCells:
-    """A scheme's support keys in sparse form and each cell's decoded message.
+    """A scheme's support keys in sparse form, each cell's decoded message,
+    and the exact sums that the property checks and error metrics read.
 
     keys maps every key index stored in a table or in pz to its sparse key.
     messages[m-1][i] is the message that the i-th cell of table m, in
     cells() order, decodes to (0 when the key is zero at that token).
+    columns[m-1][x-1] is table m's mass on token x, and captured[m-1][x-1]
+    the part of it on cells that decode to m.  marked[x-1] is the pz mass
+    on keys that are nonzero at token x.
     """
 
     keys: Mapping[int, SparseKey]
     messages: tuple[array, ...]
+    columns: tuple[tuple[Fraction, ...], ...]
+    captured: tuple[tuple[Fraction, ...], ...]
+    marked: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)

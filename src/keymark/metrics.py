@@ -1,17 +1,21 @@
 """Exact structural verification and detection-error metrics.
 
 check_scheme evaluates five properties with rational arithmetic and reports
-the first counterexample per property instead of raising.  The error
-quantities are closed sums over the sparse tables: the miss rate for m is
-the mass on cells not decoding to m, and the worst false alarm is the
-largest per-token key-marginal mass on nonzero entries (the supremum over
-token distributions of the false-alarm rate is attained at a single token).
+the first counterexample per property instead of raising.  It compares the
+exact sums in WatermarkScheme.decoded; only property 2's row sums and
+property 5's negative-mass scan read the tables.  The error quantities come
+from the same sums: the miss rate for m is table m's mass minus the part
+decoding to m, and the worst false alarm is the largest per-token
+key-marginal mass on nonzero entries (the supremum over token distributions
+of the false-alarm rate is attained at a single token).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .core import ErrorReport, TokenDistribution, WatermarkScheme, exact_rational
 from .errors import ParameterError
@@ -26,6 +30,9 @@ __all__ = [
     "optimal_value",
     "error_report",
 ]
+
+# A property's counterexample: (location, expected, actual).
+Failure = tuple[str, Fraction, Fraction]
 
 PROPERTY_NAMES = (
     "column-sum",
@@ -80,85 +87,49 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
         message is at most alpha;
     (5) all stored masses are positive and each table sums to 1.
     """
+    view = scheme.decoded
     cap = Fraction(scheme.alpha, scheme.t)
-    checks: list[PropertyCheck] = []
+    floors = [min(cap, p) for p in scheme.px.probs]
+    failures = (
+        _column_failures(view.columns, scheme.px.probs, operator.ne),
+        _row_sum_failures(scheme),
+        _column_failures(view.captured, floors, operator.lt),
+        ((f"x={x}", scheme.alpha, a) for x, a in enumerate(view.marked, 1) if a > scheme.alpha),
+        _mass_failures(scheme),
+    )
+    return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))
 
-    failure = None
-    for table in scheme.tables:
-        sums = [Fraction(0)] * scheme.n
-        for _, token, mass in table.cells():
-            sums[token - 1] += mass
-        for x in range(1, scheme.n + 1):
-            if sums[x - 1] != scheme.px.probs[x - 1]:
-                failure = PropertyCheck(
-                    "column-sum",
-                    False,
-                    f"m={table.m}, x={x}",
-                    scheme.px.probs[x - 1],
-                    sums[x - 1],
-                )
-                break
-        if failure:
-            break
-    checks.append(failure or PropertyCheck("column-sum", True))
 
-    failure = None
+def _first_failure(name: str, failures: Iterator[Failure]) -> PropertyCheck:
+    """The first (location, expected, actual) of failures, else a pass."""
+    return next((PropertyCheck(name, False, *f) for f in failures), PropertyCheck(name, True))
+
+
+def _column_failures(sums, bounds, fails: Callable[..., bool]) -> Iterator[Failure]:
+    """By table m, then token x: each (location, bound, sum) where fails(sum, bound)."""
+    for m, row in enumerate(sums, start=1):
+        for x, (actual, bound) in enumerate(zip(row, bounds), start=1):
+            if fails(actual, bound):
+                yield f"m={m}, x={x}", bound, actual
+
+
+def _row_sum_failures(scheme: WatermarkScheme) -> Iterator[Failure]:
     for idx in sorted(scheme.key_support()):
         reference = scheme.tables[0].row_sum(idx)
         for table in scheme.tables[1:]:
             actual = table.row_sum(idx)
             if actual != reference:
-                failure = PropertyCheck(
-                    "row-sum", False, f"key={idx}, m={table.m}", reference, actual
-                )
-                break
-        if failure:
-            break
-    checks.append(failure or PropertyCheck("row-sum", True))
+                yield f"key={idx}, m={table.m}", reference, actual
 
-    failure = None
-    for table, messages in zip(scheme.tables, scheme.decoded.messages):
-        hit = [Fraction(0)] * scheme.n
-        for (_, token, mass), decoded in zip(table.cells(), messages):
-            if decoded == table.m:
-                hit[token - 1] += mass
-        for x in range(1, scheme.n + 1):
-            floor = min(cap, scheme.px.probs[x - 1])
-            if hit[x - 1] < floor:
-                failure = PropertyCheck(
-                    "capped-column-sum", False, f"m={table.m}, x={x}", floor, hit[x - 1]
-                )
-                break
-        if failure:
-            break
-    checks.append(failure or PropertyCheck("capped-column-sum", True))
 
-    failure = None
-    for x, marked in enumerate(false_alarm_by_token(scheme), start=1):
-        if marked > scheme.alpha:
-            failure = PropertyCheck(
-                "alpha-bounded-total", False, f"x={x}", scheme.alpha, marked
-            )
-            break
-    checks.append(failure or PropertyCheck("alpha-bounded-total", True))
-
-    failure = None
-    for table in scheme.tables:
+def _mass_failures(scheme: WatermarkScheme) -> Iterator[Failure]:
+    for table, column in zip(scheme.tables, scheme.decoded.columns):
         for idx, token, mass in table.cells():
             if mass < 0:
-                failure = PropertyCheck(
-                    "mass", False, f"m={table.m}, key={idx}, x={token}", Fraction(0), mass
-                )
-                break
-        if failure:
-            break
-        total = table.total_mass()
+                yield f"m={table.m}, key={idx}, x={token}", Fraction(0), mass
+        total = sum(column, Fraction(0))
         if total != 1:
-            failure = PropertyCheck("mass", False, f"m={table.m} total", Fraction(1), total)
-            break
-    checks.append(failure or PropertyCheck("mass", True))
-
-    return PropertyReport(tuple(checks))
+            yield f"m={table.m} total", Fraction(1), total
 
 
 def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
@@ -167,24 +138,18 @@ def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
         raise ParameterError(
             f"message {m} outside [1:{scheme.t}] (use worst_false_alarm for m=0)"
         )
-    cells = zip(scheme.table(m).cells(), scheme.decoded.messages[m - 1])
-    return sum((mass for (_, _, mass), decoded in cells if decoded != m), Fraction(0))
+    view = scheme.decoded
+    return sum(view.columns[m - 1], Fraction(0)) - sum(view.captured[m - 1], Fraction(0))
 
 
 def false_alarm_by_token(scheme: WatermarkScheme) -> list[Fraction]:
     """Per token x (0-based), the key-marginal mass decoding x to a nonzero message."""
-    per_token = [Fraction(0)] * scheme.n
-    keys = scheme.decoded.keys
-    for idx, mass in scheme.pz.items():
-        for pos, _ in keys[idx]:
-            if pos < scheme.n:
-                per_token[pos] += mass
-    return per_token
+    return list(scheme.decoded.marked)
 
 
 def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
     """max over tokens of the key-marginal mass decoding that token nonzero."""
-    return max(false_alarm_by_token(scheme))
+    return max(scheme.decoded.marked)
 
 
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from keymark.serialize import save_scheme
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
 INSTANCE_B = ["--px", "0.1,0.3,0.6", "--alpha", "0.8", "--t", "2"]
 SKEWED = ["--px", "0.01,0.04,0.95", "--alpha", "0.99", "--t", "2"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 TERMS_B = ["--term", "0.1:1100", "--term", "0.2:0110", "--term", "0.2:0011"]
 
 
@@ -274,6 +277,9 @@ def test_argparse_level_errors(capsys) -> None:
         with pytest.raises(SystemExit) as exc:
             main([*command, "--cap", "1"])
         assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "scheme.json", "--format", "csv"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
@@ -294,6 +300,32 @@ def test_capacity_errors_exit_3(capsys) -> None:
         argv = ["construct", "--px", twelve, "--alpha", "1/2", "--t", "10", "--method", method]
         assert main(argv) == 3
         assert "structural keys" in capsys.readouterr().err
+
+
+def readme_transcripts() -> list[tuple[str, list[str]]]:
+    """Each `$ keymark ...` command under README "## Command line" with the
+    output lines after it, up to the next blank line."""
+    section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    transcripts: list[tuple[str, list[str]]] = []
+    output = None
+    for line in section.split("```")[1].splitlines():
+        if line.startswith("$ keymark "):
+            output = []
+            transcripts.append((line.removeprefix("$ keymark "), output))
+        elif not line:
+            output = None
+        elif output is not None:
+            output.append(line)
+    return transcripts
+
+
+def test_readme_transcripts(capsys) -> None:
+    transcripts = readme_transcripts()
+    assert len(transcripts) >= 2
+    for command, lines in transcripts:
+        code, out = run(capsys, *shlex.split(command))
+        assert code == 0, command
+        assert out == "".join(f"{line}\n" for line in lines), command
 
 
 def test_installed_entry_point() -> None:

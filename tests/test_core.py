@@ -305,6 +305,19 @@ def test_merge_tables() -> None:
         merge_tables(1, part1)
 
 
+@pytest.mark.parametrize("bad", [0, 3])
+def test_scheme_rejects_tokens_outside_range(bad: int) -> None:
+    # Unchecked, a cell on token 0 counts as token 2 in the column sums, and
+    # one on token 3 ends in an IndexError inside check_scheme.
+    px = TokenDistribution.from_strings(["0.5", "0.5"])
+    keyset = ReducedKeySet(3, 1)
+    good = JointTable(1, {0: {1: Fraction(1, 2), 2: Fraction(1, 2)}})
+    assert WatermarkScheme.assemble(Fraction(1, 2), px, keyset, [good]).n == 2
+    table = JointTable(1, {0: {1: Fraction(1, 2), bad: Fraction(1, 2)}})
+    with pytest.raises(ValidationError, match=rf"m=1: token {bad} outside \[1:2\]"):
+        WatermarkScheme.assemble(Fraction(1, 2), px, keyset, [table])
+
+
 PX_3 = TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
 FLOAT_ENTRY_POINTS = {
     "exact_rational": lambda v: exact_rational(v),

@@ -375,3 +375,19 @@ def test_decoded_view_consumers_match_per_cell_decode() -> None:
     # The cases reach both outcomes of both decode-reading properties.
     assert {passed for passed, _ in outcomes} == {True, False}
     assert {passed for _, passed in outcomes} == {True, False}
+
+
+def test_decoded_sums_match_table_walks() -> None:
+    for scheme in view_cases():
+        view = scheme.decoded
+        assert view.marked == tuple(reference_marked(scheme))
+        for table in scheme.tables:
+            decoded = reference_decodes(scheme, table.m)
+            captured = [F(0)] * scheme.n
+            for (_, token, mass), d in zip(table.cells(), decoded):
+                if d == table.m:
+                    captured[token - 1] += mass
+            columns = [table.column_sum(x) for x in range(1, scheme.n + 1)]
+            assert view.columns[table.m - 1] == tuple(columns)
+            assert view.captured[table.m - 1] == tuple(captured)
+            assert sum(columns, F(0)) == table.total_mass()
