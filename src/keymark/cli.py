@@ -46,7 +46,13 @@ class RunConfig:
     def __init__(self, args: argparse.Namespace, file_values: dict[str, str]):
         self._args = args
         self._file = file_values
-        # Parsed up front so a bad setting fails before any work is done.
+        # Checked up front so a bad setting fails before any work is done.
+        settings = set(vars(args)) - {"command", "func", "config"}
+        unknown = sorted(set(file_values) - settings)
+        if unknown:
+            raise ParameterError(
+                f"config file sets {', '.join(unknown)}, which {args.command} does not take"
+            )
         self.as_json = bool(self.get("json", False, parse=_parse_bool))
 
     def get(self, name: str, default: Any = None, parse: Callable | None = None) -> Any:
@@ -234,6 +240,8 @@ def cmd_lp(config: RunConfig) -> int:
         "keys": keyset.size,
         "variables": problem.nvars,
         "formula": mass_to_string(formula),
+        "solved_variables": solution.solved_variables,
+        "solved_rows": solution.solved_rows,
         "phase1_pivots": solution.phase1_pivots,
         "phase2_pivots": solution.phase2_pivots,
         "degenerate_pivots": solution.degenerate_pivots,

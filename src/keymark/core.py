@@ -28,6 +28,7 @@ the checks and metrics compare.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -231,6 +232,9 @@ class ReducedKeySet(KeySet):
             raise ParameterError(f"t must be at least 1, got {t}")
         if t > length:
             raise ParameterError(f"t={t} exceeds key length {length}")
+        if t > sys.maxsize:
+            # math.perm takes at most sys.maxsize factors.
+            raise ParameterError(f"t={t} exceeds {sys.maxsize}")
         self.length = length
         self.t = t
         self.size = math.perm(length, t) + 1

@@ -13,6 +13,15 @@ strictly larger, which a feasible dual certificate can prove from below.
 Constraint rows are sparse {column: coefficient} maps filled from each
 key's nonzero (position, value) pairs; the exact simplex, the dual check
 and the LP text export all read them in that form.
+
+Relabelling messages and key values together by any sigma in S_T maps
+column (m, x, k) to (sigma m, x, sigma o k), z_k to z_(sigma o k), fixes t,
+and maps rows the same way.  When the key set is closed under it, the LP
+is invariant, so it has an optimum constant on each column orbit (Bödi,
+Herr & Joswig 2013).  solve() then runs the simplex on the orbit quotient
+(one variable per column orbit, one collapsed row per row orbit), lifts
+the solution back, and accepts it only once the lifted dual passes
+check_dual on the full LP with the quotient's optimum as its value.
 """
 
 from __future__ import annotations
@@ -25,11 +34,12 @@ from .core import (
     ExplicitKeySet,
     KeySet,
     KeyVector,
+    SparseKey,
     TokenDistribution,
     check_listing,
     exact_rational,
 )
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 from .rationals import mass_to_string
 from .simplex import SimplexResult, simplex_solve
 
@@ -54,7 +64,10 @@ class LpProblem:
     """min objective . v  s.t.  ineq . v <= ineq_rhs,  eq . v = eq_rhs,  v >= 0.
 
     Each constraint row maps a column index to its nonzero coefficient, in
-    increasing column order; nkeys is the size of the key set.
+    increasing column order; nkeys is the size of the key set.  When t >= 2
+    and the key set is closed under relabelling messages, key_images holds
+    the index of every key's image under the transposition (1 2) and under
+    the cycle (1 2 ... t), which generate S_t; otherwise it is None.
     """
 
     n: int
@@ -67,6 +80,7 @@ class LpProblem:
     ineq_rhs: tuple[Fraction, ...]
     eq: tuple[Mapping[int, Fraction], ...]
     eq_rhs: tuple[Fraction, ...]
+    key_images: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     @property
     def nvars(self) -> int:
@@ -95,14 +109,18 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """pivots is the total; the phase counts and degenerate (ratio 0)
-    pivots are the simplex telemetry of SimplexResult."""
+    """values and dual index the columns and rows of the full LP, also when
+    the simplex ran on the orbit quotient.  solved_variables and solved_rows
+    give the size of the LP that the simplex ran.  pivots is the total; the
+    phase counts and degenerate (ratio 0) pivots are the simplex telemetry
+    of SimplexResult."""
 
     status: str
     objective: Fraction
     values: tuple[Fraction, ...]
-    basis: tuple[int, ...]
     dual: "DualCertificate | None"
+    solved_variables: int
+    solved_rows: int
     pivots: int
     phase1_pivots: int
     phase2_pivots: int
@@ -150,8 +168,9 @@ def build_primal(
     # remaining columns in increasing order.
     miss = [dict.fromkeys(range(pm(m, 1, 0), pm(m + 1, 1, 0)), one) for m in range(1, t + 1)]
     cap: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for k in range(nz):
-        for pos, value in keyset.sparse_key(k):
+    keys = [keyset.sparse_key(k) for k in range(nz)]
+    for k, pairs in enumerate(keys):
+        for pos, value in pairs:
             del miss[value - 1][pm(value, pos + 1, k)]
             cap[pos][pz_base + k] = one
     for row in miss:
@@ -183,22 +202,147 @@ def build_primal(
         ineq_rhs=ineq_rhs,
         eq=tuple(eq),
         eq_rhs=eq_rhs,
+        key_images=_key_images(keyset, keys) if t >= 2 else None,
     )
+
+
+def _generators(t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(1 2) and (1 2 ... t) as lookup tables on key values; 0 stays 0."""
+    return (0, 2, 1, *range(3, t + 1)), (0, *range(2, t + 1), 1)
+
+
+def _key_images(
+    keyset: KeySet, keys: Sequence[SparseKey]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Index of each key's image under each generator, or None as soon as
+    one image is missing from the key set."""
+    try:
+        return tuple(
+            tuple(keyset.sparse_index((pos, g[v]) for pos, v in pairs) for pairs in keys)
+            for g in _generators(keyset.t)
+        )
+    except KeyError:
+        return None
+
+
+def _orbits(perms: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The orbit of each point under the group that perms generate, and the
+    points of each orbit; orbits are numbered by their smallest point, which
+    comes first in its list."""
+    label = [-1] * len(perms[0])
+    members: list[list[int]] = []
+    for start in range(len(label)):
+        if label[start] < 0:
+            label[start] = len(members)
+            orbit = [start]
+            for point in orbit:
+                for perm in perms:
+                    image = perm[point]
+                    if label[image] < 0:
+                        label[image] = len(members)
+                        orbit.append(image)
+            members.append(orbit)
+    return label, members
+
+
+def _symmetry(problem: LpProblem) -> list[tuple[list[int], list[int], list[int]]] | None:
+    """Images of every column, inequality row and equality row under each
+    generator, or None unless the problem is invariant under both: the
+    objective and right-hand sides are constant on orbits, and each row's
+    image is the row its columns map to."""
+    if problem.key_images is None:
+        return None
+    n, t, nz = problem.n, problem.t, problem.nkeys
+    messages = range(1, t + 1)
+    maps = []
+    for g, img in zip(_generators(t), problem.key_images):
+        if sorted(img) != list(range(nz)):
+            return None
+        cols = [((g[m] - 1) * n + x) * nz + i for m in messages for x in range(n) for i in img]
+        cols += [t * n * nz + i for i in img]
+        cols.append(t * n * nz + nz)
+        ineq = [g[m] - 1 for m in messages] + list(range(t, t + n))
+        eq = [(g[m] - 1) * n + x for m in messages for x in range(n)]
+        eq += [t * n + (g[m] - 1) * nz + i for m in messages for i in img]
+        if any(problem.objective[cols[j]] != c for j, c in enumerate(problem.objective)):
+            return None
+        for rows, rhs, images in (
+            (problem.ineq, problem.ineq_rhs, ineq),
+            (problem.eq, problem.eq_rhs, eq),
+        ):
+            for row, b, image in zip(rows, rhs, images):
+                if rhs[image] != b or rows[image] != {cols[j]: a for j, a in row.items()}:
+                    return None
+        maps.append((cols, ineq, eq))
+    return maps
+
+
+def _solve_quotient(
+    problem: LpProblem, maps: list[tuple[list[int], list[int], list[int]]]
+) -> tuple[SimplexResult, tuple[Fraction, ...], "DualCertificate | None", int, int]:
+    """Simplex on the orbit quotient: variable O stands for the common value
+    of the columns in orbit O, so a row or the objective gives O the sum of
+    its coefficients on O.  The rows of one orbit collapse to the same row,
+    and one is kept.  The lifted dual spreads y_R evenly over the |R| rows
+    of orbit R, which makes each full reduced cost the quotient one divided
+    by the size of the column orbit, and keeps the value."""
+    col_orbit, col_members = _orbits([cols for cols, _, _ in maps])
+    objective = [sum((problem.objective[j] for j in orbit), Fraction(0)) for orbit in col_members]
+
+    def collapse(rows, rhs, images):
+        row_orbit, row_members = _orbits(images)
+        collapsed = []
+        for orbit in row_members:
+            row: dict[int, Fraction] = {}
+            for j, a in rows[orbit[0]].items():
+                row[col_orbit[j]] = row.get(col_orbit[j], 0) + a
+            collapsed.append({o: a for o, a in row.items() if a})
+        sizes = [len(row_members[o]) for o in row_orbit]
+        return collapsed, [rhs[orbit[0]] for orbit in row_members], row_orbit, sizes
+
+    ineq, ineq_rhs, ineq_orbit, ineq_sizes = collapse(
+        problem.ineq, problem.ineq_rhs, [ineq for _, ineq, _ in maps]
+    )
+    eq, eq_rhs, eq_orbit, eq_sizes = collapse(problem.eq, problem.eq_rhs, [eq for _, _, eq in maps])
+    result = simplex_solve(objective, ineq, ineq_rhs, eq, eq_rhs)
+    values: tuple[Fraction, ...] = ()
+    dual = None
+    if result.status == "optimal":
+        values = tuple(result.values[o] for o in col_orbit)
+        dual = DualCertificate(
+            tuple(result.dual_ineq[o] / size for o, size in zip(ineq_orbit, ineq_sizes)),
+            tuple(result.dual_eq[o] / size for o, size in zip(eq_orbit, eq_sizes)),
+        )
+        feasible, value = check_dual(problem, dual)
+        if not feasible or value != result.objective:
+            raise SolverError(
+                f"lifted quotient dual rejected: feasible={feasible}, value "
+                f"{value} against quotient optimum {result.objective}"
+            )
+    return result, values, dual, len(objective), len(ineq) + len(eq)
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    result: SimplexResult = simplex_solve(
-        problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
-    )
-    dual = None
-    if result.status == "optimal":
-        dual = DualCertificate(result.dual_ineq, result.dual_eq)
+    """Run the simplex on the orbit quotient when the problem is invariant
+    under relabelling messages, and on the full LP otherwise."""
+    maps = _symmetry(problem)
+    if maps is not None:
+        result, values, dual, variables, rows = _solve_quotient(problem, maps)
+    else:
+        result = simplex_solve(
+            problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
+        )
+        values, dual = result.values, None
+        if result.status == "optimal":
+            dual = DualCertificate(result.dual_ineq, result.dual_eq)
+        variables, rows = problem.nvars, len(problem.ineq) + len(problem.eq)
     return LpSolution(
         status=result.status,
         objective=result.objective,
-        values=result.values,
-        basis=result.basis,
+        values=values,
         dual=dual,
+        solved_variables=variables,
+        solved_rows=rows,
         pivots=result.pivots,
         phase1_pivots=result.phase1_pivots,
         phase2_pivots=result.phase2_pivots,

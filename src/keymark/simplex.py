@@ -103,19 +103,34 @@ class _Tableau:
         # (for the cost row, of det(B)*cs*c - (cs*c_B)*adj(B)A, with cs*c
         # integer).  So it is an integer, and each // below divides exactly
         # (Sylvester's identity; Bareiss 1968).  Row r stays as it is, and
-        # p becomes the determinant.
+        # p becomes the determinant.  When p == det, the new entry is
+        # a - f*e/det, with f*e a multiple of det: it changes only where the
+        # pivot row's entry e is nonzero, so only those columns are
+        # rewritten, in place.
+        sparse = p == det
+        if sparse:
+            support = [k for k, e in enumerate(row) if e]
         for i, other in enumerate(self.rows):
             if i == r:
                 continue
             f = other[j]
             if f:
-                self.rows[i] = [(p * a - f * e) // det for a, e in zip(other, row)]
+                if sparse:
+                    for k in support:
+                        other[k] -= f * row[k] // det
+                else:
+                    self.rows[i] = [(p * a - f * e) // det for a, e in zip(other, row)]
                 rhs[i] = (p * rhs[i] - f * b) // det
-            elif p != det:
+            elif not sparse:
                 self.rows[i] = [p * a // det for a in other]
                 rhs[i] = p * rhs[i] // det
         f = self.cost[j]
-        self.cost = [(p * a - f * e) // det for a, e in zip(self.cost, row)]
+        if sparse:
+            cost = self.cost
+            for k in support:
+                cost[k] -= f * row[k] // det
+        else:
+            self.cost = [(p * a - f * e) // det for a, e in zip(self.cost, row)]
         self.cost_rhs = (p * self.cost_rhs - f * b) // det
         if p < 0:
             # Only the artificial drive-out pivots on a negative entry.

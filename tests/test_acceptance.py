@@ -30,7 +30,7 @@ from keymark.construct_a import (
 )
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import TokenDistribution, enumerate_reduced_keyset
-from keymark.lp import bijective_keyset, build_primal, solve
+from keymark.lp import bijective_keyset, build_primal, check_dual, solve
 from keymark.metrics import error_report, optimal_value
 from keymark.rationals import mass_to_string
 from keymark.sim import monte_carlo
@@ -151,6 +151,7 @@ def test_criterion_4_lp_agrees_with_formula() -> None:
                     solution = solve(problem)
                     assert solution.status == "optimal"
                     assert solution.objective == optimal_value(px, alpha, t)
+                    assert check_dual(problem, solution.dual) == (True, solution.objective)
                     count += 1
         result["detail"] = (
             f"exact LP optimum equals the closed-form value on {count} instances "

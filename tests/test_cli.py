@@ -133,6 +133,8 @@ def test_lp_reduced_matches_formula(capsys) -> None:
     assert code == 0
     assert payload["status"] == "optimal"
     assert payload["keys"] == 7 and payload["variables"] == 50
+    # The simplex ran on the S_2-orbit quotient of the 50-column LP.
+    assert (payload["solved_variables"], payload["solved_rows"]) == (26, 14)
     assert payload["lp_optimal"] == "0.455"
     assert payload["lp_minus_formula"] == "0"
 
@@ -144,6 +146,8 @@ def test_lp_bijective_shows_gap(capsys, tmp_path) -> None:
     )
     assert code == 0
     assert payload["keys"] == 4 and payload["variables"] == 29
+    # The bijective set is not closed under relabelling, so the full LP ran.
+    assert (payload["solved_variables"], payload["solved_rows"]) == (29, 19)
     assert payload["formula"] == "0.455"
     assert payload["lp_optimal"] == "0.47"
     assert payload["lp_minus_formula"] == "0.015"
@@ -252,6 +256,22 @@ def test_config_file_json_setting(capsys, tmp_path) -> None:
     assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
     assert "not a boolean" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_rejects_unknown_keys(capsys, tmp_path) -> None:
+    # A mistyped key is refused before a scheme is built or written.
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "scheme.json"
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\nmethd=b\n")
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config file sets methd, which construct does not take" in capsys.readouterr().err
+    assert not out.exists()
+    # So is a setting that only another subcommand takes.
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\nkeyset=bijective\n")
+    assert main(["optimal", "--config", str(cfg)]) == 2
+    assert "keyset" in capsys.readouterr().err
+    code, payload = run_json(capsys, "lp", "--config", str(cfg))
+    assert (code, payload["keyset"]) == (0, "bijective")
 
 
 def test_construct_rejects_cancelling_terms(capsys, tmp_path) -> None:

@@ -170,6 +170,9 @@ def test_keyset_parameter_validation() -> None:
         ReducedKeySet(3, 0)
     with pytest.raises(ParameterError):
         ReducedKeySet(3, 4)
+    # A document may carry any integer; one too large to count is typed too.
+    with pytest.raises(ParameterError):
+        ReducedKeySet(10**20, 10**20)
 
 
 def test_reduced_keyset_has_no_size_cap(monkeypatch: pytest.MonkeyPatch) -> None:

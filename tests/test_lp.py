@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keymark.core import TokenDistribution, enumerate_reduced_keyset
-from keymark.errors import CapacityError, ParameterError
+import keymark.lp as lp_module
+from keymark.core import ExplicitKeySet, TokenDistribution, enumerate_reduced_keyset
+from keymark.errors import CapacityError, ParameterError, SolverError
 from keymark.lp import (
     DualCertificate,
     bijective_keyset,
@@ -17,6 +18,7 @@ from keymark.lp import (
     solve,
 )
 from keymark.metrics import optimal_value
+from keymark.simplex import simplex_solve
 
 PX_SKEWED = TokenDistribution.from_strings(["0.01", "0.04", "0.95"])
 ALPHA_SKEWED = F(99, 100)
@@ -238,7 +240,124 @@ def test_lp_infeasible_column_target() -> None:
     rhs = list(problem.eq_rhs)
     rhs[0] = F(2)
     broken = dataclasses.replace(problem, eq_rhs=tuple(rhs))
-    assert solve(broken).status == "infeasible"
+    # The changed right-hand side breaks the relabelling symmetry, so the
+    # full LP is solved.
+    solution = solve(broken)
+    assert solution.status == "infeasible"
+    assert solution.solved_variables == broken.nvars
+
+
+def assert_optimal_for_full_lp(problem, solution) -> None:
+    """The lifted values satisfy A.v <= b, E.v = c and v >= 0 exactly and
+    reach the optimum, and the lifted dual certifies it."""
+    v = solution.values
+    assert len(v) == problem.nvars and all(x >= 0 for x in v)
+    for row, b in zip(problem.ineq, problem.ineq_rhs):
+        assert sum(a * v[j] for j, a in row.items()) <= b
+    for row, c in zip(problem.eq, problem.eq_rhs):
+        assert sum(a * v[j] for j, a in row.items()) == c
+    assert sum(d * x for d, x in zip(problem.objective, v)) == solution.objective
+    assert check_dual(problem, solution.dual) == (True, solution.objective)
+
+
+def reduced_listed(n: int, t: int) -> ExplicitKeySet:
+    """The reduced key set, listed explicitly in reverse order."""
+    return ExplicitKeySet(reversed(list(enumerate_reduced_keyset(n, t))), t)
+
+
+def ramp(n: int) -> TokenDistribution:
+    """px proportional to 1..n."""
+    return TokenDistribution.from_fractions([F(i, n * (n + 1) // 2) for i in range(1, n + 1)])
+
+
+QUOTIENT_CASES = [
+    (ramp(n), F(1, 2), t, "reduced") for n, t in SMALL_SHAPES if t >= 2
+] + [
+    (TokenDistribution.from_strings(texts), alpha, 2, kind)
+    for texts, alpha, kind in LP_CERT_SET
+    if kind == "reduced"
+] + [
+    (TokenDistribution.from_strings(["0.1", "0.2", "0.3", "0.4"]), F(3, 5), 3, "listed"),
+    (PX_SKEWED, ALPHA_SKEWED, 2, "listed"),
+]
+
+
+@pytest.mark.parametrize("px, alpha, t, kind", QUOTIENT_CASES)
+def test_quotient_agrees_with_full_lp(px, alpha, t, kind) -> None:
+    keyset = enumerate_reduced_keyset(px.n, t) if kind == "reduced" else reduced_listed(px.n, t)
+    problem = build_primal(px, alpha, t, keyset)
+    assert problem.key_images is not None
+    quotient = solve(problem)
+    full = solve(dataclasses.replace(problem, key_images=None))
+    assert quotient.status == full.status == "optimal"
+    assert quotient.solved_variables < full.solved_variables == problem.nvars
+    assert quotient.solved_rows < full.solved_rows
+    assert quotient.objective == full.objective == optimal_value(px, alpha, t)
+    assert_optimal_for_full_lp(problem, quotient)
+
+
+def test_key_images_follow_the_generators() -> None:
+    keyset = enumerate_reduced_keyset(4, 3)
+    problem = build_primal(TokenDistribution.from_fractions([F(1, 4)] * 4), F(1, 2), 3, keyset)
+    swap, cycle = problem.key_images
+    for k, key in enumerate(keyset):
+        assert keyset.key(swap[k]) == tuple((0, 2, 1, 3)[v] for v in key)
+        assert keyset.key(cycle[k]) == tuple((0, 2, 3, 1)[v] for v in key)
+    # One missing image, or T = 1, leaves the problem without the symmetry.
+    keys = list(enumerate_reduced_keyset(3, 2))
+    keys.remove((0, 2, 1))
+    assert build_primal(PX_SKEWED, F(1, 2), 2, ExplicitKeySet(keys, 2)).key_images is None
+    px = TokenDistribution.from_strings(["0.25", "0.75"])
+    assert build_primal(px, F(1, 2), 1, enumerate_reduced_keyset(2, 1)).key_images is None
+
+
+@pytest.mark.parametrize(("n", "t"), [(3, 2), (3, 3)])
+def test_unclosed_key_sets_solve_the_full_lp(n: int, t: int) -> None:
+    px = PX_SKEWED if t == 2 else TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
+    problem = build_primal(px, ALPHA_SKEWED, t, bijective_keyset(n, t))
+    assert problem.key_images is None
+    solution = solve(problem)
+    result = simplex_solve(
+        problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
+    )
+    assert (solution.solved_variables, solution.solved_rows) == (
+        problem.nvars,
+        len(problem.ineq) + len(problem.eq),
+    )
+    assert (solution.status, solution.objective, solution.values) == (
+        result.status,
+        result.objective,
+        result.values,
+    )
+    assert solution.dual == DualCertificate(result.dual_ineq, result.dual_eq)
+    assert (solution.pivots, solution.phase1_pivots, solution.degenerate_pivots) == (
+        result.pivots,
+        result.phase1_pivots,
+        result.degenerate_pivots,
+    )
+
+
+def test_wrong_quotient_dual_is_rejected(monkeypatch) -> None:
+    real = lp_module.simplex_solve
+
+    def tampered(*lp):
+        result = real(*lp)
+        y = (result.dual_ineq[0] + 1, *result.dual_ineq[1:])
+        return dataclasses.replace(result, dual_ineq=y)
+
+    monkeypatch.setattr(lp_module, "simplex_solve", tampered)
+    with pytest.raises(SolverError, match="lifted quotient dual rejected"):
+        solve(full_problem())
+
+
+def test_reduced_certificate_six_tokens_three_messages() -> None:
+    px = ramp(6)
+    problem = build_primal(px, F(1, 2), 3, enumerate_reduced_keyset(6, 3))
+    solution = solve(problem)
+    assert problem.nvars == 2300
+    assert (solution.solved_variables, solution.solved_rows) == (388, 74)
+    assert solution.objective == optimal_value(px, F(1, 2), 3)
+    assert_optimal_for_full_lp(problem, solution)
 
 
 def test_check_dual_zero_certificate() -> None:
