@@ -2,9 +2,10 @@
 
 Subcommands: construct, verify, optimal, lp, simulate, export.  Probabilities
 are decimal or p/q strings parsed exactly; floats never enter the pipeline.
-A --config file (key=value lines, # comments) supplies defaults that explicit
-flags override.  Exit codes: 0 success, 1 property or optimality failure,
-2 usage error, 3 capacity error.
+A --config file (key=value lines, # comments, each key at most once)
+supplies defaults that explicit flags override; its term value is a
+comma-separated list of MASS:BITS items.  Exit codes: 0 success, 1 property
+or optimality failure, 2 usage error, 3 capacity error.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ def _parse_bool(text: str) -> bool:
 
 
 def _load_config_file(path: str | None) -> dict[str, str]:
+    """key=value settings of a config file.  A key may appear only once: a
+    repeated key is refused with both line numbers, not silently replaced."""
     if not path:
         return {}
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -98,12 +102,23 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected key=value")
         key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise ParameterError(
+                f"{path}:{lineno}: {key} is already set on line {lines[key]}"
+            )
+        lines[key] = lineno
+        values[key] = value.strip()
     return values
 
 
 def _parse_px(text: str) -> TokenDistribution:
     return TokenDistribution.from_strings([p.strip() for p in text.split(",")])
+
+
+def _split_terms(text: str) -> list[str]:
+    """A config-file term value: comma-separated MASS:BITS items."""
+    return [item.strip() for item in text.split(",")]
 
 
 def _parse_terms(items: Sequence[str]) -> THotDecomposition:
@@ -160,7 +175,7 @@ def _scheme_summary(scheme: WatermarkScheme) -> tuple[dict, list[str]]:
 def cmd_construct(config: RunConfig) -> int:
     px, alpha, t = _instance(config)
     method = config.get("method", "a")
-    terms = config.get("term")
+    terms = config.get("term", parse=_split_terms)
     force = bool(config.get("force_pseudo", False, parse=_parse_bool))
     if method == "a":
         if terms:

@@ -77,8 +77,9 @@ class ImbalanceLedger:
     """Row-sum imbalance of the part-2 tables.
 
     per_key[key_index][m-1] is the gap between that key's largest row sum
-    over messages and its row sum under m.  The total gap is the same for
-    every message; total stores that common value.
+    over messages and its row sum under m; keys whose gaps are all zero are
+    left out.  Keys with the same tail share one gaps tuple.  The total gap
+    is the same for every message; total stores that common value.
     """
 
     per_key: dict[int, tuple[Fraction, ...]]
@@ -215,7 +216,11 @@ def build_pm2(
     Layer j covers the last j tokens; each covered (token, message) pair
     receives delta_j / anchored_cell_count at every anchored key decoding it.
     Row sums now differ across messages; the returned ledger records the
-    per-key gaps and their total (equal for every message).
+    per-key gaps and their total (equal for every message).  A key's part-2
+    rows depend only on its tail, so the row sums, peak and gaps are taken
+    once per distinct tail and each class adds gap * class size to the
+    totals.  The totals must agree across messages and equal the closed
+    form sum of delta_j * (T - j), or InvariantError is raised.
     """
     t, length = keyset.t, keyset.length
     steps = step_decomposition(px2, t)
@@ -244,16 +249,20 @@ def build_pm2(
                     )
     tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
+    # Keys sharing a tail share their part-2 rows: one member stands for all.
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for idx, tail in anchored:
+        classes.setdefault(tail, []).append(idx)
     per_key: dict[int, tuple[Fraction, ...]] = {}
     totals = [Fraction(0)] * t
-    for idx, _ in anchored:
-        sums = [tables[m - 1].row_sum(idx) for m in range(1, t + 1)]
+    for members in classes.values():
+        sums = [tables[m - 1].row_sum(members[0]) for m in range(1, t + 1)]
         peak = max(sums)
         gaps = tuple(peak - s for s in sums)
         if any(gaps):
-            per_key[idx] = gaps
+            per_key.update(dict.fromkeys(members, gaps))
         for m_i, gap in enumerate(gaps):
-            totals[m_i] += gap
+            totals[m_i] += gap * len(members)
     if len(set(totals)) != 1:
         raise InvariantError(f"imbalance totals differ across messages: {totals}")
     expected_total = sum(
@@ -326,6 +335,11 @@ def restore_token_order(
     coordinate i-1 moves to coordinate sort_perm[i-1]; coordinates beyond the
     token count (extension slots) stay in place.  The reduced key set is
     closed under coordinate permutation, so only indices change.
+
+    Both the key remap and the token map are bijections, so no two cells
+    meet: each row is relabelled whole, with its masses carried over as
+    they are and no exact arithmetic.  Each key is remapped once and cached
+    across the tables.
     """
     if px.is_sorted:
         return list(tables)
@@ -342,13 +356,16 @@ def restore_token_order(
             cached = index_map[idx] = keyset.sparse_index(moved)
         return cached
 
-    out: list[JointTable] = []
-    for table in tables:
-        rows: dict[int, dict[int, Fraction]] = {}
-        for idx, token, mass in table.cells():
-            add_mass(rows, remap(idx), perm[token - 1] + 1, mass)
-        out.append(JointTable(table.m, rows))
-    return out
+    return [
+        JointTable(
+            table.m,
+            {
+                remap(idx): {perm[token - 1] + 1: mass for token, mass in row.items()}
+                for idx, row in table.rows.items()
+            },
+        )
+        for table in tables
+    ]
 
 
 def _sorted_view(px: TokenDistribution) -> TokenDistribution:

@@ -401,11 +401,20 @@ class JointTable:
 
 
 def add_mass(rows: dict[int, dict[int, Fraction]], key_index: int, token: int, mass: Fraction) -> None:
-    """Accumulate into a mutable row map, dropping cells that cancel to zero."""
+    """Accumulate into a mutable row map, dropping cells that cancel to zero.
+
+    A zero mass is a no-op.  A fresh cell stores the caller's mass object as
+    it is; only a cell that already holds mass costs an exact addition, and
+    a sum of zero removes the cell, then its row once the row is empty.
+    """
     if mass == 0:
         return
     row = rows.setdefault(key_index, {})
-    updated = row.get(token, Fraction(0)) + mass
+    held = row.get(token)
+    if held is None:
+        row[token] = mass
+        return
+    updated = held + mass
     if updated == 0:
         del row[token]
         if not row:

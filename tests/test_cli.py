@@ -274,6 +274,35 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path) -> None:
     assert (code, payload["keyset"]) == (0, "bijective")
 
 
+def test_config_file_terms_match_flags(capsys, tmp_path) -> None:
+    # A config term value lists MASS:BITS items separated by commas.
+    flags = ["--term", "0.1:101", "--term", "0.3:011"]
+    code, from_flags = run_json(capsys, "construct", *INSTANCE_B, "--method", "b", *flags)
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\nmethod=b\nterm=0.1:101, 0.3:011\n")
+    code, from_config = run_json(capsys, "construct", "--config", str(cfg))
+    assert code == 0
+    assert from_config == from_flags
+
+
+def test_config_file_rejects_repeated_keys(capsys, tmp_path) -> None:
+    # A repeated key is refused, naming both lines, before anything is written.
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "scheme.json"
+    cfg.write_text(
+        "px=0.1,0.3,0.6\nalpha=0.8\nt=2\nmethod=b\nterm=0.1:101\n# second\nterm=0.3:011\n"
+    )
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:7: term is already set on line 5" in capsys.readouterr().err
+    assert not out.exists()
+    # Spellings that name the same setting count as one key.
+    cfg.write_text("px=0.1,0.3,0.6\nalpha=0.8\nt=2\nmethod=b\nforce-pseudo=true\nforce_pseudo=false\n")
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "force_pseudo is already set on line 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_rejects_cancelling_terms(capsys, tmp_path) -> None:
     # The greedy terms plus four that cancel still reconstruct px', but two
     # of them carry negative mass; nothing may be written.

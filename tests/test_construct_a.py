@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import COMBINED_A, PART1_A, PART2_A, table_as_cells
 from keymark.construct_a import (
@@ -19,8 +21,11 @@ from keymark.construct_a import (
 from keymark.core import (
     ENUMERATION_CAP,
     ExplicitKeySet,
+    JointTable,
+    ReducedKeySet,
     TokenDistribution,
     WatermarkScheme,
+    add_mass,
     decode,
     enumerate_reduced_keyset,
 )
@@ -297,8 +302,6 @@ def test_construct_a_unsorted_tokens() -> None:
 def test_restore_token_order_requires_reduced() -> None:
     px = TokenDistribution.from_strings(["0.6", "0.4"])
     explicit = ExplicitKeySet([(0, 0), (1, 0), (0, 1)], t=1)
-    from keymark.core import JointTable
-
     with pytest.raises(ParameterError):
         restore_token_order(px, explicit, [JointTable(1, {1: {1: F(1)}})])
 
@@ -350,3 +353,84 @@ def test_construct_a_random_instances() -> None:
         px = TokenDistribution.from_fractions(F(w * denominator, total * denominator) for w in weights)
         alpha = F(rng.randint(1, 99), 100)
         assert_scheme_properties(construct_a(px, alpha, t))
+
+
+def restore_token_order_per_cell(px, keyset, tables):
+    """Reference: the earlier restore, which re-adds every cell one by one."""
+    if px.is_sorted:
+        return list(tables)
+    n, perm = px.n, px.sort_perm
+    out = []
+    for table in tables:
+        rows: dict[int, dict[int, F]] = {}
+        for idx, token, mass in table.cells():
+            moved = [(perm[pos] if pos < n else pos, value) for pos, value in keyset.sparse_key(idx)]
+            add_mass(rows, keyset.sparse_index(moved), perm[token - 1] + 1, mass)
+        out.append(JointTable(table.m, rows))
+    return out
+
+
+@st.composite
+def sorted_view_tables(draw):
+    """An unsorted px, a reduced key set of length n + extension slots, and
+    one random sparse table per message on that key set."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, n))
+    keyset = ReducedKeySet(n + draw(st.integers(0, 3)), t)
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    masses = st.builds(F, st.integers(1, 9), st.integers(1, 12))
+    rows = st.dictionaries(
+        st.integers(0, keyset.size - 1),
+        st.dictionaries(st.integers(1, n), masses, min_size=1, max_size=n),
+        max_size=12,
+    )
+    tables = [JointTable(m, draw(rows)) for m in range(1, t + 1)]
+    return px, keyset, tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_view_tables())
+def test_restore_token_order_matches_per_cell_reference(case) -> None:
+    px, keyset, tables = case
+    restored = restore_token_order(px, keyset, tables)
+    expected = restore_token_order_per_cell(px, keyset, tables)
+    assert [(t.m, list(t.cells())) for t in restored] == [
+        (t.m, list(t.cells())) for t in expected
+    ]
+
+
+def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
+    """ledger.per_key holds exactly the anchored keys with a nonzero gap, each
+    with the gaps recomputed from that key's own row sums."""
+    tables, ledger = build_pm2(px2, keyset)
+    expected = {}
+    for idx in anchored_keys(keyset, k):
+        sums = [table.row_sum(idx) for table in tables]
+        gaps = tuple(max(sums) - s for s in sums)
+        if any(gaps):
+            expected[idx] = gaps
+    assert ledger.per_key == expected
+
+
+def test_build_pm2_per_key_ledger_random_leveling() -> None:
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 7)
+        t = rng.randint(2, min(n, 4))
+        weights = [rng.randint(1, 10) for _ in range(n - 1)] + [rng.randint(20, 300)]
+        px = TokenDistribution.from_fractions(sorted(F(w, sum(weights)) for w in weights))
+        split = split_px(px, F(rng.randint(5, 99), 100), t)
+        if split.K >= 1:
+            assert_ledger_per_key(split.px2, ReducedKeySet(n, t), split.K)
+            checked += 1
+
+
+def test_build_pm2_per_key_ledger_heavy_shape() -> None:
+    # N = 40 with one 0.95 token: 4,446 anchored keys in three tail classes.
+    light = [F(5 * i, 100 * 780) for i in range(1, 40)]
+    px = TokenDistribution.from_fractions(light + [F(95, 100)])
+    split = split_px(px, F(1, 2), 3)
+    assert split.K == 1
+    assert_ledger_per_key(split.px2, ReducedKeySet(40, 3), 1)

@@ -297,6 +297,23 @@ def test_add_mass_drops_cancelled_cells() -> None:
     assert rows == {}
 
 
+def test_add_mass_fresh_cells_cancellation_and_zero() -> None:
+    rows: dict[int, dict[int, Fraction]] = {}
+    mass = Fraction(2, 7)
+    add_mass(rows, 4, 3, mass)
+    assert rows[4][3] is mass
+    add_mass(rows, 4, 1, Fraction(1, 7))
+    add_mass(rows, 4, 3, Fraction(-2, 7))
+    assert rows == {4: {1: Fraction(1, 7)}}
+    add_mass(rows, 4, 1, Fraction(-1, 7))
+    assert rows == {}
+    add_mass(rows, 9, 2, Fraction(0))
+    assert rows == {}
+    add_mass(rows, 9, 2, Fraction(1, 3))
+    add_mass(rows, 9, 2, Fraction(0))
+    assert rows == {9: {2: Fraction(1, 3)}}
+
+
 def test_merge_tables() -> None:
     part1 = JointTable(2, {0: {1: Fraction(1, 4)}})
     part2 = JointTable(2, {0: {1: Fraction(1, 4)}, 1: {2: Fraction(1, 2)}})

@@ -1,0 +1,92 @@
+"""Pinned SHA-256 digests of serialized schemes on fixed shuffled instances.
+
+A change that only speeds construction up must leave these documents byte
+for byte the same.  The digests were taken before the row-relabelling token
+reorder and the per-tail imbalance ledger went in.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from keymark.construct_a import construct_a
+from keymark.construct_b import construct_b
+from keymark.core import TokenDistribution
+from keymark.serialize import serialize_scheme
+from keymark.split import split_px
+
+ALPHA = F(1, 2)
+T = 3
+
+
+def shuffled(masses: list[F], step: int) -> TokenDistribution:
+    """Token i takes masses[(step*i + 1) mod n]; step is coprime to n."""
+    n = len(masses)
+    return TokenDistribution.from_fractions(masses[(step * i + 1) % n] for i in range(n))
+
+
+def one_heavy(n: int) -> list[F]:
+    """One 0.95 token and n-1 light ones with masses proportional to 1..n-1."""
+    light = n - 1
+    total = light * (light + 1) // 2
+    return [F(95, 100)] + [F(5 * i, 100 * total) for i in range(1, light + 1)]
+
+
+def two_heavy() -> list[F]:
+    """Two tokens above alpha/T with only 1/10 of light mass below them."""
+    return [F(55, 100), F(35, 100)] + [F(i, 360) for i in range(1, 9)]
+
+
+def zipf(n: int) -> list[F]:
+    weights = [F(1, i) for i in range(1, n + 1)]
+    total = sum(weights, F(0))
+    return [w / total for w in weights]
+
+
+# name -> (px, K of the split, construct_a digest, construct_b digest)
+INSTANCES = {
+    "one-heavy-12": (
+        shuffled(one_heavy(12), 5),
+        1,
+        "055296253372a65642e289019f1c9316ca82269db9bf3b7ee2f89b3bac007ab1",
+        "bcf89869fbaf664e6ea6276bc3da5af97b9c2a9dd6324c1989d84d6f505ff70a",
+    ),
+    "two-heavy-10": (
+        shuffled(two_heavy(), 7),
+        2,
+        "1e3927e2f2bc32277346f4dfea048a115e42e3d94dc2aba2e66da9809ec9c1a5",
+        "b78a0855d0b92544f2b9879188d70fd5e428eef48e1dbeef8734b855a8b883d3",
+    ),
+    "zipf-30": (
+        shuffled(zipf(30), 7),
+        0,
+        "8c6905d0e3cf10dd2b02a2c7109e87a152b1c2f7835acdb5ef584fd691c22ab5",
+        "c61d071f8dac4352f4d6d4dbb9f92b4bc74efe9e884a07166f20e12204ffdc1b",
+    ),
+}
+
+
+def digest(scheme) -> str:
+    text = json.dumps(serialize_scheme(scheme), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_instance_shape(name: str) -> None:
+    px, k, _, _ = INSTANCES[name]
+    assert not px.is_sorted
+    assert split_px(TokenDistribution.from_fractions(px.sorted_probs), ALPHA, T).K == k
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_construct_a_digest(name: str) -> None:
+    px, _, expected, _ = INSTANCES[name]
+    assert digest(construct_a(px, ALPHA, T)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_construct_b_digest(name: str) -> None:
+    px, _, _, expected = INSTANCES[name]
+    assert digest(construct_b(px, ALPHA, T)) == expected
