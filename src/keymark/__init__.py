@@ -24,13 +24,11 @@ from .core import (
 )
 from .construct_a import (
     ImbalanceLedger,
-    StepDecomposition,
     anchored_keys,
     build_pm1,
     build_pm2,
     build_pm3,
     construct_a,
-    step_decomposition,
     structural_keys,
 )
 from .construct_b import Extension, construct_b, extend_px
@@ -102,7 +100,6 @@ __all__ = [
     "PxSplit",
     "ReducedKeySet",
     "SolverError",
-    "StepDecomposition",
     "THotDecomposition",
     "THotTerm",
     "TokenDistribution",
@@ -142,7 +139,6 @@ __all__ = [
     "serialize_scheme",
     "solve",
     "split_px",
-    "step_decomposition",
     "structural_keys",
     "worst_false_alarm",
 ]

@@ -27,7 +27,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .lp import bijective_keyset, build_primal, check_dual, export_lp_text, solve
+from .lp import bijective_keyset, build_primal, export_lp_text, solve
 from .metrics import check_scheme, error_report, optimal_value
 from .rationals import mass_to_string, parse_mass
 from .serialize import export_csv, load_scheme, save_scheme, serialize_scheme
@@ -267,14 +267,7 @@ def cmd_lp(config: RunConfig) -> int:
         f"formula optimum: {mass_to_string(formula)}",
     ]
     if solution.status == "optimal":
-        # The optimum is reported only once its dual passes the exact check.
-        feasible, value = check_dual(problem, solution.dual)
-        if not feasible or value != solution.objective:
-            raise SolverError(
-                f"dual certificate rejected: feasible={feasible}, value "
-                f"{mass_to_string(value)} against lp optimum "
-                f"{mass_to_string(solution.objective)}"
-            )
+        # solve() has already checked the optimum's dual exactly.
         gap = solution.objective - formula
         payload["lp_optimal"] = mass_to_string(solution.objective)
         payload["lp_minus_formula"] = mass_to_string(gap)

@@ -4,9 +4,12 @@ Three additive parts mirror the split of px:
 
   part 1 spreads each T-hot term's weight uniformly over the keys whose
          support equals the term's support (weight / (T-1)! per cell);
-  part 2 layers the step increments of px2 over the anchored keys (last K
-         coordinates nonzero), leaving a known row-sum imbalance;
-  part 3 spends px3 to cancel that imbalance layer by layer and parks the
+  part 2 gives each anchored key (last K coordinates nonzero) the cell
+         px2(x)/c at every tail token x, under the message its tail holds
+         there, with c anchored keys per (token, message) pair.  This
+         leaves a row-sum imbalance of T*max(px2) - sum(px2) in total;
+  part 3 lifts each anchored key's row sum under m to its peak with
+         gap_m * px3(x)/R per token, R = sum(px3), and parks the
          remainder on the all-zero key.
 
 The combined tables have column sums equal to px, identical row sums across
@@ -36,40 +39,20 @@ from .core import (
     merge_tables,
 )
 from .errors import InvariantError, ParameterError
-from .split import PxSplit, split_px
+from .rationals import mass_to_string
+from .split import split_px
 from .thot import THotDecomposition, decompose_t_hot
 
 __all__ = [
-    "StepDecomposition",
     "ImbalanceLedger",
     "structural_keys",
     "anchored_keys",
-    "step_decomposition",
     "build_pm1",
     "build_pm2",
     "build_pm3",
     "construct_a",
     "restore_token_order",
 ]
-
-
-@dataclass(frozen=True)
-class StepDecomposition:
-    """px2 as a sum of suffix indicators: increments[(j, delta)] means
-    delta * (0,...,0, 1_j).  j runs 1..K; deltas may be zero."""
-
-    increments: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.increments)
-
-    def reconstruct(self, length: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * length
-        for j, delta in self.increments:
-            for pos in range(length - j, length):
-                out[pos] += delta
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,31 +139,6 @@ def anchored_cell_count(n: int, t: int, k: int) -> int:
     return math.perm(t - 1, k - 1) * math.perm(n - k, t - k)
 
 
-def step_decomposition(px2: Sequence[Fraction], t: int) -> StepDecomposition:
-    """Decompose a non-decreasing tail vector into suffix-indicator steps."""
-    length = len(px2)
-    positive = [i for i, v in enumerate(px2) if v > 0]
-    if any(v < 0 for v in px2):
-        raise ParameterError("px2 has a negative entry")
-    k = len(positive)
-    if k == 0:
-        return StepDecomposition(())
-    if k > t - 1:
-        raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
-    if positive != list(range(length - k, length)):
-        raise ParameterError("px2's positive entries must sit at the tail")
-    if any(px2[i] > px2[i + 1] for i in range(length - k, length - 1)):
-        raise ParameterError("px2 must be non-decreasing on its tail")
-    increments = []
-    for j in range(1, k + 1):
-        below = px2[length - j - 1] if j < k else Fraction(0)
-        increments.append((j, px2[length - j] - below))
-    decomposition = StepDecomposition(tuple(increments))
-    if decomposition.reconstruct(length) != tuple(px2):
-        raise InvariantError("step decomposition failed to reconstruct px2")
-    return decomposition
-
-
 def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
     """Spread each term's weight over its structural keys, weight/(T-1)! per cell.
 
@@ -211,42 +169,47 @@ def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
 def build_pm2(
     px2: Sequence[Fraction], keyset: KeySet
 ) -> tuple[list[JointTable], ImbalanceLedger]:
-    """Layer the step increments of px2 over the anchored keys.
+    """Spread px2 over the anchored keys: one cell px2(x)/c per tail slot.
 
-    Layer j covers the last j tokens; each covered (token, message) pair
-    receives delta_j / anchored_cell_count at every anchored key decoding it.
-    Row sums now differ across messages; the returned ledger records the
-    per-key gaps and their total (equal for every message).  A key's part-2
-    rows depend only on its tail, so the row sums, peak and gaps are taken
-    once per distinct tail and each class adds gap * class size to the
-    totals.  The totals must agree across messages and equal the closed
-    form sum of delta_j * (T - j), or InvariantError is raised.
+    px2 must be non-negative and non-decreasing with its K <= T-1 positive
+    entries at the tail.  An anchored key (last K coordinates nonzero) whose
+    tail holds message m at token x gets px2(x)/c in table m, where
+    c = anchored_cell_count(L, T, K) keys share each (token, message) pair;
+    a count other than c raises InvariantError.  Row sums now differ across
+    messages; the returned ledger records the per-key gaps and their total
+    (equal for every message).  A key's part-2 rows depend only on its
+    tail, so the row sums, peak and gaps are taken once per distinct tail
+    and each class adds gap * class size to the totals.  The totals must
+    agree across messages and equal the closed form T*max(px2) - sum(px2),
+    or InvariantError is raised.
     """
     t, length = keyset.t, keyset.length
-    steps = step_decomposition(px2, t)
-    empty_ledger = ImbalanceLedger({}, Fraction(0))
-    if steps.k == 0:
-        return [JointTable(m, {}) for m in range(1, t + 1)], empty_ledger
-    k = steps.k
+    if any(v < 0 for v in px2):
+        raise ParameterError("px2 has a negative entry")
+    positive = [i for i, v in enumerate(px2) if v > 0]
+    k = len(positive)
+    if k == 0:
+        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
+    if k > t - 1:
+        raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
+    head = len(px2) - k
+    if positive != list(range(head, len(px2))):
+        raise ParameterError("px2's positive entries must sit at the tail")
+    if any(px2[i] > px2[i + 1] for i in range(head, len(px2) - 1)):
+        raise ParameterError("px2 must be non-decreasing on its tail")
     anchored = _anchored_tails(keyset, k)
     cell_count = anchored_cell_count(length, t, k)
+    slots = [(length - k + s + 1, Fraction(px2[head + s], cell_count)) for s in range(k)]
+    hits = [[0] * t for _ in range(k)]
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
-    for j, delta in steps.increments:
-        if delta == 0:
-            continue
-        share = Fraction(delta, cell_count)
-        for token in range(length - j + 1, length + 1):
-            slot = token - 1 - (length - k)
-            for m in range(1, t + 1):
-                hits = 0
-                for idx, tail in anchored:
-                    if tail[slot] == m:
-                        add_mass(rows_per_m[m - 1], idx, token, share)
-                        hits += 1
-                if hits != cell_count:
-                    raise InvariantError(
-                        f"anchored slice size {hits} != expected {cell_count}"
-                    )
+    for idx, tail in anchored:
+        for (token, share), m, slot_hits in zip(slots, tail, hits):
+            rows_per_m[m - 1].setdefault(idx, {})[token] = share
+            slot_hits[m - 1] += 1
+    for slot_hits in hits:
+        for count in slot_hits:
+            if count != cell_count:
+                raise InvariantError(f"anchored slice size {count} != expected {cell_count}")
     tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
     # Keys sharing a tail share their part-2 rows: one member stands for all.
@@ -265,9 +228,7 @@ def build_pm2(
             totals[m_i] += gap * len(members)
     if len(set(totals)) != 1:
         raise InvariantError(f"imbalance totals differ across messages: {totals}")
-    expected_total = sum(
-        (delta * (t - j) for j, delta in steps.increments), Fraction(0)
-    )
+    expected_total = t * max(px2) - sum(px2, Fraction(0))
     if totals[0] != expected_total:
         raise InvariantError(
             f"measured imbalance {totals[0]} != closed form {expected_total}"
@@ -276,17 +237,15 @@ def build_pm2(
 
 
 def build_pm3(
-    px3: Sequence[Fraction],
-    steps: StepDecomposition,
-    ledger: ImbalanceLedger,
-    keyset: KeySet,
+    px3: Sequence[Fraction], ledger: ImbalanceLedger, keyset: KeySet
 ) -> list[JointTable]:
     """Cancel the part-2 imbalance with px3 mass and park the rest on key 0.
 
-    For layer j, the eligible keys are the anchored keys whose last j
-    coordinates all avoid the message; they receive px3(x)/R shares of
-    delta_j*(T-j).  Every token with leftover cap then puts
-    px3(x)*(1 - U/R) on the all-zero key.
+    Each key in the ledger gets gap_m * px3(x)/R under message m on every
+    token x with px3(x) > 0, where R = sum(px3); this lifts its row sum
+    under m to its peak.  Keys of one tail class share their gaps, so the
+    cells are computed once per class.  Every token with leftover
+    cap then puts px3(x)*(1 - U/R) on the all-zero key, U = ledger.total.
     """
     t, length = keyset.t, keyset.length
     total_overshoot = sum(px3, Fraction(0))
@@ -300,29 +259,23 @@ def build_pm3(
         raise InvariantError(
             f"imbalance {ledger.total} exceeds remaining mass {total_overshoot}"
         )
-    zero_index = keyset.zero_index
-    if steps.k > 0:
-        anchored = _anchored_tails(keyset, steps.k)
-        cell_count = anchored_cell_count(length, t, steps.k)
-        for j, delta in steps.increments:
-            if delta == 0:
-                continue
-            for m in range(1, t + 1):
-                eligible = [idx for idx, tail in anchored if m not in tail[steps.k - j:]]
-                if len(eligible) != cell_count * (t - j):
-                    raise InvariantError(
-                        f"eligible key count {len(eligible)} != "
-                        f"{cell_count} * (t - {j})"
-                    )
-                layer_mass = delta * (t - j)
-                for x in support:
-                    share = px3[x - 1] / total_overshoot * layer_mass / len(eligible)
-                    for idx in eligible:
-                        add_mass(tables[m - 1], idx, x, share)
+    weights = [(x, px3[x - 1] / total_overshoot) for x in support]
+    # Keyed by the identity of the gaps tuple that a tail class shares, so
+    # no Fraction is hashed per key; per_key keeps every tuple alive.
+    rows_by_class: dict[int, list[dict[int, Fraction]]] = {}
+    for idx, gaps in ledger.per_key.items():
+        class_rows = rows_by_class.get(id(gaps))
+        if class_rows is None:
+            class_rows = rows_by_class[id(gaps)] = [
+                {x: gap * w for x, w in weights} if gap else {} for gap in gaps
+            ]
+        for rows, row in zip(tables, class_rows):
+            if row:
+                rows[idx] = dict(row)
     leftover = 1 - Fraction(ledger.total, total_overshoot)
     for m in range(1, t + 1):
         for x in support:
-            add_mass(tables[m - 1], zero_index, x, px3[x - 1] * leftover)
+            add_mass(tables[m - 1], keyset.zero_index, x, px3[x - 1] * leftover)
     return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
 
 
@@ -378,11 +331,9 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
     view = _sorted_view(px)
     split = split_px(view, alpha, t)
     keyset = ReducedKeySet(px.n, t)
-    decomp = decompose_t_hot(split.px1, t)
-    steps = step_decomposition(split.px2, t)
-    pm1 = build_pm1(decomp, keyset)
+    pm1 = build_pm1(decompose_t_hot(split.px1, t), keyset)
     pm2, ledger = build_pm2(split.px2, keyset)
-    pm3 = build_pm3(split.px3, steps, ledger, keyset)
+    pm3 = build_pm3(split.px3, ledger, keyset)
     tables = [
         merge_tables(m, pm1[m - 1], pm2[m - 1], pm3[m - 1]) for m in range(1, t + 1)
     ]
@@ -390,18 +341,12 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
         if table.total_mass() != 1:
             raise InvariantError(f"table m={table.m} has mass {table.total_mass()}")
     tables = restore_token_order(px, keyset, tables)
-    provenance = _split_provenance("direct", split, ledger)
-    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)
-
-
-def _split_provenance(method: str, split: PxSplit, ledger: ImbalanceLedger) -> dict:
-    from .rationals import mass_to_string
-
-    return {
-        "method": method,
+    provenance = {
+        "method": "direct",
         "K": split.K,
         "K_tilde": split.K_tilde,
         "y": None if split.y is None else mass_to_string(split.y),
         "imbalance": mass_to_string(ledger.total),
         "overshoot": mass_to_string(sum(split.px3, Fraction(0))),
     }
+    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)

@@ -23,6 +23,7 @@ from .core import (
     exact_rational,
 )
 from .errors import InvariantError, ParameterError
+from .rationals import mass_to_string
 from .split import cap_vector
 from .construct_a import build_pm1, restore_token_order, _sorted_view
 from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
@@ -134,8 +135,6 @@ def construct_b(
         tables.append(folded)
 
     tables = restore_token_order(px, keyset, tables)
-    from .rationals import mass_to_string
-
     provenance = {
         "method": "extended",
         "pseudo_tokens": ext.n,

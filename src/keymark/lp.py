@@ -19,9 +19,9 @@ column (m, x, k) to (sigma m, x, sigma o k), z_k to z_(sigma o k), fixes t,
 and maps rows the same way.  When the key set is closed under it, the LP
 is invariant, so it has an optimum constant on each column orbit (Bödi,
 Herr & Joswig 2013).  solve() then runs the simplex on the orbit quotient
-(one variable per column orbit, one collapsed row per row orbit), lifts
-the solution back, and accepts it only once the lifted dual passes
-check_dual on the full LP with the quotient's optimum as its value.
+(one variable per column orbit, one collapsed row per row orbit) and
+lifts the solution back.  Either way, solve() accepts an optimum only once
+its dual passes check_dual on the full LP with the optimum as its value.
 """
 
 from __future__ import annotations
@@ -313,18 +313,14 @@ def _solve_quotient(
             tuple(result.dual_ineq[o] / size for o, size in zip(ineq_orbit, ineq_sizes)),
             tuple(result.dual_eq[o] / size for o, size in zip(eq_orbit, eq_sizes)),
         )
-        feasible, value = check_dual(problem, dual)
-        if not feasible or value != result.objective:
-            raise SolverError(
-                f"lifted quotient dual rejected: feasible={feasible}, value "
-                f"{value} against quotient optimum {result.objective}"
-            )
     return result, values, dual, len(objective), len(ineq) + len(eq)
 
 
 def solve(problem: LpProblem) -> LpSolution:
     """Run the simplex on the orbit quotient when the problem is invariant
-    under relabelling messages, and on the full LP otherwise."""
+    under relabelling messages, and on the full LP otherwise.  An optimum
+    is returned only once its dual passes check_dual on the full LP with
+    the simplex optimum as its value; otherwise SolverError is raised."""
     maps = _symmetry(problem)
     if maps is not None:
         result, values, dual, variables, rows = _solve_quotient(problem, maps)
@@ -336,6 +332,14 @@ def solve(problem: LpProblem) -> LpSolution:
         if result.status == "optimal":
             dual = DualCertificate(result.dual_ineq, result.dual_eq)
         variables, rows = problem.nvars, len(problem.ineq) + len(problem.eq)
+    if dual is not None:
+        feasible, value = check_dual(problem, dual)
+        if not feasible or value != result.objective:
+            raise SolverError(
+                f"dual certificate rejected: feasible={feasible}, value "
+                f"{mass_to_string(value)} against lp optimum "
+                f"{mass_to_string(result.objective)}"
+            )
     return LpSolution(
         status=result.status,
         objective=result.objective,

@@ -21,13 +21,8 @@ from goldens import (
     PRE_FOLD_B,
     table_as_cells,
 )
-from keymark.construct_a import (
-    anchored_keys,
-    build_pm1,
-    build_pm2,
-    construct_a,
-    step_decomposition,
-)
+from layered_reference import step_decomposition
+from keymark.construct_a import anchored_keys, build_pm1, build_pm2, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import TokenDistribution, enumerate_reduced_keyset
 from keymark.lp import bijective_keyset, build_primal, check_dual, solve

@@ -11,7 +11,6 @@ import pytest
 from keymark.cli import main
 from keymark.construct_b import construct_b
 from keymark.core import TokenDistribution
-from keymark.lp import DualCertificate
 from keymark.serialize import save_scheme
 
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
@@ -398,18 +397,20 @@ def test_lp_reports_solver_telemetry(capsys) -> None:
 
 
 def test_lp_rejects_a_tampered_dual_certificate(capsys, monkeypatch) -> None:
-    import keymark.cli as cli
+    import keymark.lp as lp
 
-    def tampered(problem):
-        solution = real_solve(problem)
-        y = (solution.dual.y[0] + 1, *solution.dual.y[1:])
-        return dataclasses.replace(solution, dual=DualCertificate(y, solution.dual.z))
+    def tampered(*problem):
+        result = real_simplex(*problem)
+        y = (result.dual_ineq[0] + 1, *result.dual_ineq[1:])
+        return dataclasses.replace(result, dual_ineq=y)
 
-    real_solve = cli.solve
-    monkeypatch.setattr(cli, "solve", tampered)
-    for argv in (["lp", *SKEWED], ["lp", *SKEWED, "--json"]):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "dual certificate rejected" in captured.err
-        assert "Traceback" not in captured.err
+    real_simplex = lp.simplex_solve
+    monkeypatch.setattr(lp, "simplex_solve", tampered)
+    # The bijective key set runs the full LP, the reduced one its quotient.
+    for keyset in ("bijective", "reduced"):
+        for argv in (["lp", *SKEWED], ["lp", *SKEWED, "--json"]):
+            assert main([*argv, "--keyset", keyset]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "dual certificate rejected" in captured.err
+            assert "Traceback" not in captured.err

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import COMBINED_A, PART1_A, PART2_A, table_as_cells
+from layered_reference import build_pm2_layered, build_pm3_layered, step_decomposition
 from keymark.construct_a import (
     anchored_cell_count,
     anchored_keys,
@@ -15,7 +16,6 @@ from keymark.construct_a import (
     build_pm3,
     construct_a,
     restore_token_order,
-    step_decomposition,
     structural_keys,
 )
 from keymark.core import (
@@ -182,15 +182,17 @@ def test_step_decomposition_empty() -> None:
     assert step_decomposition((F(0), F(0)), 2).increments == ()
 
 
-def test_step_decomposition_validation() -> None:
+def test_build_pm2_validation() -> None:
+    # More than t-1 positive entries, a gap in the tail, a decreasing tail,
+    # and a negative entry.
     with pytest.raises(ParameterError):
-        step_decomposition((F(0), F(1, 10), F(1, 5)), 2)
+        build_pm2((F(0), F(1, 10), F(1, 5)), ReducedKeySet(3, 2))
     with pytest.raises(ParameterError):
-        step_decomposition((F(1, 10), F(0), F(1, 10)), 3)
+        build_pm2((F(1, 10), F(0), F(1, 10)), ReducedKeySet(3, 3))
     with pytest.raises(ParameterError):
-        step_decomposition((F(0), F(1, 5), F(1, 10)), 3)
+        build_pm2((F(0), F(1, 5), F(1, 10)), ReducedKeySet(3, 3))
     with pytest.raises(ParameterError):
-        step_decomposition((F(0), F(-1, 10), F(1, 10)), 3)
+        build_pm2((F(0), F(-1, 10), F(1, 10)), ReducedKeySet(3, 3))
 
 
 def test_build_pm1_golden() -> None:
@@ -248,9 +250,8 @@ def test_build_pm2_empty_tail() -> None:
 def test_build_pm3_golden_cells() -> None:
     keyset = enumerate_reduced_keyset(4, 3)
     split = split_px(PX_A, ALPHA_A, 3)
-    steps = step_decomposition(split.px2, 3)
     _, ledger = build_pm2(split.px2, keyset)
-    tables = build_pm3(split.px3, steps, ledger, keyset)
+    tables = build_pm3(split.px3, ledger, keyset)
     t1 = table_as_cells(tables[0], keyset)
     assert t1[(0, 0, 0, 0)] == {4: F(1, 10)}
     # Last two coordinates avoid m=1: both layers contribute.
@@ -434,3 +435,31 @@ def test_build_pm2_per_key_ledger_heavy_shape() -> None:
     split = split_px(px, F(1, 2), 3)
     assert split.K == 1
     assert_ledger_per_key(split.px2, ReducedKeySet(40, 3), 1)
+
+
+def test_closed_form_parts_match_layered_reference() -> None:
+    """build_pm2/build_pm3 give the layered builders' tables and ledger cell
+    for cell, on sorted views where up to T-1 heavy tokens force leveling."""
+    rng = random.Random(10)
+    widest = distinct_steps = 0
+    for _ in range(120):
+        t = rng.randint(2, 5)
+        n = rng.randint(t, 8)
+        heavy = rng.randint(1, t - 1)
+        weights = [rng.randint(1, 10) for _ in range(n - heavy)]
+        weights += [rng.randint(20, 300) for _ in range(heavy)]
+        px = TokenDistribution.from_fractions(sorted(F(w, sum(weights)) for w in weights))
+        split = split_px(px, F(rng.randint(5, 99), 100), t)
+        keyset = ReducedKeySet(n, t)
+        pm2, ledger = build_pm2(split.px2, keyset)
+        pm2_ref, ledger_ref = build_pm2_layered(split.px2, keyset)
+        assert [list(tb.cells()) for tb in pm2] == [list(tb.cells()) for tb in pm2_ref]
+        assert (ledger.per_key, ledger.total) == (ledger_ref.per_key, ledger_ref.total)
+        pm3 = build_pm3(split.px3, ledger, keyset)
+        steps = step_decomposition(split.px2, t)
+        pm3_ref = build_pm3_layered(split.px3, steps, ledger_ref, keyset)
+        assert [list(tb.cells()) for tb in pm3] == [list(tb.cells()) for tb in pm3_ref]
+        widest += t >= 3 and split.K == t - 1
+        distinct_steps += len({delta for _, delta in steps.increments if delta}) > 1
+    assert widest >= 20
+    assert distinct_steps >= 20

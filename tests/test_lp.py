@@ -346,7 +346,7 @@ def test_wrong_quotient_dual_is_rejected(monkeypatch) -> None:
         return dataclasses.replace(result, dual_ineq=y)
 
     monkeypatch.setattr(lp_module, "simplex_solve", tampered)
-    with pytest.raises(SolverError, match="lifted quotient dual rejected"):
+    with pytest.raises(SolverError, match="dual certificate rejected"):
         solve(full_problem())
 
 

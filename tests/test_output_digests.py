@@ -2,7 +2,9 @@
 
 A change that only speeds construction up must leave these documents byte
 for byte the same.  The digests were taken before the row-relabelling token
-reorder and the per-tail imbalance ledger went in.
+reorder and the per-tail imbalance ledger went in; those of two-step-10,
+whose part-2 tail has two distinct nonzero steps, before parts 2 and 3 of
+construction A were built in closed form.
 """
 
 import hashlib
@@ -39,6 +41,12 @@ def two_heavy() -> list[F]:
     return [F(55, 100), F(35, 100)] + [F(i, 360) for i in range(1, 9)]
 
 
+def two_step() -> list[F]:
+    """One token above alpha/T and one just below it with 1/20 of light mass:
+    the leveled tail px2 is (1/10, 7/60), so its two steps differ."""
+    return [F(8, 10), F(15, 100)] + [F(i, 720) for i in range(1, 9)]
+
+
 def zipf(n: int) -> list[F]:
     weights = [F(1, i) for i in range(1, n + 1)]
     total = sum(weights, F(0))
@@ -58,6 +66,12 @@ INSTANCES = {
         2,
         "1e3927e2f2bc32277346f4dfea048a115e42e3d94dc2aba2e66da9809ec9c1a5",
         "b78a0855d0b92544f2b9879188d70fd5e428eef48e1dbeef8734b855a8b883d3",
+    ),
+    "two-step-10": (
+        shuffled(two_step(), 3),
+        2,
+        "6ecf2a0a711adb7d34bc3453af266eed878c97112d5c2868e1c13334ebd2b30a",
+        "eda78f0836b37d155ef6b233414d7c1d14e388f4ba018789930f890823ec7085",
     ),
     "zipf-30": (
         shuffled(zipf(30), 7),
