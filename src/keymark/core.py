@@ -9,8 +9,11 @@ the all-zero key at index 0.  A key's working form is its sparse key, the
 (position, value) pairs of its nonzero entries: reduced keys rank and unrank
 from their T nonzero positions in O(T) steps, whatever L is.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
-metrics, sampler and exporter all read, with the exact sums per token that
-the checks and metrics compare.
+metrics, sampler and exporter all read, with the exact sums that the checks
+and metrics compare.  The walk takes those sums as Python ints over one
+common denominator D, the LCM of the distinct cell and pz denominators:
+each mass adds numerator * (D // denominator), and only the finished sums
+become Fractions, so no per-cell Fraction addition is made.
 
 >>> ks = enumerate_reduced_keyset(3, 2)
 >>> len(ks)
@@ -36,6 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParameterError, ValidationError
+from .rationals import common_scale, exact_sum, parse_mass
 
 __all__ = [
     "KeyVector",
@@ -146,8 +150,6 @@ class TokenDistribution:
 
     @classmethod
     def from_strings(cls, texts: Iterable[str]) -> "TokenDistribution":
-        from .rationals import parse_mass
-
         return cls.from_fractions(parse_mass(t) for t in texts)
 
     @property
@@ -388,13 +390,8 @@ class JointTable:
     def row_sum(self, key_index: int) -> Fraction:
         return sum(self.rows.get(key_index, {}).values(), Fraction(0))
 
-    def column_sum(self, token: int) -> Fraction:
-        return sum(
-            (row[token] for row in self.rows.values() if token in row), Fraction(0)
-        )
-
     def total_mass(self) -> Fraction:
-        return sum((m for _, _, m in self.cells()), Fraction(0))
+        return exact_sum(mass for row in self.rows.values() for mass in row.values())
 
     def key_support(self) -> set[int]:
         return set(self.rows)
@@ -467,7 +464,7 @@ class WatermarkScheme:
             for token in (min(map(min, rows), default=1), max(map(max, rows), default=1)):
                 if not 1 <= token <= self.n:
                     raise ValidationError(f"table m={m}: token {token} outside [1:{self.n}]")
-        if sum(self.pz.values(), Fraction(0)) != 1:
+        if exact_sum(self.pz.values()) != 1:
             raise ValidationError("key marginal does not sum to 1")
 
     @classmethod
@@ -516,25 +513,66 @@ class WatermarkScheme:
             idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
             for idx in sorted(self.key_support() | set(self.pz))
         }
-        messages, columns, captured = [], [], []
-        for m, table in enumerate(self.tables, start=1):
-            decodes, column, hit = array("I"), [Fraction(0)] * self.n, [Fraction(0)] * self.n
-            for idx, row in table.rows.items():
-                for token, mass in row.items():
-                    decoded = _decode_sparse(token, keys[idx])
-                    decodes.append(decoded)
-                    column[token - 1] += mass
-                    if decoded == m:
-                        hit[token - 1] += mass
-            messages.append(decodes)
-            columns.append(tuple(column))
-            captured.append(tuple(hit))
-        marked = [Fraction(0)] * self.n
+        common, scale = common_scale(
+            {
+                mass.denominator
+                for table in self.tables
+                for row in table.rows.values()
+                for mass in row.values()
+            }
+            | {mass.denominator for mass in self.pz.values()}
+        )
+        n, t = self.n, self.t
+        messages = [array("I") for _ in range(t)]
+        columns, captured = [[0] * n for _ in range(t)], [[0] * n for _ in range(t)]
+        negatives: list[tuple[int, int, Fraction] | None] = [None] * t
+        mismatches: list[tuple[int, int, int, int]] = []
+        # Key by key, in index order, which is each table's cells() order:
+        # a key's row sums are compared as they are taken, and none is kept.
+        for idx, pairs in keys.items():
+            for m, table in enumerate(self.tables, start=1):
+                row_total = 0
+                row = table.rows.get(idx)
+                if row is not None:
+                    decodes, column, hit = messages[m - 1], columns[m - 1], captured[m - 1]
+                    for token, mass in row.items():
+                        numerator, denominator = mass.as_integer_ratio()
+                        scaled = numerator * scale[denominator]
+                        decoded = _decode_sparse(token, pairs)
+                        decodes.append(decoded)
+                        column[token - 1] += scaled
+                        if decoded == m:
+                            hit[token - 1] += scaled
+                        row_total += scaled
+                        if numerator < 0 and negatives[m - 1] is None:
+                            negatives[m - 1] = (idx, token, mass)
+                if m == 1:
+                    reference = row_total
+                elif row_total != reference:
+                    mismatches.append((idx, m, reference, row_total))
+        marked = [0] * n
         for idx, mass in self.pz.items():
+            numerator, denominator = mass.as_integer_ratio()
+            scaled = numerator * scale[denominator]
             for pos, _ in keys[idx]:
-                if pos < self.n:
-                    marked[pos] += mass
-        return DecodedCells(keys, tuple(messages), tuple(columns), tuple(captured), tuple(marked))
+                if pos < n:
+                    marked[pos] += scaled
+        return DecodedCells(
+            keys=keys,
+            messages=tuple(messages),
+            columns=tuple(tuple(Fraction(v, common) for v in column) for column in columns),
+            captured=tuple(tuple(Fraction(v, common) for v in hit) for hit in captured),
+            marked=tuple(Fraction(v, common) for v in marked),
+            totals=tuple(Fraction(sum(column), common) for column in columns),
+            missed=tuple(
+                Fraction(sum(column) - sum(hit), common) for column, hit in zip(columns, captured)
+            ),
+            negatives=tuple(negatives),
+            row_mismatches=tuple(
+                (idx, m, Fraction(ref, common), Fraction(actual, common))
+                for idx, m, ref, actual in mismatches
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -547,7 +585,19 @@ class DecodedCells:
     cells() order, decodes to (0 when the key is zero at that token).
     columns[m-1][x-1] is table m's mass on token x, and captured[m-1][x-1]
     the part of it on cells that decode to m.  marked[x-1] is the pz mass
-    on keys that are nonzero at token x.
+    on keys that are nonzero at token x.  totals[m-1] is table m's mass and
+    missed[m-1] the part of it on cells that do not decode to m.
+    negatives[m-1] is table m's first negative cell in cells() order, as
+    (key, token, mass), or None.  row_mismatches lists each
+    (key, m, reference, actual) where table m's row sum differs from table
+    1's, by key and then m, over every key stored in any table; a key
+    missing from a table has row sum 0 there.
+
+    Every sum is taken as an int over the LCM of the scheme's distinct cell
+    and pz denominators and converted to a Fraction once, at the end.  The
+    walk goes key by key and compares a key's row sums as it takes them, so
+    the view grows with the number of row-sum mismatches, not with the
+    number of keys.
     """
 
     keys: Mapping[int, SparseKey]
@@ -555,6 +605,10 @@ class DecodedCells:
     columns: tuple[tuple[Fraction, ...], ...]
     captured: tuple[tuple[Fraction, ...], ...]
     marked: tuple[Fraction, ...]
+    totals: tuple[Fraction, ...]
+    missed: tuple[Fraction, ...]
+    negatives: tuple[tuple[int, int, Fraction] | None, ...]
+    row_mismatches: tuple[tuple[int, int, Fraction, Fraction], ...]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Exact structural verification and detection-error metrics.
 
 check_scheme evaluates five properties with rational arithmetic and reports
-the first counterexample per property instead of raising.  It compares the
-exact sums in WatermarkScheme.decoded; only property 2's row sums and
-property 5's negative-mass scan read the tables.  The error quantities come
-from the same sums: the miss rate for m is table m's mass minus the part
-decoding to m, and the worst false alarm is the largest per-token
+the first counterexample per property instead of raising.  It reads only
+WatermarkScheme.decoded, whose one walk over the tables takes every exact
+sum it compares, lists the row-sum mismatches and finds each table's first
+negative cell; no check reads the tables itself.  The error quantities come
+from the same walk: the miss rate for m is table m's mass on cells that do
+not decode to m, and the worst false alarm is the largest per-token
 key-marginal mass on nonzero entries (the supremum over token distributions
 of the false-alarm rate is attained at a single token).
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import ErrorReport, TokenDistribution, WatermarkScheme, exact_rational
+from .core import DecodedCells, ErrorReport, TokenDistribution, WatermarkScheme, exact_rational
 from .errors import ParameterError
 
 __all__ = [
@@ -92,10 +93,10 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     floors = [min(cap, p) for p in scheme.px.probs]
     failures = (
         _column_failures(view.columns, scheme.px.probs, operator.ne),
-        _row_sum_failures(scheme),
+        _row_sum_failures(view),
         _column_failures(view.captured, floors, operator.lt),
         ((f"x={x}", scheme.alpha, a) for x, a in enumerate(view.marked, 1) if a > scheme.alpha),
-        _mass_failures(scheme),
+        _mass_failures(view),
     )
     return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))
 
@@ -113,23 +114,18 @@ def _column_failures(sums, bounds, fails: Callable[..., bool]) -> Iterator[Failu
                 yield f"m={m}, x={x}", bound, actual
 
 
-def _row_sum_failures(scheme: WatermarkScheme) -> Iterator[Failure]:
-    for idx in sorted(scheme.key_support()):
-        reference = scheme.tables[0].row_sum(idx)
-        for table in scheme.tables[1:]:
-            actual = table.row_sum(idx)
-            if actual != reference:
-                yield f"key={idx}, m={table.m}", reference, actual
+def _row_sum_failures(view: DecodedCells) -> Iterator[Failure]:
+    for idx, m, reference, actual in view.row_mismatches:
+        yield f"key={idx}, m={m}", reference, actual
 
 
-def _mass_failures(scheme: WatermarkScheme) -> Iterator[Failure]:
-    for table, column in zip(scheme.tables, scheme.decoded.columns):
-        for idx, token, mass in table.cells():
-            if mass < 0:
-                yield f"m={table.m}, key={idx}, x={token}", Fraction(0), mass
-        total = sum(column, Fraction(0))
+def _mass_failures(view: DecodedCells) -> Iterator[Failure]:
+    for m, (negative, total) in enumerate(zip(view.negatives, view.totals), start=1):
+        if negative is not None:
+            idx, token, mass = negative
+            yield f"m={m}, key={idx}, x={token}", Fraction(0), mass
         if total != 1:
-            yield f"m={table.m} total", Fraction(1), total
+            yield f"m={m} total", Fraction(1), total
 
 
 def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
@@ -138,8 +134,7 @@ def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
         raise ParameterError(
             f"message {m} outside [1:{scheme.t}] (use worst_false_alarm for m=0)"
         )
-    view = scheme.decoded
-    return sum(view.columns[m - 1], Fraction(0)) - sum(view.captured[m - 1], Fraction(0))
+    return scheme.decoded.missed[m - 1]
 
 
 def false_alarm_by_token(scheme: WatermarkScheme) -> list[Fraction]:

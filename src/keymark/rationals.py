@@ -11,16 +11,23 @@ Fraction(1, 1)
 '1/3'
 >>> mass_to_string(Fraction(1, 20))
 '0.05'
+
+Sums of many masses are taken as integers over one common denominator D,
+the LCM of the distinct denominators: each mass adds numerator * (D //
+denominator), and only the finished sum becomes a Fraction.  The result is
+exact, and each addition is an integer addition, not a Fraction addition
+with its two gcds and a new object.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ParameterError
 
-__all__ = ["parse_mass", "mass_to_string", "as_fraction"]
+__all__ = ["parse_mass", "mass_to_string", "as_fraction", "common_scale", "exact_sum"]
 
 RationalLike = Union[Fraction, int, str]
 
@@ -53,6 +60,30 @@ def as_fraction(value: RationalLike) -> Fraction:
         f"exact rational required, got {type(value).__name__}; "
         "pass a string such as '0.05' or '1/20'"
     )
+
+
+def common_scale(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """The LCM D of the denominators, and the map d -> D // d over them."""
+    distinct = set(denominators)
+    common = math.lcm(*distinct)
+    return common, {d: common // d for d in distinct}
+
+
+def exact_sum(values: Iterable[Fraction | int]) -> Fraction:
+    """Exact sum of rationals: numerators summed per denominator, then once
+    over their common denominator.
+
+    >>> exact_sum([Fraction(1, 6), Fraction(1, 10), Fraction(-1, 15), 2])
+    Fraction(11, 5)
+    >>> exact_sum([])
+    Fraction(0, 1)
+    """
+    by_denominator: dict[int, int] = {}
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        by_denominator[denominator] = by_denominator.get(denominator, 0) + numerator
+    common, scale = common_scale(by_denominator)
+    return Fraction(sum(num * scale[den] for den, num in by_denominator.items()), common)
 
 
 def _decimal_exponent(denominator: int) -> int | None:

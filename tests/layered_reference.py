@@ -1,22 +1,35 @@
-"""Reference layered builders for construction A's parts 2 and 3.
+"""Reference implementations that keymark replaced, kept for the tests.
 
-These are the builders that keymark.construct_a replaced with closed forms.
-They break px2 into suffix-indicator steps and add each step as its own
-layer: part 2 gives delta_j / c to every anchored (token, message) cell of
-the last j tokens, and part 3 pays px3(x)/R shares of delta_j * (T - j) to
-the anchored keys whose last j coordinates avoid the message.  The tests
-compare the two cell for cell.  No production code imports this module.
+The layered builders for construction A's parts 2 and 3 are those that
+keymark.construct_a replaced with closed forms.  They break px2 into
+suffix-indicator steps and add each step as its own layer: part 2 gives
+delta_j / c to every anchored (token, message) cell of the last j tokens,
+and part 3 pays px3(x)/R shares of delta_j * (T - j) to the anchored keys
+whose last j coordinates avoid the message.  The tests compare the two cell
+for cell.
+
+The decoded-view sums and the row-sum and mass checks below take every sum
+one Fraction addition per cell, as WatermarkScheme.decoded and
+keymark.metrics did before they summed integers over one common
+denominator.  No production code imports this module.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from keymark.construct_a import ImbalanceLedger, _anchored_tails, anchored_cell_count
-from keymark.core import JointTable, KeySet, add_mass
+from keymark.core import JointTable, KeySet, WatermarkScheme, add_mass, decode
 from keymark.errors import InvariantError, ParameterError
+from keymark.metrics import (
+    PROPERTY_NAMES,
+    PropertyReport,
+    _column_failures,
+    _first_failure,
+)
 
 
 @dataclass(frozen=True)
@@ -127,3 +140,64 @@ def build_pm3_layered(
         for x in support:
             add_mass(tables[m - 1], keyset.zero_index, x, px3[x - 1] * leftover)
     return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
+
+
+def column_sum(table: JointTable, token: int) -> Fraction:
+    """Table mass on one token, one Fraction addition per cell."""
+    return sum((row[token] for row in table.rows.values() if token in row), Fraction(0))
+
+
+def reference_decoded_sums(
+    scheme: WatermarkScheme,
+) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]], tuple[Fraction, ...]]:
+    """columns, captured and marked as the decoded view defines them."""
+    keys = {idx: scheme.keyset.key(idx) for idx in scheme.key_support() | set(scheme.pz)}
+    columns, captured = [], []
+    for m, table in enumerate(scheme.tables, start=1):
+        column, hit = [Fraction(0)] * scheme.n, [Fraction(0)] * scheme.n
+        for idx, token, mass in table.cells():
+            column[token - 1] += mass
+            if decode(token, keys[idx]) == m:
+                hit[token - 1] += mass
+        columns.append(tuple(column))
+        captured.append(tuple(hit))
+    marked = [Fraction(0)] * scheme.n
+    for idx, mass in scheme.pz.items():
+        for pos, value in enumerate(keys[idx][: scheme.n]):
+            if value:
+                marked[pos] += mass
+    return columns, captured, tuple(marked)
+
+
+def reference_row_sum_failures(scheme: WatermarkScheme):
+    for idx in sorted(scheme.key_support()):
+        reference = scheme.tables[0].row_sum(idx)
+        for table in scheme.tables[1:]:
+            actual = table.row_sum(idx)
+            if actual != reference:
+                yield f"key={idx}, m={table.m}", reference, actual
+
+
+def reference_mass_failures(scheme: WatermarkScheme):
+    for table in scheme.tables:
+        for idx, token, mass in table.cells():
+            if mass < 0:
+                yield f"m={table.m}, key={idx}, x={token}", Fraction(0), mass
+        total = sum((mass for _, _, mass in table.cells()), Fraction(0))
+        if total != 1:
+            yield f"m={table.m} total", Fraction(1), total
+
+
+def reference_check_scheme(scheme: WatermarkScheme) -> PropertyReport:
+    """keymark.metrics.check_scheme on the per-cell Fraction sums above."""
+    columns, captured, marked = reference_decoded_sums(scheme)
+    cap = Fraction(scheme.alpha, scheme.t)
+    floors = [min(cap, p) for p in scheme.px.probs]
+    failures = (
+        _column_failures(columns, scheme.px.probs, operator.ne),
+        reference_row_sum_failures(scheme),
+        _column_failures(captured, floors, operator.lt),
+        ((f"x={x}", scheme.alpha, a) for x, a in enumerate(marked, 1) if a > scheme.alpha),
+        reference_mass_failures(scheme),
+    )
+    return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))

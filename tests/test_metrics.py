@@ -2,9 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from layered_reference import (
+    column_sum,
+    reference_check_scheme,
+    reference_decoded_sums,
+    reference_row_sum_failures,
+)
 from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
 from keymark.core import (
@@ -22,6 +28,7 @@ from keymark.lp import bijective_keyset
 from keymark.metrics import (
     PROPERTY_NAMES,
     PropertyCheck,
+    _row_sum_failures,
     check_scheme,
     error_report,
     false_alarm_by_token,
@@ -387,7 +394,115 @@ def test_decoded_sums_match_table_walks() -> None:
             for (_, token, mass), d in zip(table.cells(), decoded):
                 if d == table.m:
                     captured[token - 1] += mass
-            columns = [table.column_sum(x) for x in range(1, scheme.n + 1)]
+            columns = [column_sum(table, x) for x in range(1, scheme.n + 1)]
             assert view.columns[table.m - 1] == tuple(columns)
             assert view.captured[table.m - 1] == tuple(captured)
-            assert sum(columns, F(0)) == table.total_mass()
+            assert sum(columns, F(0)) == table.total_mass() == view.totals[table.m - 1]
+
+
+# Pairwise-coprime denominators, so a sum over several of them needs their
+# whole product as its common denominator.
+PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def hand_built_schemes(draw) -> WatermarkScheme:
+    """Schemes that break every property in turn: prime denominators up to
+    997, negative cells, keys missing from some tables, empty tables, and a
+    key set with pseudo positions past n (as construct_b's), which pz keys
+    may use."""
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, min(3, n)))
+    keyset = enumerate_reduced_keyset(n + draw(st.integers(0, 2)), t)
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    masses = st.builds(
+        F, st.integers(-9, 30).filter(bool), st.sampled_from(PRIMES[:3] + PRIMES[-40:])
+    )
+    key_indices = st.integers(0, keyset.size - 1)
+    support = draw(st.lists(key_indices, min_size=1, max_size=6, unique=True))
+    tables = []
+    for m in range(1, t + 1):
+        if m > 1 and draw(st.booleans()):
+            # Table 1's rows with their masses moved between tokens: equal
+            # row sums, so property 2 can pass.
+            rows = {
+                idx: dict(zip(draw(st.permutations(range(1, n + 1))), row.values()))
+                for idx, row in tables[0].rows.items()
+            }
+        elif draw(st.integers(0, 4)) == 0:
+            rows = {}
+        else:
+            rows = {
+                idx: draw(st.dictionaries(st.integers(1, n), masses, min_size=1, max_size=n))
+                for idx in draw(st.lists(st.sampled_from(support), unique=True))
+            }
+        tables.append(JointTable(m, rows))
+    pz = draw(st.dictionaries(st.one_of(st.sampled_from(support), key_indices), masses, max_size=6))
+    last = draw(key_indices)
+    pz[last] = 1 - sum((mass for idx, mass in pz.items() if idx != last), F(0))
+    alpha = F(draw(st.integers(0, 9)), 10)
+    return WatermarkScheme(n, t, alpha, px, keyset, tuple(tables), pz)
+
+
+@seed(12)
+@settings(max_examples=300, deadline=None)
+@given(hand_built_schemes())
+def test_integer_sums_match_fraction_reference(scheme: WatermarkScheme) -> None:
+    columns, captured, marked = reference_decoded_sums(scheme)
+    view = scheme.decoded
+    assert view.columns == tuple(columns)
+    assert view.captured == tuple(captured)
+    assert view.marked == marked
+    assert list(_row_sum_failures(view)) == list(reference_row_sum_failures(scheme))
+    report = check_scheme(scheme)
+    assert report == reference_check_scheme(scheme)
+    assert [c.describe() for c in report.checks] == [
+        c.describe() for c in reference_check_scheme(scheme).checks
+    ]
+    for m in range(1, scheme.t + 1):
+        assert miss_detection(scheme, m) == sum(columns[m - 1], F(0)) - sum(captured[m - 1], F(0))
+
+
+def test_checks_match_fraction_reference_on_built_schemes() -> None:
+    schemes = [*view_cases(), mutate(golden_scheme(), {2: [((0, 0, 0, 0), 1, F(-1, 7))]})]
+    reports = [check_scheme(scheme) for scheme in schemes]
+    assert reports == [reference_check_scheme(scheme) for scheme in schemes]
+    # Both outcomes of the row-sum and mass checks are reached.
+    assert {r.checks[1].passed for r in reports} == {True, False}
+    assert {r.checks[4].passed for r in reports} == {True, False}
+
+
+def heavy_scheme(n: int = 40, t: int = 3, seed: int = 1) -> WatermarkScheme:
+    """One 0.95 token plus n-1 seeded light tokens on the 10^-6 grid, in a
+    shuffled order: the shape whose construction A stores about 14k cells."""
+    rng = random.Random(seed)
+    light = [rng.randint(500, 1500) for _ in range(n - 1)]
+    units = [50_000 * w // sum(light) for w in light]
+    units[0] += 50_000 - sum(units)
+    probs = [F(950_000, 10**6)] + [F(u, 10**6) for u in units]
+    rng.shuffle(probs)
+    return construct_a(TokenDistribution.from_fractions(probs), F(1, 2), t)
+
+
+def test_check_and_report_work_does_not_grow_with_cells(monkeypatch) -> None:
+    scheme = heavy_scheme()
+    cells = sum(len(row) for table in scheme.tables for row in table.rows.values())
+    assert cells > 10_000
+    additions = 0
+
+    def counting(add):
+        def wrapped(a, b):
+            nonlocal additions
+            additions += 1
+            return add(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(F, "__add__", counting(F.__add__))
+    monkeypatch.setattr(F, "__radd__", counting(F.__radd__))
+    report = check_scheme(scheme)
+    errors = error_report(scheme)
+    monkeypatch.undo()
+    assert report.ok and errors.gap == 0
+    assert 0 < additions <= 4 * scheme.n * scheme.t
