@@ -204,7 +204,14 @@ def cmd_construct(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     scheme = load_scheme(config.get("scheme"))
     report = check_scheme(scheme)
-    summary, lines = _scheme_summary(scheme)
+    try:
+        summary, lines = _scheme_summary(scheme)
+    except ValidationError as exc:
+        # A scheme that fails its checks can carry error rates outside
+        # [0, 1]; the failing properties are the result, not the report.
+        if report.ok:
+            raise
+        summary, lines = {"report_error": str(exc)}, [f"error report unavailable: {exc}"]
     payload = {
         "properties": [
             {

@@ -64,6 +64,8 @@ KeyVector = tuple[int, ...]
 # Nonzero entries of a key as (0-based position, value) pairs, by position.
 SparseKey = tuple[tuple[int, int], ...]
 
+_ZERO = Fraction(0)
+
 # Most keys that an operation may list one by one.  The limit is fixed, and
 # the lazy key sets themselves have no size limit.
 ENUMERATION_CAP = 10**6
@@ -371,11 +373,11 @@ class JointTable:
         for key_index in sorted(self.rows):
             row = self.rows[key_index]
             for token, mass in row.items():
-                if mass == 0:
+                if not mass:
                     raise ValidationError(
                         f"explicit zero mass at key {key_index}, token {token}"
                     )
-            ordered[key_index] = dict(sorted(row.items()))
+            ordered[key_index] = dict(sorted(row.items())) if len(row) > 1 else dict(row)
         object.__setattr__(self, "rows", ordered)
 
     def cell(self, key_index: int, token: int) -> Fraction:
@@ -388,13 +390,20 @@ class JointTable:
                 yield key_index, token, mass
 
     def row_sum(self, key_index: int) -> Fraction:
-        return sum(self.rows.get(key_index, {}).values(), Fraction(0))
+        return _row_total(self.rows.get(key_index, {}))
 
     def total_mass(self) -> Fraction:
         return exact_sum(mass for row in self.rows.values() for mass in row.values())
 
     def key_support(self) -> set[int]:
         return set(self.rows)
+
+
+def _row_total(row: Mapping[int, Fraction]) -> Fraction:
+    """A row's mass in k - 1 additions for k cells: a one-cell row gives its
+    own mass object, an empty row 0."""
+    masses = iter(row.values())
+    return sum(masses, next(masses, _ZERO))
 
 
 def add_mass(rows: dict[int, dict[int, Fraction]], key_index: int, token: int, mass: Fraction) -> None:
@@ -480,7 +489,7 @@ class WatermarkScheme:
         tables = tuple(tables)
         if not tables:
             raise ParameterError("at least one message table required")
-        pz = {k: tables[0].row_sum(k) for k in tables[0].key_support()}
+        pz = {k: _row_total(row) for k, row in tables[0].rows.items()}
         return cls(
             n=px.n,
             t=len(tables),

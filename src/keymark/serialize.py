@@ -5,6 +5,11 @@ mass_to_string, so the canonical form is an exact decimal when the
 denominator allows one and "p/q" otherwise.  The key marginal pz is not
 stored; it is recomputed on load from the row sums of the m=1 table, which
 the scheme invariants define it to be.
+
+A scheme holds far fewer distinct masses than cells, so each distinct mass
+is formatted once on save, and each distinct mass text is parsed and
+checked once on load, its cells sharing the one Fraction.  A bad mass is a
+ValidationError that names the first place it occurs.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .core import (
     WatermarkScheme,
     check_listing,
 )
-from .errors import ValidationError
+from .errors import ParameterError, ValidationError
 from .rationals import mass_to_string, parse_mass
 
 __all__ = [
@@ -49,12 +54,18 @@ def serialize_scheme(scheme: WatermarkScheme) -> dict[str, Any]:
     }
     if not isinstance(scheme.keyset, ReducedKeySet):
         keyset_doc["keys"] = [list(k) for k in scheme.keyset]
+    # Keyed by identity: the tables keep every mass alive while this runs,
+    # and a Fraction hash per cell costs about as much as formatting it.
+    texts: dict[int, str] = {}
     tables: dict[str, list[list[Any]]] = {}
     for table in scheme.tables:
-        tables[str(table.m)] = [
-            [key_index, token, mass_to_string(mass)]
-            for key_index, token, mass in table.cells()
-        ]
+        cells = tables[str(table.m)] = []
+        for key_index, row in table.rows.items():
+            for token, mass in row.items():
+                text = texts.get(id(mass))
+                if text is None:
+                    text = texts[id(mass)] = mass_to_string(mass)
+                cells.append([key_index, token, text])
     return {
         "version": DOCUMENT_VERSION,
         "n": scheme.n,
@@ -85,6 +96,20 @@ def _require(doc: Mapping[str, Any], field: str, where: str, kind: type | None =
     return _check_kind(doc[field], kind, f"{where}: {field!r}")
 
 
+def _parse_at(text: Any, where: str) -> Fraction:
+    try:
+        return parse_mass(text)
+    except ParameterError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _positive_mass(text: Any, where: str) -> Fraction:
+    mass = _parse_at(text, where)
+    if mass <= 0:
+        raise ValidationError(f"{where}: mass {text!r} is not positive")
+    return mass
+
+
 def _parse_keyset(doc: Any) -> KeySet:
     _check_kind(doc, dict, "document: 'keyset'")
     kind = _require(doc, "kind", "keyset")
@@ -107,17 +132,27 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
         raise ValidationError(f"document: unsupported version {version!r}")
     n = _require(doc, "n", "document", int)
     t = _require(doc, "t", "document", int)
-    alpha = parse_mass(_require(doc, "alpha", "document"))
+    alpha = _parse_at(_require(doc, "alpha", "document"), "alpha")
     px_texts = _require(doc, "px", "document", list)
     if len(px_texts) != n:
         raise ValidationError(f"document: px has {len(px_texts)} entries, n={n}")
-    px = TokenDistribution.from_strings(px_texts)
+    px = TokenDistribution.from_fractions(
+        _parse_at(text, f"px[{position}]") for position, text in enumerate(px_texts)
+    )
     keyset = _parse_keyset(_require(doc, "keyset", "document"))
     if keyset.t != t or keyset.length < n:
         raise ValidationError(
             f"keyset: length={keyset.length}, t={keyset.t} does not fit n={n}, t={t}"
         )
     tables_doc = _require(doc, "tables", "document", dict)
+    names = {str(m) for m in range(1, t + 1)}
+    stray = [name for name in tables_doc if name not in names]
+    if stray:
+        raise ValidationError(f"tables: unexpected entries {stray} for t={t}")
+    # Each distinct mass text is parsed and checked once; its cells share
+    # the Fraction.  Other JSON values ([] and {} are unhashable) are not
+    # memoised and fail in _positive_mass.
+    masses: dict[str, Fraction] = {}
     tables: list[JointTable] = []
     for m in range(1, t + 1):
         cells = tables_doc.get(str(m))
@@ -136,9 +171,12 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
                 raise ValidationError(f"{where}: key index {key_index} out of range")
             if not 1 <= token <= n:
                 raise ValidationError(f"{where}: token {token} outside [1:{n}]")
-            mass = parse_mass(mass_text)
-            if mass <= 0:
-                raise ValidationError(f"{where}: mass {mass_text!r} is not positive")
+            if isinstance(mass_text, str):
+                mass = masses.get(mass_text)
+                if mass is None:
+                    mass = masses[mass_text] = _positive_mass(mass_text, where)
+            else:
+                mass = _positive_mass(mass_text, where)
             row = rows.setdefault(key_index, {})
             if token in row:
                 raise ValidationError(f"{where}: duplicate cell for token {token}")

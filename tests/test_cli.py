@@ -89,6 +89,29 @@ def test_verify_reports_failures(capsys, tmp_path) -> None:
     assert "column-sum" in failed and "mass" in failed
 
 
+def test_verify_reports_failures_past_an_invalid_error_report(capsys, tmp_path) -> None:
+    # Tripling table 2 puts its miss rate above 1, so no error report can be
+    # built; verify still lists the failing properties and exits 1.
+    path = tmp_path / "scheme.json"
+    code, _ = run(capsys, "construct", "--px", "0.1,0.3,0.6", "--alpha", "0.5", "--t", "2",
+                  "--out", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    for cell in doc["tables"]["2"]:
+        cell[2] = str(Fraction(cell[2]) * 3)
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 1
+    assert not payload["ok"]
+    failed = [p["name"] for p in payload["properties"] if not p["passed"]]
+    assert failed == ["column-sum", "row-sum", "mass"]
+    assert "outside [0,1]" in payload["report_error"]
+    code, out = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "mass: FAIL at m=2 total (expected 1, got 3)" in out
+    assert "error report unavailable" in out
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -96,6 +119,10 @@ def test_verify_reports_failures(capsys, tmp_path) -> None:
         lambda d: d["tables"]["1"].__setitem__(0, 7),
         lambda d: d.update(n="4"),
         lambda d: d["tables"]["1"][0].__setitem__(0, True),
+        lambda d: d["tables"].update({"4": d["tables"]["1"]}),
+        lambda d: d["tables"]["2"][0].__setitem__(2, "abc"),
+        lambda d: d["tables"]["2"][0].__setitem__(2, []),
+        lambda d: d["px"].__setitem__(0, "1/0"),
     ],
 )
 def test_verify_malformed_document_exits_2(capsys, tmp_path, mutate) -> None:

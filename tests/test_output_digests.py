@@ -16,7 +16,7 @@ import pytest
 from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
 from keymark.core import TokenDistribution
-from keymark.serialize import serialize_scheme
+from keymark.serialize import deserialize_scheme, serialize_scheme
 from keymark.split import split_px
 
 ALPHA = F(1, 2)
@@ -104,3 +104,12 @@ def test_construct_a_digest(name: str) -> None:
 def test_construct_b_digest(name: str) -> None:
     px, _, _, expected = INSTANCES[name]
     assert digest(construct_b(px, ALPHA, T)) == expected
+
+
+@pytest.mark.parametrize("construct", [construct_a, construct_b], ids=["a", "b"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_document_round_trip(name: str, construct) -> None:
+    # Loading shares one Fraction among the cells of each distinct mass text
+    # and saving formats each distinct mass once; the document must not move.
+    doc = json.loads(json.dumps(serialize_scheme(construct(INSTANCES[name][0], ALPHA, T))))
+    assert serialize_scheme(deserialize_scheme(doc)) == doc

@@ -15,6 +15,7 @@ from keymark.core import (
     enumerate_reduced_keyset,
 )
 from keymark.errors import ParameterError, ValidationError
+from keymark.metrics import check_scheme
 from keymark.serialize import (
     DOCUMENT_VERSION,
     deserialize_scheme,
@@ -102,6 +103,17 @@ def test_pz_recomputed_from_first_table() -> None:
         (lambda d: d["tables"]["1"].__setitem__(0, [True, 2, "0.05"]), "key index must be an int"),
         (lambda d: d["tables"]["1"].__setitem__(0, [1, True, "0.05"]), "token must be an int"),
         (lambda d: d.update(version=True), "'version' must be an integer"),
+        (lambda d: d["tables"].update({"2": d["tables"]["1"]}), r"unexpected entries \['2'\]"),
+        (lambda d: d["tables"].update({"0": []}), r"unexpected entries \['0'\] for t=1"),
+        # A bad mass names its place: table, px entry or alpha.
+        (lambda d: d["tables"]["1"][1].__setitem__(2, "abc"), r"^tables\.1\[1\]: cannot parse"),
+        (lambda d: d["tables"]["1"][2].__setitem__(2, "1/0"), r"^tables\.1\[2\]: cannot parse"),
+        (lambda d: d["tables"]["1"][0].__setitem__(2, []), r"^tables\.1\[0\]: expected a string"),
+        (lambda d: d["tables"]["1"][0].__setitem__(2, {}), r"^tables\.1\[0\]: expected a string"),
+        (lambda d: d["tables"]["1"][0].__setitem__(2, 1), r"^tables\.1\[0\]: expected a string"),
+        (lambda d: d["px"].__setitem__(1, "1e-1"), r"^px\[1\]: not a plain decimal"),
+        (lambda d: d["px"].__setitem__(0, None), r"^px\[0\]: expected a string"),
+        (lambda d: d.update(alpha="half"), r"^alpha: cannot parse"),
     ],
 )
 def test_deserialize_rejects_bad_documents(mutate, message_part: str) -> None:
@@ -109,6 +121,29 @@ def test_deserialize_rejects_bad_documents(mutate, message_part: str) -> None:
     doc = json.loads(json.dumps(doc))
     mutate(doc)
     with pytest.raises(ValidationError, match=message_part):
+        deserialize_scheme(doc)
+
+
+def test_equal_masses_in_two_spellings_load_equal() -> None:
+    canonical = json.loads(json.dumps(serialize_scheme(construct_a(PX_A, Fraction(9, 10), 3))))
+    doc = json.loads(json.dumps(canonical))
+    same = [cell for cell in doc["tables"]["1"] if cell[2] == "0.05"][:2]
+    assert len(same) == 2
+    same[0][2] = "1/20"
+    scheme = deserialize_scheme(doc)
+    first, second = (scheme.tables[0].cell(key, token) for key, token, _ in same)
+    assert first == second == Fraction(1, 20)
+    assert check_scheme(scheme).ok
+    # Saving writes the canonical spelling back.
+    assert serialize_scheme(scheme) == canonical
+
+
+@pytest.mark.parametrize("text", ["-0.1", "0", "abc", "1/0"])
+def test_shared_bad_mass_names_its_first_cell(text: str) -> None:
+    doc = json.loads(json.dumps(serialize_scheme(construct_a(PX_A, Fraction(9, 10), 3))))
+    for m, position in (("3", 0), ("2", 4), ("2", 1)):
+        doc["tables"][m][position][2] = text
+    with pytest.raises(ValidationError, match=r"^tables\.2\[1\]: "):
         deserialize_scheme(doc)
 
 
