@@ -154,32 +154,37 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
     # memoised and fail in _positive_mass.
     masses: dict[str, Fraction] = {}
     tables: list[JointTable] = []
+    size = keyset.size
     for m in range(1, t + 1):
         cells = tables_doc.get(str(m))
         if cells is None:
             raise ValidationError(f"tables: missing table for m={m}")
         _check_kind(cells, list, f"tables: table m={m}")
         rows: dict[int, dict[int, Fraction]] = {}
+        # A cell's place is formatted only when it is needed: on a failure,
+        # or on the first parse of a mass text.
         for position, cell in enumerate(cells):
-            where = f"tables.{m}[{position}]"
             if not isinstance(cell, list) or len(cell) != 3:
-                raise ValidationError(f"{where}: expected [key_index, token, mass]")
+                raise ValidationError(f"tables.{m}[{position}]: expected [key_index, token, mass]")
             key_index, token, mass_text = cell
-            _check_kind(key_index, int, f"{where}: key index")
-            _check_kind(token, int, f"{where}: token")
-            if not 0 <= key_index < keyset.size:
-                raise ValidationError(f"{where}: key index {key_index} out of range")
+            if type(key_index) is not int or type(token) is not int:
+                _check_kind(key_index, int, f"tables.{m}[{position}]: key index")
+                _check_kind(token, int, f"tables.{m}[{position}]: token")
+            if not 0 <= key_index < size:
+                raise ValidationError(
+                    f"tables.{m}[{position}]: key index {key_index} out of range"
+                )
             if not 1 <= token <= n:
-                raise ValidationError(f"{where}: token {token} outside [1:{n}]")
+                raise ValidationError(f"tables.{m}[{position}]: token {token} outside [1:{n}]")
             if isinstance(mass_text, str):
                 mass = masses.get(mass_text)
                 if mass is None:
-                    mass = masses[mass_text] = _positive_mass(mass_text, where)
+                    mass = masses[mass_text] = _positive_mass(mass_text, f"tables.{m}[{position}]")
             else:
-                mass = _positive_mass(mass_text, where)
+                mass = _positive_mass(mass_text, f"tables.{m}[{position}]")
             row = rows.setdefault(key_index, {})
             if token in row:
-                raise ValidationError(f"{where}: duplicate cell for token {token}")
+                raise ValidationError(f"tables.{m}[{position}]: duplicate cell for token {token}")
             row[token] = mass
         tables.append(JointTable(m, rows))
     provenance = _check_kind(doc.get("provenance", {}), dict, "document: 'provenance'")

@@ -2,9 +2,17 @@
 
 Draws use numpy's counter-based Philox generator, so identical seeds give
 identical trial streams on any platform.  Inverse-CDF tables are built from
-exact prefix sums converted to float one prefix at a time (conversion is
-correctly rounded, hence monotone); the last entry is clamped to 1.0 so no
-draw can fall off the end.
+exact prefix sums, taken as integers over the LCM of the masses'
+denominators and converted to float one prefix at a time.  An int/int
+division is correctly rounded, hence monotone, and equals float() of the
+same prefix as a Fraction; the last entry is clamped to 1.0 so no draw can
+fall off the end.
+
+A miss-rate estimate only asks whether a draw lands on a cell that does
+not decode to the message.  Cells in enumeration order fall into maximal
+runs of equal miss status, and a draw lands in the run given by how many
+run-end CDF entries lie at or below it, so the search runs over one entry
+per run rather than one per cell.
 """
 
 from __future__ import annotations
@@ -12,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .core import TokenDistribution, WatermarkScheme
 from .errors import ParameterError
 from .metrics import false_alarm_by_token, miss_detection
+from .rationals import common_scale
 
 __all__ = ["TrialReport", "sample", "monte_carlo"]
 
@@ -50,11 +60,10 @@ class TrialReport:
 
 
 def _cdf(masses: list[Fraction]) -> np.ndarray:
-    prefix = []
-    running = Fraction(0)
-    for mass in masses:
-        running += mass
-        prefix.append(float(running))
+    ratios = [mass.as_integer_ratio() for mass in masses]
+    common, scale = common_scale(denominator for _, denominator in ratios)
+    scaled = accumulate(numerator * scale[denominator] for numerator, denominator in ratios)
+    prefix = [running / common for running in scaled]
     prefix[-1] = 1.0
     return np.asarray(prefix)
 
@@ -76,20 +85,42 @@ def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     key_indices = sorted(scheme.pz)
     pz_masses = [scheme.pz[idx] for idx in key_indices]
     keys = [scheme.decoded.keys[idx] for idx in key_indices]
-    positions = np.full((len(keys), max(map(len, keys))), -1, dtype=np.int64)
-    for row, pairs in enumerate(keys):
-        for j, (pos, _) in enumerate(pairs):
-            positions[row, j] = pos
+    lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+    flat = np.fromiter((pos for pairs in keys for pos, _ in pairs), np.int64, int(lengths.sum()))
+    positions = np.full((len(keys), int(lengths.max())), -1, dtype=np.int64)
+    # A boolean mask assigns in row-major order: each row's first entries.
+    positions[np.arange(positions.shape[1]) < lengths[:, None]] = flat
     return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), positions
+
+
+def _require_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _draw_inputs(
+    scheme: WatermarkScheme, m: int, seed: int, qx: TokenDistribution | None
+) -> TokenDistribution:
+    """Check the message, seed and query distribution; return qx, px by default."""
+    _require_int(m, "m")
+    _require_int(seed, "seed")
+    if not 0 <= m <= scheme.t:
+        raise ParameterError(f"message {m} outside [0:{scheme.t}]")
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be non-negative")
+    qx = scheme.px if qx is None else qx
+    if qx.n != scheme.n:
+        raise ParameterError(f"qx has {qx.n} tokens, the scheme has n={scheme.n}")
+    return qx
 
 
 def sample(
     scheme: WatermarkScheme, m: int, seed: int, qx: TokenDistribution | None = None
 ) -> tuple[int, int]:
     """One draw of (token, key index); m=0 draws the pair independently."""
+    qx = _draw_inputs(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
-        qx = qx or scheme.px
         key_indices, qx_cdf, pz_cdf, _ = _marginals(scheme, qx)
         x = int(np.searchsorted(qx_cdf, rng.random(), side="right")) + 1
         key = key_indices[int(np.searchsorted(pz_cdf, rng.random(), side="right"))]
@@ -109,13 +140,12 @@ def monte_carlo(
 ) -> TrialReport:
     """Estimate the miss rate of message m, or the false-alarm rate under qx
     (default px) when m=0, against the exact value."""
+    _require_int(trials, "trials")
     if trials < 1:
         raise ParameterError(f"trials={trials} must be at least 1")
-    if not 0 <= m <= scheme.t:
-        raise ParameterError(f"message {m} outside [0:{scheme.t}]")
+    qx = _draw_inputs(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
-        qx = qx or scheme.px
         key_indices, qx_cdf, pz_cdf, positions = _marginals(scheme, qx)
         xs = np.searchsorted(qx_cdf, rng.random(trials), side="right")
         ks = np.searchsorted(pz_cdf, rng.random(trials), side="right")
@@ -127,6 +157,9 @@ def monte_carlo(
         )
         return TrialReport.from_counts(0, trials, hits, exact)
     _, masses, decoded = _table_support(scheme, m)
-    picks = np.searchsorted(_cdf(masses), rng.random(trials), side="right")
-    hits = int((decoded[picks] != m).sum())
+    missed = decoded != m
+    # Index of the last cell of each maximal run of equal miss status.
+    ends = np.flatnonzero(np.append(missed[1:] != missed[:-1], True))
+    runs = np.searchsorted(_cdf(masses)[ends], rng.random(trials), side="right")
+    hits = int(np.count_nonzero(missed[ends][runs]))
     return TrialReport.from_counts(m, trials, hits, miss_detection(scheme, m))

@@ -11,7 +11,12 @@ for cell.
 The decoded-view sums and the row-sum and mass checks below take every sum
 one Fraction addition per cell, as WatermarkScheme.decoded and
 keymark.metrics did before they summed integers over one common
-denominator.  No production code imports this module.
+denominator.
+
+The Monte Carlo references build each inverse-CDF table from a running
+Fraction sum converted to float cell by cell, and search every cell, as
+keymark.sim did before it took integer prefix sums and searched one entry
+per run of like cells.  No production code imports this module.
 """
 
 from __future__ import annotations
@@ -21,8 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from keymark.construct_a import ImbalanceLedger, _anchored_tails, anchored_cell_count
-from keymark.core import JointTable, KeySet, WatermarkScheme, add_mass, decode
+from keymark.core import (
+    JointTable,
+    KeySet,
+    TokenDistribution,
+    WatermarkScheme,
+    add_mass,
+    decode,
+)
 from keymark.errors import InvariantError, ParameterError
 from keymark.metrics import (
     PROPERTY_NAMES,
@@ -201,3 +215,34 @@ def reference_check_scheme(scheme: WatermarkScheme) -> PropertyReport:
         reference_mass_failures(scheme),
     )
     return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))
+
+
+def reference_cdf(masses: Sequence[Fraction]) -> np.ndarray:
+    """Inverse-CDF table: one Fraction addition and one float() per cell."""
+    prefix = []
+    running = Fraction(0)
+    for mass in masses:
+        running += mass
+        prefix.append(float(running))
+    prefix[-1] = 1.0
+    return np.asarray(prefix)
+
+
+def reference_hits(
+    scheme: WatermarkScheme, m: int, trials: int, seed: int, qx: TokenDistribution | None = None
+) -> int:
+    """keymark.sim.monte_carlo's hit count, each draw searched over every
+    cell (m >= 1) or every pz key and tested on its full key (m = 0)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if m == 0:
+        keys = sorted(scheme.pz)
+        qx_cdf = reference_cdf((qx or scheme.px).probs)
+        xs = np.searchsorted(qx_cdf, rng.random(trials), side="right")
+        pz_cdf = reference_cdf([scheme.pz[k] for k in keys])
+        ks = np.searchsorted(pz_cdf, rng.random(trials), side="right")
+        return sum(1 for x, k in zip(xs, ks) if scheme.keyset.key(keys[k])[x] != 0)
+    cells = list(scheme.table(m).cells())
+    cell_cdf = reference_cdf([mass for _, _, mass in cells])
+    picks = np.searchsorted(cell_cdf, rng.random(trials), side="right")
+    missed = [decode(token, scheme.keyset.key(idx)) != m for idx, token, _ in cells]
+    return sum(missed[pick] for pick in picks)

@@ -192,6 +192,20 @@ def test_simulate_command(capsys, tmp_path) -> None:
     assert abs(payload["z_score"]) <= 5
 
 
+def test_simulate_rejects_a_negative_seed(capsys, tmp_path) -> None:
+    # Run as a script: a numpy error would print a traceback and exit 1,
+    # the code for a failed property.
+    path = write_scheme(capsys, tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-m", "keymark.cli", "simulate", str(path), "--seed", "-1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: seed=-1 must be non-negative\n"
+
+
 def test_export_command(capsys, tmp_path) -> None:
     path = write_scheme(capsys, tmp_path)
     code, out = run(capsys, "export", str(path))

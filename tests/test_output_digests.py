@@ -17,6 +17,7 @@ from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
 from keymark.core import TokenDistribution
 from keymark.serialize import deserialize_scheme, serialize_scheme
+from keymark.sim import monte_carlo
 from keymark.split import split_px
 
 ALPHA = F(1, 2)
@@ -113,3 +114,22 @@ def test_document_round_trip(name: str, construct) -> None:
     # and saving formats each distinct mass once; the document must not move.
     doc = json.loads(json.dumps(serialize_scheme(construct(INSTANCES[name][0], ALPHA, T))))
     assert serialize_scheme(deserialize_scheme(doc)) == doc
+
+
+# name -> monte_carlo hits for m = 0..T at 20,000 trials and seed 5, for
+# construct_a and construct_b, taken when each table's inverse CDF was a
+# running Fraction sum searched cell by cell.
+MONTE_CARLO_HITS = {
+    "one-heavy-12": ((9488, 15728, 15660, 15719), (9407, 15665, 15716, 15696)),
+    "two-heavy-10": ((9076, 11283, 11377, 11349), (9017, 11302, 11359, 11397)),
+    "two-step-10": ((9494, 12597, 12683, 12776), (9437, 12634, 12579, 12671)),
+    "zipf-30": ((4779, 1659, 1659, 1659), (4779, 1659, 1659, 1659)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_monte_carlo_hits(name: str) -> None:
+    px = INSTANCES[name][0]
+    for construct, expected in zip((construct_a, construct_b), MONTE_CARLO_HITS[name]):
+        scheme = construct(px, ALPHA, T)
+        assert tuple(monte_carlo(scheme, m, 20_000, 5).hits for m in range(T + 1)) == expected

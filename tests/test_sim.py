@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import COMBINED_A
+from layered_reference import reference_cdf, reference_hits
 from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
 from keymark.core import (
@@ -182,3 +185,151 @@ def test_monte_carlo_validation() -> None:
         monte_carlo(scheme, 4, 10, seed=1)
     with pytest.raises(ParameterError, match="message"):
         monte_carlo(scheme, -1, 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "m, trials, seed, message",
+    [
+        (1, 10, -1, "seed=-1 must be non-negative"),
+        (1, 10, True, "seed must be an integer, got bool"),
+        (1, 10, 1.0, "seed must be an integer, got float"),
+        (1, 10, "1", "seed must be an integer, got str"),
+        (True, 10, 1, "m must be an integer, got bool"),
+        (1, True, 1, "trials must be an integer, got bool"),
+        (1, 10.0, 1, "trials must be an integer, got float"),
+    ],
+)
+def test_monte_carlo_rejects_bad_integers(m, trials, seed, message) -> None:
+    with pytest.raises(ParameterError, match=message):
+        monte_carlo(scheme_a(), m, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "m, seed, message",
+    [
+        (1, -1, "seed=-1 must be non-negative"),
+        (0, False, "seed must be an integer, got bool"),
+        (True, 1, "m must be an integer, got bool"),
+        (4, 1, r"message 4 outside \[0:3\]"),
+    ],
+)
+def test_sample_rejects_bad_arguments(m, seed, message) -> None:
+    with pytest.raises(ParameterError, match=message):
+        sample(scheme_a(), m, seed)
+
+
+def test_numpy_integer_arguments_draw_like_ints() -> None:
+    scheme = scheme_a()
+    assert monte_carlo(scheme, np.int64(2), np.int64(500), np.uint32(9)) == monte_carlo(
+        scheme, 2, 500, 9
+    )
+    assert sample(scheme, np.int8(0), np.int64(4)) == sample(scheme, 0, 4)
+
+
+@pytest.mark.parametrize("probs", [["0.5", "0.5"], ["0.2"] * 5])
+def test_query_distribution_must_cover_the_vocabulary(probs) -> None:
+    # zip() would cut the exact rate of a short qx short (9/20 from two
+    # tokens of four), and no draw past its end would count.
+    scheme = scheme_a()
+    qx = TokenDistribution.from_strings(probs)
+    message = f"qx has {len(probs)} tokens, the scheme has n=4"
+    with pytest.raises(ParameterError, match=message):
+        monte_carlo(scheme, 0, 100, seed=1, qx=qx)
+    with pytest.raises(ParameterError, match=message):
+        sample(scheme, 0, 1, qx=qx)
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def next_prime(k: int) -> int:
+    """Smallest prime at least k (k >= 2), by trial division."""
+    while any(k % d == 0 for d in range(2, math.isqrt(k) + 1)):
+        k += 1
+    return k
+
+
+@st.composite
+def cell_masses(draw, size: int) -> list[F]:
+    """`size` positive masses summing to 1.  All but the last are at most
+    1/size: w/p with p the least prime at or above size*w, w/(2^61 - 1), or
+    10^-30, whose float interval next to a large prefix has zero width.
+    The last cell takes the rest."""
+    masses = []
+    for _ in range(size - 1):
+        kind = draw(st.sampled_from(["prime", "mersenne", "tiny"]))
+        if kind == "prime":
+            w = draw(st.integers(1, 10**4))
+            masses.append(F(w, next_prime(size * w)))
+        elif kind == "mersenne":
+            masses.append(F(draw(st.integers(1, MERSENNE_61 // size)), MERSENNE_61))
+        else:
+            masses.append(F(1, 10**30))
+    return [*masses, 1 - sum(masses, F(0))]
+
+
+miss_flags = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=30),
+    # All miss or all hit: one run.
+    st.builds(lambda size, flag: [flag] * size, st.integers(1, 30), st.booleans()),
+    # Alternating: one run per cell.
+    st.builds(
+        lambda size, first: [(i + first) % 2 == 1 for i in range(size)],
+        st.integers(1, 30),
+        st.integers(0, 1),
+    ),
+)
+
+
+@st.composite
+def explicit_schemes(draw) -> WatermarkScheme:
+    """A scheme on an explicit key set whose table m has one cell per key,
+    all on token 1, in a drawn miss pattern: a missing cell's key holds a
+    value other than m at token 1.  The remaining entries spell each key's
+    number in base t+1, so every key is distinct."""
+    t = draw(st.integers(1, 3))
+    flags = [draw(miss_flags) for _ in range(t)]
+    count = sum(map(len, flags))
+    width = 0
+    while (t + 1) ** width < count:
+        width += 1
+    length = max(t, 1 + width)
+    keys, tables = [], []
+    for m, table_flags in enumerate(flags, start=1):
+        masses = draw(cell_masses(len(table_flags)))
+        rows = {}
+        for missed, mass in zip(table_flags, masses):
+            first = draw(st.sampled_from([v for v in range(t + 1) if v != m])) if missed else m
+            number, digits = len(keys), []
+            for _ in range(length - 1):
+                number, digit = divmod(number, t + 1)
+                digits.append(digit)
+            rows[len(keys)] = {1: mass}
+            keys.append((first, *digits))
+        tables.append(JointTable(m, rows))
+    px = TokenDistribution.from_fractions([F(1, length)] * length)
+    return WatermarkScheme.assemble(F(1, 2), px, ExplicitKeySet(keys, t), tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=explicit_schemes(), seed=st.integers(0, 2**64))
+def test_monte_carlo_matches_per_cell_reference(scheme, seed) -> None:
+    # Integer prefixes give the Fraction-prefix CDF bit for bit, and the
+    # run-level search counts the draws that the per-cell search does.
+    for table in scheme.tables:
+        masses = [mass for _, _, mass in table.cells()]
+        assert np.array_equal(_cdf(masses), reference_cdf(masses))
+    for m in range(scheme.t + 1):
+        assert monte_carlo(scheme, m, 2000, seed).hits == reference_hits(scheme, m, 2000, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.fractions(min_value=0, max_value=1), st.just(F(1, 10**30))),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_cdf_matches_fraction_prefixes(masses) -> None:
+    assert np.array_equal(_cdf(masses), reference_cdf(masses))
