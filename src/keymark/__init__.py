@@ -60,7 +60,7 @@ from .metrics import (
     optimal_value,
     worst_false_alarm,
 )
-from .rationals import as_fraction, mass_to_string, parse_mass
+from .rationals import mass_to_string, parse_mass
 from .serialize import (
     deserialize_scheme,
     export_csv,
@@ -107,7 +107,6 @@ __all__ = [
     "ValidationError",
     "WatermarkScheme",
     "anchored_keys",
-    "as_fraction",
     "bijective_keyset",
     "build_pm1",
     "build_pm2",

@@ -34,8 +34,8 @@ from .core import (
     TokenDistribution,
     WatermarkScheme,
     add_mass,
+    check_instance,
     check_listing,
-    exact_rational,
     merge_tables,
 )
 from .errors import InvariantError, ParameterError
@@ -321,15 +321,10 @@ def restore_token_order(
     ]
 
 
-def _sorted_view(px: TokenDistribution) -> TokenDistribution:
-    return TokenDistribution(px.sorted_probs, tuple(range(px.n)))
-
-
 def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
     """Full scheme on the reduced key set over the real tokens only."""
-    alpha = exact_rational(alpha, "alpha")
-    view = _sorted_view(px)
-    split = split_px(view, alpha, t)
+    alpha, t = check_instance(px, alpha, t)
+    split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
     keyset = ReducedKeySet(px.n, t)
     pm1 = build_pm1(decompose_t_hot(split.px1, t), keyset)
     pm2, ledger = build_pm2(split.px2, keyset)

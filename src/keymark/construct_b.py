@@ -20,12 +20,12 @@ from .core import (
     TokenDistribution,
     WatermarkScheme,
     add_mass,
-    exact_rational,
+    check_instance,
 )
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import cap_vector
-from .construct_a import build_pm1, restore_token_order, _sorted_view
+from .construct_a import build_pm1, restore_token_order
 from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
@@ -85,9 +85,8 @@ def construct_b(
     must reconstruct the extended vector exactly; term supports are read in
     the sorted token order.
     """
-    alpha = exact_rational(alpha, "alpha")
-    view = _sorted_view(px)
-    ext = extend_px(view, alpha, t, force_pseudo=force_pseudo)
+    alpha, t = check_instance(px, alpha, t)
+    ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force_pseudo)
     length = px.n + ext.n
     keyset = ReducedKeySet(length, t)
     if decomposition is None:

@@ -31,6 +31,7 @@ become Fractions, so no per-cell Fraction addition is made.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -58,6 +59,8 @@ __all__ = [
     "ENUMERATION_CAP",
     "check_listing",
     "exact_rational",
+    "exact_int",
+    "check_instance",
 ]
 
 KeyVector = tuple[int, ...]
@@ -90,6 +93,29 @@ def exact_rational(value: object, what: str = "value") -> Fraction:
     )
 
 
+def exact_int(value: object, what: str) -> int:
+    """value as an int.  Ints and numpy integers are accepted; a bool, a
+    float or anything else raises ParameterError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ParameterError(f"{what} must be an integer, got {type(value).__name__}")
+
+
+def check_instance(px: "TokenDistribution", alpha: object, t: object) -> tuple[Fraction, int]:
+    """The one rule for an instance (P_X, alpha, T): alpha an exact rational
+    in [0, 1) and T an integer in [1:N].  Returns alpha as a Fraction and T
+    as an int; anything else raises ParameterError."""
+    if not isinstance(px, TokenDistribution):
+        raise ParameterError(f"px must be a TokenDistribution, got {type(px).__name__}")
+    alpha = exact_rational(alpha, "alpha")
+    if not 0 <= alpha < 1:
+        raise ParameterError(f"alpha={alpha} outside [0,1)")
+    t = exact_int(t, "t")
+    if not 1 <= t <= px.n:
+        raise ParameterError(f"t={t} outside [1:{px.n}]")
+    return alpha, t
+
+
 def decode(x: int, zeta: Sequence[int]) -> int:
     """Decoded message for token x under key zeta: the x-th entry (1-based x)."""
     if not 1 <= x <= len(zeta):
@@ -119,36 +145,29 @@ def is_reduced_member(entries: Sequence[int], t: int) -> bool:
 
 @dataclass(frozen=True)
 class TokenDistribution:
-    """Exact probability vector over tokens, with its sorting permutation.
+    """Exact probability vector over tokens, in the caller's token order.
 
-    probs is in the caller's original token order.  sort_perm[i] is the
-    0-based original index of the i-th smallest probability (stable, so ties
-    keep their original relative order); probs[sort_perm[i]] is non-decreasing
-    in i.
+    Every entry is an int or a Fraction (stored as a Fraction); a float or a
+    bool raises ParameterError.  sort_perm is derived, not given:
+    sort_perm[i] is the 0-based original index of the i-th smallest
+    probability (stable, so ties keep their original relative order).
     """
 
     probs: tuple[Fraction, ...]
-    sort_perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.probs:
+        probs = tuple(exact_rational(p, "probability") for p in self.probs)
+        object.__setattr__(self, "probs", probs)
+        if not probs:
             raise ValidationError("empty distribution")
-        if any(p < 0 for p in self.probs):
+        if any(p < 0 for p in probs):
             raise ValidationError("negative probability entry")
-        if sum(self.probs) != 1:
-            raise ValidationError(f"probabilities sum to {sum(self.probs)}, not 1")
-        n = len(self.probs)
-        if sorted(self.sort_perm) != list(range(n)):
-            raise ValidationError("sort_perm is not a permutation of the token indices")
-        view = [self.probs[i] for i in self.sort_perm]
-        if any(view[i] > view[i + 1] for i in range(n - 1)):
-            raise ValidationError("sort_perm does not sort the probabilities")
+        if sum(probs) != 1:
+            raise ValidationError(f"probabilities sum to {sum(probs)}, not 1")
 
     @classmethod
     def from_fractions(cls, probs: Iterable[Fraction]) -> "TokenDistribution":
-        values = tuple(exact_rational(p, "probability") for p in probs)
-        perm = tuple(sorted(range(len(values)), key=lambda i: values[i]))
-        return cls(values, perm)
+        return cls(tuple(probs))
 
     @classmethod
     def from_strings(cls, texts: Iterable[str]) -> "TokenDistribution":
@@ -157,6 +176,10 @@ class TokenDistribution:
     @property
     def n(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def sort_perm(self) -> tuple[int, ...]:
+        return tuple(sorted(range(self.n), key=self.probs.__getitem__))
 
     @property
     def sorted_probs(self) -> tuple[Fraction, ...]:
@@ -232,6 +255,7 @@ class ReducedKeySet(KeySet):
     kind = "reduced"
 
     def __init__(self, length: int, t: int) -> None:
+        length, t = exact_int(length, "length"), exact_int(t, "t")
         if t < 1:
             raise ParameterError(f"t must be at least 1, got {t}")
         if t > length:
@@ -321,6 +345,7 @@ class ExplicitKeySet(KeySet):
         if not stored:
             raise ParameterError("explicit key set must contain at least one key")
         length = len(stored[0])
+        t = exact_int(t, "t")
         if t < 1 or t > length:
             raise ParameterError(f"t={t} invalid for key length {length}")
         for k in stored:

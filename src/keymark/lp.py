@@ -36,8 +36,9 @@ from .core import (
     KeyVector,
     SparseKey,
     TokenDistribution,
+    check_instance,
     check_listing,
-    exact_rational,
+    exact_int,
 )
 from .errors import ParameterError, SolverError
 from .rationals import mass_to_string
@@ -141,9 +142,7 @@ def build_primal(
     t: int,
     keyset: KeySet,
 ) -> LpProblem:
-    alpha = exact_rational(alpha, "alpha")
-    if not 0 <= alpha < 1:
-        raise ParameterError(f"alpha={alpha} outside [0,1)")
+    alpha, t = check_instance(px, alpha, t)
     n = px.n
     if keyset.length != n:
         raise ParameterError(f"key length {keyset.length} != token count {n}")
@@ -390,6 +389,7 @@ def bijective_keyset(
     Built-in families exist for n == t and n == t + 1 (cyclic rows); any other
     size requires an explicit seed_list.
     """
+    n, t = exact_int(n, "n"), exact_int(t, "t")
     if seed_list is not None:
         keys = [tuple(int(v) for v in key) for key in seed_list]
     elif (n, t) == (3, 2):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import DecodedCells, ErrorReport, TokenDistribution, WatermarkScheme, exact_rational
+from .core import DecodedCells, ErrorReport, TokenDistribution, WatermarkScheme, check_instance
 from .errors import ParameterError
 
 __all__ = [
@@ -149,11 +149,7 @@ def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
 
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:
     """Smallest achievable worst-case miss rate: 1 - sum_x min(alpha/T, px(x))."""
-    alpha = exact_rational(alpha, "alpha")
-    if not 0 <= alpha < 1:
-        raise ParameterError(f"alpha={alpha} outside [0,1)")
-    if not 1 <= t <= px.n:
-        raise ParameterError(f"t={t} outside [1:{px.n}]")
+    alpha, t = check_instance(px, alpha, t)
     cap = Fraction(alpha, t)
     return 1 - sum((min(cap, p) for p in px.probs), Fraction(0))
 

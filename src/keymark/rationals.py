@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ParameterError
 
-__all__ = ["parse_mass", "mass_to_string", "as_fraction", "common_scale", "exact_sum"]
-
-RationalLike = Union[Fraction, int, str]
+__all__ = ["parse_mass", "mass_to_string", "common_scale", "exact_sum"]
 
 
 def parse_mass(text: str) -> Fraction:
@@ -44,22 +42,6 @@ def parse_mass(text: str) -> Fraction:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse rational from {text!r}") from exc
-
-
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce strings, ints, and Fractions to Fraction; reject floats."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParameterError("booleans are not probability masses")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_mass(value)
-    raise ParameterError(
-        f"exact rational required, got {type(value).__name__}; "
-        "pass a string such as '0.05' or '1/20'"
-    )
 
 
 def common_scale(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import TokenDistribution, WatermarkScheme
+from .core import TokenDistribution, WatermarkScheme, exact_int
 from .errors import ParameterError
 from .metrics import false_alarm_by_token, miss_detection
 from .rationals import common_scale
@@ -93,17 +93,12 @@ def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), positions
 
 
-def _require_int(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {type(value).__name__}")
-
-
 def _draw_inputs(
     scheme: WatermarkScheme, m: int, seed: int, qx: TokenDistribution | None
 ) -> TokenDistribution:
     """Check the message, seed and query distribution; return qx, px by default."""
-    _require_int(m, "m")
-    _require_int(seed, "seed")
+    exact_int(m, "m")
+    exact_int(seed, "seed")
     if not 0 <= m <= scheme.t:
         raise ParameterError(f"message {m} outside [0:{scheme.t}]")
     if seed < 0:
@@ -140,7 +135,7 @@ def monte_carlo(
 ) -> TrialReport:
     """Estimate the miss rate of message m, or the false-alarm rate under qx
     (default px) when m=0, against the exact value."""
-    _require_int(trials, "trials")
+    exact_int(trials, "trials")
     if trials < 1:
         raise ParameterError(f"trials={trials} must be at least 1")
     qx = _draw_inputs(scheme, m, seed, qx)

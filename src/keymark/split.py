@@ -6,15 +6,16 @@ T-1 positive entries).  When the capped vector a = min(alpha/T, px) is
 already representable the split is trivial (px1 = a, px2 = 0); otherwise a
 leveling value y flattens the tail of a until representability holds with
 T * max(px1) = sum(px1) exactly.
+Both entry points take px sorted and check (alpha, T) with
+core.check_instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .core import TokenDistribution
+from .core import TokenDistribution, check_instance
 from .errors import InvariantError, ParameterError
 from .thot import is_t_hot_representable
 
@@ -34,20 +35,13 @@ class PxSplit:
     a: tuple[Fraction, ...]
 
 
-def _check_sorted_inputs(px: TokenDistribution, alpha: Fraction, t: int) -> None:
-    if not 0 <= alpha < 1:
-        raise ParameterError(f"alpha={alpha} outside [0,1)")
-    if not 1 <= t <= px.n:
-        raise ParameterError(f"t={t} outside [1:{px.n}]")
-    if not px.is_sorted:
-        raise ParameterError("distribution must be sorted non-decreasing")
-
-
 def cap_vector(
     px: TokenDistribution, alpha: Fraction, t: int
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Cap at alpha/T: a = min(alpha/T, px) elementwise, r = px - a."""
-    _check_sorted_inputs(px, alpha, t)
+    alpha, t = check_instance(px, alpha, t)
+    if not px.is_sorted:
+        raise ParameterError("distribution must be sorted non-decreasing")
     cap = Fraction(alpha, t)
     a = tuple(min(cap, p) for p in px.probs)
     r = tuple(p - v for p, v in zip(px.probs, a))
@@ -61,21 +55,22 @@ def split_px(px: TokenDistribution, alpha: Fraction, t: int) -> PxSplit:
     y = sum(a(1..N-k)) / (T-k) reaches a(N-k) is K.  The scan provably stops
     by k = T-1, y < a(N-K+1) strictly, and T * max(px1) = sum(px1).
     """
+    alpha, t = check_instance(px, alpha, t)
     a, px3 = cap_vector(px, alpha, t)
     n = px.n
     cap = Fraction(alpha, t)
+    k_tilde = sum(1 for p in px.probs if p >= cap)
     if is_t_hot_representable(a, t):
         return PxSplit(
             px1=a,
             px2=(Fraction(0),) * n,
             px3=px3,
             K=0,
-            K_tilde=sum(1 for p in px.probs if p >= cap),
+            K_tilde=k_tilde,
             y=None,
             a=a,
         )
 
-    k_tilde = sum(1 for p in px.probs if p >= cap)
     for k in range(k_tilde, t):
         head = sum(a[: n - k], Fraction(0))
         y = Fraction(head, t - k)

@@ -10,6 +10,8 @@ The residual entries stay sorted across rounds and their sum is a running
 value, so a round does exact work only on the T entries it lowers: O(T log L)
 comparisons to reinsert them, and O(T) invariant checks.  Omega is still a
 dense length-L tuple, so building it costs O(L) plain list work per term.
+
+Entries must be ints or Fractions and T an integer, else ParameterError.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from itertools import takewhile
 from typing import Sequence
 
+from .core import exact_int, exact_rational
 from .errors import InvariantError, ParameterError
 
 __all__ = ["THotTerm", "THotDecomposition", "is_t_hot_representable", "decompose_t_hot"]
@@ -44,19 +47,24 @@ class THotDecomposition:
         return tuple(total)
 
 
-def _check_inputs(a: Sequence[Fraction], t: int) -> None:
-    if not a:
+def _check_inputs(a: Sequence[Fraction], t: int) -> tuple[list[Fraction], int]:
+    """The entries as Fractions and t as an int; a float or bool entry, a
+    negative entry, or a t outside [1:len(a)] raises ParameterError."""
+    entries = [exact_rational(v, "entry") for v in a]
+    if not entries:
         raise ParameterError("empty vector")
-    if not 1 <= t <= len(a):
-        raise ParameterError(f"t={t} outside [1:{len(a)}]")
-    if any(v < 0 for v in a):
+    t = exact_int(t, "t")
+    if not 1 <= t <= len(entries):
+        raise ParameterError(f"t={t} outside [1:{len(entries)}]")
+    if any(v < 0 for v in entries):
         raise ParameterError("negative entry in vector")
+    return entries, t
 
 
 def is_t_hot_representable(a: Sequence[Fraction], t: int) -> bool:
     """True iff t * max(a) <= sum(a)."""
-    _check_inputs(a, t)
-    return t * max(a) <= sum(a)
+    entries, t = _check_inputs(a, t)
+    return t * max(entries) <= sum(entries)
 
 
 def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
@@ -84,8 +92,7 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     operations plus O(L) list moves for the order and omega, so after the
     initial sort the at most L rounds take O(L T log L) exact operations.
     """
-    _check_inputs(a, t)
-    residual = [Fraction(v) for v in a]
+    residual, t = _check_inputs(a, t)
     length = len(residual)
     total = sum(residual)
     if t * max(residual) > total:

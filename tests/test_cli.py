@@ -417,6 +417,19 @@ def test_readme_transcripts(capsys) -> None:
         assert out == "".join(f"{line}\n" for line in lines), command
 
 
+def test_readme_quick_start_runs() -> None:
+    section = README.read_text().split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    report = namespace["report"]
+    # The values that the block's comments state.
+    assert "report.beta              # (3/10, 3/10, 3/10)" in code
+    assert report.beta == (Fraction(3, 10),) * 3
+    assert "report.worst_false_alarm # 9/10" in code
+    assert report.worst_false_alarm == Fraction(9, 10)
+
+
 def test_installed_entry_point() -> None:
     result = subprocess.run(
         [sys.executable, "-m", "keymark.cli", "optimal", *INSTANCE_A],

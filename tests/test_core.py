@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +25,13 @@ from keymark.core import (
     merge_tables,
 )
 from keymark.construct_a import construct_a
-from keymark.construct_b import construct_b
+from keymark.construct_b import construct_b, extend_px
 from keymark.errors import ParameterError, ValidationError
-from keymark.lp import build_primal
+from keymark.lp import bijective_keyset, build_primal
 from keymark.metrics import optimal_value
+from keymark.serialize import serialize_scheme
+from keymark.split import cap_vector, split_px
+from keymark.thot import decompose_t_hot, is_t_hot_representable
 
 
 def brute_force_keys(length: int, t: int) -> list[tuple[int, ...]]:
@@ -213,6 +218,26 @@ def test_explicit_keyset_validation() -> None:
         ExplicitKeySet([], t=1)
 
 
+KEY_SET_SIZES = {
+    "reduced t=True": lambda: ReducedKeySet(3, True),
+    "reduced t=2.0": lambda: ReducedKeySet(3, 2.0),
+    "reduced length=3.0": lambda: ReducedKeySet(3.0, 2),
+    "enumerate t=2.0": lambda: enumerate_reduced_keyset(3, 2.0),
+    "explicit t=2.0": lambda: ExplicitKeySet([(0, 0, 0), (1, 2, 0)], 2.0),
+    "explicit t=True": lambda: ExplicitKeySet([(0, 0, 0), (1, 0, 0)], True),
+    "bijective t=2.0": lambda: bijective_keyset(3, 2.0),
+    "bijective n=3.0": lambda: bijective_keyset(3.0, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_SET_SIZES))
+def test_key_set_sizes_must_be_integers(case: str) -> None:
+    # Unchecked, t=True or t=2.0 builds a key set that carries it, and a
+    # float reaches math.perm as an untyped TypeError.
+    with pytest.raises(ParameterError, match="must be an integer, got"):
+        KEY_SET_SIZES[case]()
+
+
 def test_token_distribution_basics() -> None:
     px = TokenDistribution.from_strings(["0.25", "0.6", "0.15"])
     assert px.n == 3
@@ -235,10 +260,6 @@ def test_token_distribution_validation() -> None:
         TokenDistribution.from_strings(["-0.5", "1.5"])
     with pytest.raises(ValidationError):
         TokenDistribution.from_strings([])
-    with pytest.raises(ValidationError):
-        TokenDistribution((Fraction(1, 2), Fraction(1, 2)), (0,))
-    with pytest.raises(ValidationError):
-        TokenDistribution((Fraction(1, 4), Fraction(3, 4)), (1, 0))
 
 
 @settings(max_examples=50)
@@ -343,6 +364,12 @@ PX_3 = TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
 FLOAT_ENTRY_POINTS = {
     "exact_rational": lambda v: exact_rational(v),
     "from_fractions": lambda v: TokenDistribution.from_fractions([v, Fraction(1, 2)]),
+    "TokenDistribution": lambda v: TokenDistribution((v, Fraction(1, 2))),
+    "split_px": lambda v: split_px(PX_3, v, 2),
+    "cap_vector": lambda v: cap_vector(PX_3, v, 2),
+    "extend_px": lambda v: extend_px(PX_3, v, 2),
+    "decompose_t_hot": lambda v: decompose_t_hot([v, Fraction(1, 2)], 1),
+    "is_t_hot_representable": lambda v: is_t_hot_representable([v, Fraction(1, 2)], 1),
     "assemble": lambda v: WatermarkScheme.assemble(
         v, TokenDistribution.from_strings(["1"]), ExplicitKeySet([(0,), (1,)], t=1),
         [JointTable(1, {1: {1: Fraction(1)}})],
@@ -363,3 +390,40 @@ def test_float_inputs_rejected(entry: str) -> None:
         with pytest.raises(ParameterError, match="int or a Fraction"):
             call(value)
     call(Fraction(1, 2))
+
+
+T_ENTRY_POINTS = {
+    "construct_a": lambda t: construct_a(PX_3, Fraction(1, 2), t),
+    "construct_b": lambda t: construct_b(PX_3, Fraction(1, 2), t),
+    "optimal_value": lambda t: optimal_value(PX_3, Fraction(1, 2), t),
+    "split_px": lambda t: split_px(PX_3, Fraction(1, 2), t),
+    "build_primal": lambda t: build_primal(PX_3, Fraction(1, 2), t, ReducedKeySet(3, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(T_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [2.0, True, "2"], ids=repr)
+def test_non_integer_t_rejected(entry: str, t: object) -> None:
+    # Unchecked, True builds a one-message scheme, and 2.0 or "2" ends in an
+    # untyped TypeError.
+    with pytest.raises(ParameterError, match=f"t must be an integer, got {type(t).__name__}"):
+        T_ENTRY_POINTS[entry](t)
+
+
+def test_px_must_be_a_token_distribution() -> None:
+    # Unchecked, a bare tuple of masses ends in an untyped AttributeError.
+    message = "px must be a TokenDistribution, got tuple"
+    for call in (construct_a, construct_b, optimal_value, split_px):
+        with pytest.raises(ParameterError, match=message):
+            call(PX_3.probs, Fraction(1, 2), 2)
+    with pytest.raises(ParameterError, match=message):
+        build_primal(PX_3.probs, Fraction(1, 2), 2, ReducedKeySet(3, 2))
+
+
+@pytest.mark.parametrize("build", [construct_a, construct_b])
+def test_numpy_integer_t_builds_the_same_document(build) -> None:
+    # Unsorted, so the token reordering runs too.  json.dumps refuses a
+    # numpy integer, so a T that leaked into the document would show here.
+    px = TokenDistribution.from_strings(["0.25", "0.05", "0.6", "0.1"])
+    expected = json.dumps(serialize_scheme(build(px, Fraction(9, 10), 3)))
+    assert json.dumps(serialize_scheme(build(px, Fraction(9, 10), np.int64(3)))) == expected

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from keymark.core import exact_rational
 from keymark.errors import ParameterError
-from keymark.rationals import as_fraction, mass_to_string, parse_mass
+from keymark.rationals import mass_to_string, parse_mass
 
 
 def test_parse_fraction_string() -> None:
@@ -25,17 +26,18 @@ def test_parse_rejects_garbage() -> None:
             parse_mass(bad)
 
 
-def test_as_fraction_accepts_int_and_fraction() -> None:
-    assert as_fraction(2) == Fraction(2)
-    assert as_fraction(Fraction(5, 3)) == Fraction(5, 3)
-    assert as_fraction("0.25") == Fraction(1, 4)
+def test_exact_inputs_accept_int_fraction_and_decimal_text() -> None:
+    assert exact_rational(2) == Fraction(2)
+    assert exact_rational(Fraction(5, 3)) == Fraction(5, 3)
+    assert parse_mass("0.25") == Fraction(1, 4)
 
 
-def test_as_fraction_rejects_float_and_bool() -> None:
-    with pytest.raises(ParameterError):
-        as_fraction(0.1)  # type: ignore[arg-type]
-    with pytest.raises(ParameterError):
-        as_fraction(True)
+def test_exact_inputs_reject_float_and_bool() -> None:
+    for value in (0.1, True):
+        with pytest.raises(ParameterError):
+            exact_rational(value)
+        with pytest.raises(ParameterError):
+            parse_mass(value)  # type: ignore[arg-type]
 
 
 def test_format_prefers_finite_decimals() -> None:

@@ -333,3 +333,49 @@ def test_monte_carlo_matches_per_cell_reference(scheme, seed) -> None:
 )
 def test_cdf_matches_fraction_prefixes(masses) -> None:
     assert np.array_equal(_cdf(masses), reference_cdf(masses))
+
+
+class _ConstantDraws:
+    """Stands in for numpy's Generator: every draw is the same value."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def __call__(self, bit_generator) -> "_ConstantDraws":
+        return self
+
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
+
+
+def tie_scheme() -> WatermarkScheme:
+    # Keys (0,0), (1,0), (0,1).  Table 1's cells in enumeration order hit,
+    # miss and hit, so its CDF entries 0.25, 0.5 and 1.0 each end a run;
+    # pz puts 1/4 on key 1 and 3/4 on key 2, and px is (1/2, 1/2).
+    keyset = ExplicitKeySet([(0, 0), (1, 0), (0, 1)], t=1)
+    table = JointTable(1, {1: {1: F(1, 4)}, 2: {1: F(1, 4), 2: F(1, 2)}})
+    return WatermarkScheme.assemble(
+        F(1, 2), TokenDistribution.from_strings(["1/2", "1/2"]), keyset, [table]
+    )
+
+
+@pytest.mark.parametrize(
+    "draw, m, hits, pair",
+    [
+        # 0.25 ends the first (hit) cell, so it falls in the miss cell.
+        (0.25, 1, 3, (1, 2)),
+        # m = 0: 0.25 ends key 1's pz mass, so the key is key 2 (nonzero at
+        # token 2), while the token is token 1.
+        (0.25, 0, 0, (1, 2)),
+        # 0.5 ends token 1's px mass, so the token is token 2, which key 2
+        # marks.
+        (0.5, 0, 3, (2, 2)),
+    ],
+)
+def test_a_draw_equal_to_a_cdf_entry_belongs_to_the_next_cell(
+    monkeypatch, draw, m, hits, pair
+) -> None:
+    monkeypatch.setattr(np.random, "Generator", _ConstantDraws(draw))
+    scheme = tie_scheme()
+    assert monte_carlo(scheme, m, 3, 0).hits == hits
+    assert sample(scheme, m, 0) == pair
