@@ -1,20 +1,25 @@
 """Direct construction of the per-message joint tables on the reduced key set.
 
-Three additive parts mirror the split of px:
+The split and the T-hot decomposition run on px's sorted view, whose tie
+rules fix the outputs; their results (each term's support, px2 and px3) are
+then mapped to px's own token order, and three additive parts are built
+there directly:
 
   part 1 spreads each T-hot term's weight uniformly over the keys whose
          support equals the term's support (weight / (T-1)! per cell);
-  part 2 gives each anchored key (last K coordinates nonzero) the cell
-         px2(x)/c at every tail token x, under the message its tail holds
-         there, with c anchored keys per (token, message) pair.  This
-         leaves a row-sum imbalance of T*max(px2) - sum(px2) in total;
+  part 2 gives each anchored key (nonzero at the K tokens where px2 > 0,
+         the heaviest ones) the cell px2(x)/c at every such token x, under
+         the message the key holds there, with c anchored keys per
+         (token, message) pair.  This leaves a row-sum imbalance of
+         T*max(px2) - sum(px2) in total;
   part 3 lifts each anchored key's row sum under m to its peak with
          gap_m * px3(x)/R per token, R = sum(px3), and parks the
          remainder on the all-zero key.
 
-The combined tables have column sums equal to px, identical row sums across
-messages, and decode-to-m column sums exactly min(alpha/T, px(x)).
-All arithmetic is exact.
+Every key is ranked once, at its final positions.  The combined tables
+have column sums equal to px, identical row sums across messages, and
+decode-to-m column sums exactly min(alpha/T, px(x)).  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .core import (
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import split_px
-from .thot import THotDecomposition, decompose_t_hot
+from .thot import THotDecomposition, THotTerm, decompose_t_hot
 
 __all__ = [
     "ImbalanceLedger",
@@ -97,43 +102,48 @@ def _structural_pairs(keyset: KeySet, omega: Sequence[int]) -> list[tuple[int, S
 
 def anchored_keys(keyset: KeySet, k: int) -> set[int]:
     """Indices of keys whose last k coordinates are all nonzero."""
-    return {idx for idx, _ in _anchored_tails(keyset, k)}
+    if not 1 <= k <= keyset.t - 1:
+        raise ParameterError(f"anchor width {k} outside [1:{keyset.t - 1}]")
+    return {idx for idx, _ in _anchored_tails(keyset, range(keyset.length - k, keyset.length))}
 
 
-def _anchored_tails(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(index, last k entries) of every key whose last k entries are nonzero.
+def _anchored_tails(
+    keyset: KeySet, anchors: Sequence[int]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, entries at anchors) of every key that is nonzero at all anchors.
 
-    On the reduced key set these are perm(t, k) * perm(L-k, t-k) keys, which
-    are listed one by one, so a count above ENUMERATION_CAP raises
-    CapacityError before the first.
+    anchors are distinct 0-based positions, increasing.  On the reduced key
+    set these are perm(t, k) * perm(L-k, t-k) keys for k anchors, each
+    ranked once at its final positions; they are listed one by one, so a
+    count above ENUMERATION_CAP raises CapacityError before the first.
     """
-    t, length = keyset.t, keyset.length
-    if not 1 <= k <= t - 1:
-        raise ParameterError(f"anchor width {k} outside [1:{t - 1}]")
-    head = length - k
+    t, length, k = keyset.t, keyset.length, len(anchors)
     if not isinstance(keyset, ReducedKeySet):
-        tails = ((i, keyset.key(i)[head:]) for i in range(len(keyset)))
+        keys = ((i, keyset.key(i)) for i in range(len(keyset)))
+        tails = ((i, tuple(key[a] for a in anchors)) for i, key in keys)
         return [(i, tail) for i, tail in tails if all(tail)]
     check_listing(
-        math.perm(t, k) * math.perm(head, t - k),
+        math.perm(t, k) * math.perm(length - k, t - k),
         f"anchored keys (length={length}, t={t}, k={k})",
         ENUMERATION_CAP,
     )
+    anchor_set = set(anchors)
+    free = [pos for pos in range(length) if pos not in anchor_set]
     anchored: list[tuple[int, tuple[int, ...]]] = []
     for tail in itertools.permutations(range(1, t + 1), k):
         rest = [v for v in range(1, t + 1) if v not in tail]
-        tail_pairs = tuple(zip(range(head, length), tail))
-        for head_positions in itertools.permutations(range(head), len(rest)):
+        tail_pairs = tuple(zip(anchors, tail))
+        for head_positions in itertools.permutations(free, len(rest)):
             key = tuple(zip(head_positions, rest)) + tail_pairs
             anchored.append((keyset.sparse_index(key), tail))
     return anchored
 
 
 def anchored_cell_count(n: int, t: int, k: int) -> int:
-    """Anchored keys hitting a fixed (token, message) pair in the last k slots.
+    """Anchored keys hitting a fixed (token, message) pair at one of k anchors.
 
-    Fixing one tail coordinate to a given message leaves k-1 tail slots for
-    the remaining values and t-k values for the head, so the count is
+    Fixing one anchor to a given message leaves k-1 anchors for the
+    remaining values and t-k values for the other n-k slots, so the count is
     perm(t-1, k-1) * perm(n-k, t-k), independent of which pair was fixed.
     """
     return math.perm(t - 1, k - 1) * math.perm(n - k, t - k)
@@ -169,37 +179,32 @@ def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
 def build_pm2(
     px2: Sequence[Fraction], keyset: KeySet
 ) -> tuple[list[JointTable], ImbalanceLedger]:
-    """Spread px2 over the anchored keys: one cell px2(x)/c per tail slot.
+    """Spread px2 over the anchored keys: one cell px2(x)/c per anchor token.
 
-    px2 must be non-negative and non-decreasing with its K <= T-1 positive
-    entries at the tail.  An anchored key (last K coordinates nonzero) whose
-    tail holds message m at token x gets px2(x)/c in table m, where
-    c = anchored_cell_count(L, T, K) keys share each (token, message) pair;
-    a count other than c raises InvariantError.  Row sums now differ across
-    messages; the returned ledger records the per-key gaps and their total
-    (equal for every message).  A key's part-2 rows depend only on its
-    tail, so the row sums, peak and gaps are taken once per distinct tail
-    and each class adds gap * class size to the totals.  The totals must
-    agree across messages and equal the closed form T*max(px2) - sum(px2),
-    or InvariantError is raised.
+    px2 must be non-negative with K <= T-1 positive entries; their positions,
+    wherever they sit, are the anchors.  An anchored key (nonzero at every
+    anchor) that holds message m at anchor token x gets px2(x)/c in table m,
+    where c = anchored_cell_count(L, T, K) keys share each (token, message)
+    pair; a count other than c raises InvariantError.  Row sums now differ
+    across messages; the returned ledger records the per-key gaps and their
+    total (equal for every message).  A key's part-2 rows depend only on its
+    entries at the anchors, so the row sums, peak and gaps are taken once per
+    distinct tail and each class adds gap * class size to the totals.  The
+    totals must agree across messages and equal the closed form
+    T*max(px2) - sum(px2), or InvariantError is raised.
     """
     t, length = keyset.t, keyset.length
     if any(v < 0 for v in px2):
         raise ParameterError("px2 has a negative entry")
-    positive = [i for i, v in enumerate(px2) if v > 0]
-    k = len(positive)
+    anchors = [i for i, v in enumerate(px2) if v > 0]
+    k = len(anchors)
     if k == 0:
         return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
     if k > t - 1:
         raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
-    head = len(px2) - k
-    if positive != list(range(head, len(px2))):
-        raise ParameterError("px2's positive entries must sit at the tail")
-    if any(px2[i] > px2[i + 1] for i in range(head, len(px2) - 1)):
-        raise ParameterError("px2 must be non-decreasing on its tail")
-    anchored = _anchored_tails(keyset, k)
+    anchored = _anchored_tails(keyset, anchors)
     cell_count = anchored_cell_count(length, t, k)
-    slots = [(length - k + s + 1, Fraction(px2[head + s], cell_count)) for s in range(k)]
+    slots = [(pos + 1, Fraction(px2[pos], cell_count)) for pos in anchors]
     hits = [[0] * t for _ in range(k)]
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for idx, tail in anchored:
@@ -279,46 +284,18 @@ def build_pm3(
     return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
 
 
-def restore_token_order(
-    px: TokenDistribution, keyset: ReducedKeySet, tables: Sequence[JointTable]
-) -> list[JointTable]:
-    """Map tables built on the sorted token view back to px's own order.
+def restore_token_order(px: TokenDistribution, values: Sequence) -> tuple:
+    """Map a vector on the sorted token view to px's own token order.
 
-    Sorted token i corresponds to original token sort_perm[i-1]+1, and key
-    coordinate i-1 moves to coordinate sort_perm[i-1]; coordinates beyond the
-    token count (extension slots) stay in place.  The reduced key set is
-    closed under coordinate permutation, so only indices change.
-
-    Both the key remap and the token map are bijections, so no two cells
-    meet: each row is relabelled whole, with its masses carried over as
-    they are and no exact arithmetic.  Each key is remapped once and cached
-    across the tables.
+    Sorted entry i moves to position sort_perm[i]; entries beyond px.n (the
+    extension slots of a longer key) stay where they are.  The constructions
+    map their inputs with it, so the builders rank every key at its final
+    positions.
     """
-    if px.is_sorted:
-        return list(tables)
-    if not isinstance(keyset, ReducedKeySet):
-        raise ParameterError("token reordering requires the reduced key set")
-    n = px.n
-    perm = px.sort_perm
-    index_map: dict[int, int] = {}
-
-    def remap(idx: int) -> int:
-        cached = index_map.get(idx)
-        if cached is None:
-            moved = [(perm[pos] if pos < n else pos, value) for pos, value in keyset.sparse_key(idx)]
-            cached = index_map[idx] = keyset.sparse_index(moved)
-        return cached
-
-    return [
-        JointTable(
-            table.m,
-            {
-                remap(idx): {perm[token - 1] + 1: mass for token, mass in row.items()}
-                for idx, row in table.rows.items()
-            },
-        )
-        for table in tables
-    ]
+    moved = list(values)
+    for pos, value in zip(px.sort_perm, values):
+        moved[pos] = value
+    return tuple(moved)
 
 
 def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
@@ -326,16 +303,17 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
     alpha, t = check_instance(px, alpha, t)
     split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
     keyset = ReducedKeySet(px.n, t)
-    pm1 = build_pm1(decompose_t_hot(split.px1, t), keyset)
-    pm2, ledger = build_pm2(split.px2, keyset)
-    pm3 = build_pm3(split.px3, ledger, keyset)
+    terms = decompose_t_hot(split.px1, t).terms
+    mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
+    pm1 = build_pm1(THotDecomposition(mapped), keyset)
+    pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset)
+    pm3 = build_pm3(restore_token_order(px, split.px3), ledger, keyset)
     tables = [
         merge_tables(m, pm1[m - 1], pm2[m - 1], pm3[m - 1]) for m in range(1, t + 1)
     ]
     for table in tables:
         if table.total_mass() != 1:
             raise InvariantError(f"table m={table.m} has mass {table.total_mass()}")
-    tables = restore_token_order(px, keyset, tables)
     provenance = {
         "method": "direct",
         "K": split.K,

@@ -26,7 +26,7 @@ from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import cap_vector
 from .construct_a import build_pm1, restore_token_order
-from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
+from .thot import THotDecomposition, THotTerm, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
 
@@ -83,7 +83,9 @@ def construct_b(
     A caller-supplied decomposition replaces the greedy one: every term must
     have a positive weight and a 0/1 omega with exactly T ones, and the terms
     must reconstruct the extended vector exactly; term supports are read in
-    the sorted token order.
+    the sorted token order.  The terms and the leftover r are then mapped to
+    px's own order (restore_token_order), so each key is ranked once at its
+    final positions.
     """
     alpha, t = check_instance(px, alpha, t)
     ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force_pseudo)
@@ -106,11 +108,14 @@ def construct_b(
             raise ParameterError(
                 "supplied decomposition does not reconstruct the extended vector"
             )
-    prime_tables = build_pm1(decomposition, keyset)
+    terms = decomposition.terms
+    mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
+    prime_tables = build_pm1(THotDecomposition(mapped), keyset)
 
     n = px.n
+    leftover = restore_token_order(px, ext.r)
     # Pseudo-token mass folds back only onto tokens with leftover r(x) > 0.
-    shares = [(x, r / ext.R) for x, r in enumerate(ext.r, start=1) if r > 0]
+    shares = [(x, r / ext.R) for x, r in enumerate(leftover, start=1) if r > 0]
     tables: list[JointTable] = []
     for table in prime_tables:
         rows: dict[int, dict[int, Fraction]] = {}
@@ -122,7 +127,7 @@ def construct_b(
                     add_mass(rows, key_index, x, mass * share)
         if ext.n == 0:
             for x in range(1, n + 1):
-                add_mass(rows, keyset.zero_index, x, ext.r[x - 1])
+                add_mass(rows, keyset.zero_index, x, leftover[x - 1])
         folded = JointTable(table.m, rows)
         if folded.total_mass() != 1:
             raise InvariantError(f"table m={table.m} has mass {folded.total_mass()}")
@@ -133,7 +138,6 @@ def construct_b(
                 raise InvariantError(f"fold-back changed row sum of key {key_index}")
         tables.append(folded)
 
-    tables = restore_token_order(px, keyset, tables)
     provenance = {
         "method": "extended",
         "pseudo_tokens": ext.n,

@@ -287,6 +287,8 @@ class ReducedKeySet(KeySet):
         return self.sparse_index((pos, value) for pos, value in enumerate(key) if value != 0)
 
     def sparse_key(self, index: int) -> SparseKey:
+        if type(index) is not int:
+            index = exact_int(index, "key index")
         if not 0 <= index < self.size:
             raise ParameterError(f"key index {index} outside [0:{self.size - 1}]")
         if index == 0:
@@ -341,7 +343,7 @@ class ExplicitKeySet(KeySet):
     """A stored list of key vectors in a fixed order."""
 
     def __init__(self, keys: Iterable[Sequence[int]], t: int, kind: str = "explicit-list") -> None:
-        stored = [tuple(int(v) for v in k) for k in keys]
+        stored = [tuple(exact_int(v, "key entry") for v in k) for k in keys]
         if not stored:
             raise ParameterError("explicit key set must contain at least one key")
         length = len(stored[0])
@@ -366,6 +368,8 @@ class ExplicitKeySet(KeySet):
         return f"ExplicitKeySet({len(self._keys)} keys, length={self.length}, t={self.t})"
 
     def key(self, index: int) -> KeyVector:
+        if type(index) is not int:
+            index = exact_int(index, "key index")
         if not 0 <= index < len(self._keys):
             raise ParameterError(f"key index {index} outside [0:{len(self._keys) - 1}]")
         return self._keys[index]

@@ -391,7 +391,7 @@ def bijective_keyset(
     """
     n, t = exact_int(n, "n"), exact_int(t, "t")
     if seed_list is not None:
-        keys = [tuple(int(v) for v in key) for key in seed_list]
+        keys = [tuple(exact_int(v, "key entry") for v in key) for key in seed_list]
     elif (n, t) == (3, 2):
         keys = list(BASE_BIJECTIVE_3_2)
     elif n == t:

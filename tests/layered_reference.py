@@ -99,7 +99,7 @@ def build_pm2_layered(
     if steps.k == 0:
         return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
     k = steps.k
-    anchored = _anchored_tails(keyset, k)
+    anchored = _anchored_tails(keyset, range(length - k, length))
     cell_count = anchored_cell_count(length, t, k)
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for j, delta in steps.increments:
@@ -138,7 +138,7 @@ def build_pm3_layered(
     if total_overshoot == 0:
         return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
     if steps.k > 0:
-        anchored = _anchored_tails(keyset, steps.k)
+        anchored = _anchored_tails(keyset, range(length - steps.k, length))
         for j, delta in steps.increments:
             if delta == 0:
                 continue

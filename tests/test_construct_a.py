@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction as F
@@ -15,9 +16,9 @@ from keymark.construct_a import (
     build_pm2,
     build_pm3,
     construct_a,
-    restore_token_order,
     structural_keys,
 )
+from keymark.construct_b import construct_b
 from keymark.core import (
     ENUMERATION_CAP,
     ExplicitKeySet,
@@ -183,14 +184,9 @@ def test_step_decomposition_empty() -> None:
 
 
 def test_build_pm2_validation() -> None:
-    # More than t-1 positive entries, a gap in the tail, a decreasing tail,
-    # and a negative entry.
+    # More than t-1 positive entries and a negative entry.
     with pytest.raises(ParameterError):
         build_pm2((F(0), F(1, 10), F(1, 5)), ReducedKeySet(3, 2))
-    with pytest.raises(ParameterError):
-        build_pm2((F(1, 10), F(0), F(1, 10)), ReducedKeySet(3, 3))
-    with pytest.raises(ParameterError):
-        build_pm2((F(0), F(1, 5), F(1, 10)), ReducedKeySet(3, 3))
     with pytest.raises(ParameterError):
         build_pm2((F(0), F(-1, 10), F(1, 10)), ReducedKeySet(3, 3))
 
@@ -300,13 +296,6 @@ def test_construct_a_unsorted_tokens() -> None:
     assert len(scheme.key_support()) == 13
 
 
-def test_restore_token_order_requires_reduced() -> None:
-    px = TokenDistribution.from_strings(["0.6", "0.4"])
-    explicit = ExplicitKeySet([(0, 0), (1, 0), (0, 1)], t=1)
-    with pytest.raises(ParameterError):
-        restore_token_order(px, explicit, [JointTable(1, {1: {1: F(1)}})])
-
-
 def test_construct_a_two_tokens_two_messages() -> None:
     px = TokenDistribution.from_strings(["0.5", "0.5"])
     scheme = construct_a(px, F(1, 2), 2)
@@ -372,33 +361,34 @@ def restore_token_order_per_cell(px, keyset, tables):
 
 
 @st.composite
-def sorted_view_tables(draw):
-    """An unsorted px, a reduced key set of length n + extension slots, and
-    one random sparse table per message on that key set."""
-    n = draw(st.integers(1, 6))
+def unsorted_instances(draw):
+    """An unsorted px with alpha and T."""
+    n = draw(st.integers(2, 6))
     t = draw(st.integers(1, n))
-    keyset = ReducedKeySet(n + draw(st.integers(0, 3)), t)
-    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    weights = st.lists(st.integers(1, 9), min_size=n, max_size=n)
+    weights = draw(weights.filter(lambda w: w != sorted(w)))
     px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
-    masses = st.builds(F, st.integers(1, 9), st.integers(1, 12))
-    rows = st.dictionaries(
-        st.integers(0, keyset.size - 1),
-        st.dictionaries(st.integers(1, n), masses, min_size=1, max_size=n),
-        max_size=12,
-    )
-    tables = [JointTable(m, draw(rows)) for m in range(1, t + 1)]
-    return px, keyset, tables
+    return px, F(draw(st.integers(1, 19)), 20), t
 
 
-@settings(max_examples=200, deadline=None)
-@given(sorted_view_tables())
+@settings(max_examples=100, deadline=None)
+@given(unsorted_instances())
 def test_restore_token_order_matches_per_cell_reference(case) -> None:
-    px, keyset, tables = case
-    restored = restore_token_order(px, keyset, tables)
-    expected = restore_token_order_per_cell(px, keyset, tables)
-    assert [(t.m, list(t.cells())) for t in restored] == [
-        (t.m, list(t.cells())) for t in expected
-    ]
+    """Building in px's own order gives, cell for cell, the per-cell remap of
+    the same construction run on px's sorted view."""
+    px, alpha, t = case
+    view = TokenDistribution(px.sorted_probs)
+    for build in (
+        lambda p: construct_a(p, alpha, t),
+        lambda p: construct_b(p, alpha, t),
+        lambda p: construct_b(p, alpha, t, force_pseudo=True),
+    ):
+        scheme, on_view = build(px), build(view)
+        expected = restore_token_order_per_cell(px, on_view.keyset, on_view.tables)
+        assert scheme.keyset.length == on_view.keyset.length
+        assert [(tb.m, list(tb.cells())) for tb in scheme.tables] == [
+            (tb.m, list(tb.cells())) for tb in expected
+        ]
 
 
 def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
@@ -463,3 +453,57 @@ def test_closed_form_parts_match_layered_reference() -> None:
         distinct_steps += len({delta for _, delta in steps.increments if delta}) > 1
     assert widest >= 20
     assert distinct_steps >= 20
+
+
+def shuffled_px(weights: list[F], seed: int) -> TokenDistribution:
+    total = sum(weights, F(0))
+    probs = [w / total for w in weights]
+    random.Random(seed).shuffle(probs)
+    return TokenDistribution.from_fractions(probs)
+
+
+# One 0.95 token and 39 light ones (heavy-40's shape, K = 1), and Zipf
+# masses 1/i on 40 tokens, each in shuffled order.
+HEAVY_40 = [F(95, 100)] + [F(5 * i, 78000) for i in range(1, 40)]
+RANK_COUNT_CASES = {
+    "construct_a heavy": (construct_a, shuffled_px(HEAVY_40, 3)),
+    "construct_b zipf": (construct_b, shuffled_px([F(1, i) for i in range(1, 41)], 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_COUNT_CASES))
+def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
+    """Both constructions build in px's own token order: no key is unranked,
+    and no key is ranked more than once per listing."""
+    # The package attribute keymark.construct_a is the function, not the module.
+    module = importlib.import_module("keymark.construct_a")
+    build, px = RANK_COUNT_CASES[case]
+    calls = {"sparse_key": 0, "sparse_index": 0, "listed": 0}
+
+    def counted(name):
+        original = getattr(ReducedKeySet, name)
+
+        def wrapper(self, arg):
+            calls[name] += 1
+            return original(self, arg)
+
+        monkeypatch.setattr(ReducedKeySet, name, wrapper)
+
+    def listed(name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            result = original(*args)
+            calls["listed"] += len(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("sparse_key")
+    counted("sparse_index")
+    listed("_structural_pairs")
+    listed("_anchored_tails")
+    scheme = build(px, F(1, 2), 3)
+    assert calls["sparse_key"] == 0
+    assert 0 < calls["sparse_index"] <= calls["listed"]
+    assert len(scheme.key_support()) <= calls["listed"] + 1

@@ -238,6 +238,35 @@ def test_key_set_sizes_must_be_integers(case: str) -> None:
         KEY_SET_SIZES[case]()
 
 
+KEY_ENTRIES_AND_INDICES = {
+    "explicit entry 1.7": lambda: ExplicitKeySet([(0, 0), (1.7, 0)], t=1),
+    "explicit entry True": lambda: ExplicitKeySet([(0, 0), (True, 0)], t=1),
+    "bijective seed entry 1.9": lambda: bijective_keyset(3, 2, seed_list=[(0, 0, 0), (1.9, 2, 0)]),
+    "reduced key(True)": lambda: ReducedKeySet(3, 2).key(True),
+    "reduced key(1.5)": lambda: ReducedKeySet(3, 2).key(1.5),
+    "reduced sparse_key(1.0)": lambda: ReducedKeySet(3, 2).sparse_key(1.0),
+    "explicit key(True)": lambda: ExplicitKeySet([(0, 0), (1, 0)], t=1).key(True),
+    "explicit key(1.0)": lambda: ExplicitKeySet([(0, 0), (1, 0)], t=1).key(1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_ENTRIES_AND_INDICES))
+def test_key_entries_and_indices_must_be_integers(case: str) -> None:
+    # Unchecked, a float entry is truncated (1.7 -> 1), a bool index reads
+    # key 1, and a float index ends in an untyped TypeError.
+    with pytest.raises(ParameterError, match="must be an integer, got"):
+        KEY_ENTRIES_AND_INDICES[case]()
+
+
+def test_numpy_integer_key_entries_and_indices() -> None:
+    explicit = ExplicitKeySet([(0, 0), (np.int64(1), np.int32(0))], t=1)
+    assert explicit.key(np.int64(1)) == (1, 0)
+    assert all(type(v) is int for v in explicit.key(1))
+    reduced = ReducedKeySet(3, 2)
+    assert reduced.key(np.int64(1)) == (0, 1, 2)
+    assert reduced.sparse_key(np.uint8(1)) == reduced.sparse_key(1)
+
+
 def test_token_distribution_basics() -> None:
     px = TokenDistribution.from_strings(["0.25", "0.6", "0.15"])
     assert px.n == 3
