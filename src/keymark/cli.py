@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .core import ReducedKeySet, TokenDistribution, WatermarkScheme
+from .core import ReducedKeySet, TokenDistribution, WatermarkScheme, check_instance
 from .construct_a import construct_a
 from .construct_b import construct_b
 from .errors import (
@@ -147,7 +147,9 @@ def _instance(config: RunConfig) -> tuple[TokenDistribution, Fraction, int]:
         raise ParameterError("--px, --alpha, and --t are required")
     px = px_raw if isinstance(px_raw, TokenDistribution) else _parse_px(px_raw)
     alpha = alpha_raw if isinstance(alpha_raw, Fraction) else parse_mass(alpha_raw)
-    return px, alpha, _parse_int(t_raw, "t")
+    # Checked here so that every subcommand refuses a bad instance in the
+    # same words, before it builds a key set from T.
+    return (px, *check_instance(px, alpha, _parse_int(t_raw, "t")))
 
 
 def _scheme_summary(scheme: WatermarkScheme) -> tuple[dict, list[str]]:

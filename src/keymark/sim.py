@@ -1,7 +1,10 @@
 """Seeded sampling from a scheme and Monte Carlo error estimation.
 
 Draws use numpy's counter-based Philox generator, so identical seeds give
-identical trial streams on any platform.  Inverse-CDF tables are built from
+identical trial streams on any platform.  This is the only module that
+needs numpy, and it imports numpy on the first sample() or monte_carlo()
+call rather than at import time, so a process that only builds, checks or
+certifies schemes never loads it.  Inverse-CDF tables are built from
 exact prefix sums, taken as integers over the LCM of the masses'
 denominators and converted to float one prefix at a time.  An int/int
 division is correctly rounded, hence monotone, and equals float() of the
@@ -21,13 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import TokenDistribution, WatermarkScheme, exact_int
 from .errors import ParameterError
 from .metrics import false_alarm_by_token, miss_detection
 from .rationals import common_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TrialReport", "sample", "monte_carlo"]
 
@@ -60,6 +65,8 @@ class TrialReport:
 
 
 def _cdf(masses: list[Fraction]) -> np.ndarray:
+    import numpy as np
+
     ratios = [mass.as_integer_ratio() for mass in masses]
     common, scale = common_scale(denominator for _, denominator in ratios)
     scaled = accumulate(numerator * scale[denominator] for numerator, denominator in ratios)
@@ -70,6 +77,8 @@ def _cdf(masses: list[Fraction]) -> np.ndarray:
 
 def _table_support(scheme: WatermarkScheme, m: int):
     """Support cells of table m in enumeration order plus per-cell decodes."""
+    import numpy as np
+
     table = scheme.table(m)
     cells = list(table.cells())
     if not cells:
@@ -82,6 +91,8 @@ def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     """Keys of pz in order, both CDFs, and each key's nonzero positions as a
     (keys, widest key) array padded with -1, which no token index matches.
     Reduced keys have T nonzero entries; explicit keys may have more."""
+    import numpy as np
+
     key_indices = sorted(scheme.pz)
     pz_masses = [scheme.pz[idx] for idx in key_indices]
     keys = [scheme.decoded.keys[idx] for idx in key_indices]
@@ -113,6 +124,8 @@ def sample(
     scheme: WatermarkScheme, m: int, seed: int, qx: TokenDistribution | None = None
 ) -> tuple[int, int]:
     """One draw of (token, key index); m=0 draws the pair independently."""
+    import numpy as np
+
     qx = _draw_inputs(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
@@ -135,6 +148,8 @@ def monte_carlo(
 ) -> TrialReport:
     """Estimate the miss rate of message m, or the false-alarm rate under qx
     (default px) when m=0, against the exact value."""
+    import numpy as np
+
     exact_int(trials, "trials")
     if trials < 1:
         raise ParameterError(f"trials={trials} must be at least 1")

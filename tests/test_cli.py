@@ -180,6 +180,15 @@ def test_lp_bijective_shows_gap(capsys, tmp_path) -> None:
     assert lp_path.read_text().startswith("Minimize")
 
 
+@pytest.mark.parametrize("keyset", ["reduced", "bijective"])
+def test_lp_refuses_t_outside_the_token_range_like_construct(capsys, keyset) -> None:
+    argv = ["--px", "0.5,0.5", "--alpha", "0.5", "--t", "3"]
+    assert main(["lp", *argv, "--keyset", keyset]) == 2
+    assert capsys.readouterr().err.strip() == "error: t=3 outside [1:2]"
+    assert main(["construct", *argv]) == 2
+    assert capsys.readouterr().err.strip() == "error: t=3 outside [1:2]"
+
+
 def test_simulate_command(capsys, tmp_path) -> None:
     path = write_scheme(capsys, tmp_path)
     code, payload = run_json(

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from keymark.core import (
     WatermarkScheme,
 )
 from keymark.errors import ParameterError
+import keymark
 from keymark.sim import TrialReport, _cdf, monte_carlo, sample
 
 PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
@@ -379,3 +384,51 @@ def test_a_draw_equal_to_a_cdf_entry_belongs_to_the_next_cell(
     scheme = tie_scheme()
     assert monte_carlo(scheme, m, 3, 0).hits == hits
     assert sample(scheme, m, 0) == pair
+
+
+# Builds, checks, saves, exports and certifies without a draw, through the
+# library and through every CLI command but simulate, then draws once.
+COLD_START = """
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import keymark
+import keymark.cli
+from keymark import (
+    TokenDistribution, build_primal, check_scheme, construct_a, construct_b,
+    deserialize_scheme, enumerate_reduced_keyset, error_report, export_csv,
+    monte_carlo, serialize_scheme, solve,
+)
+
+px = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
+for scheme in (construct_a(px, F(9, 10), 3), construct_b(px, F(9, 10), 3)):
+    check_scheme(scheme)
+    error_report(scheme)
+    export_csv(deserialize_scheme(serialize_scheme(scheme)))
+skewed = TokenDistribution.from_strings(["0.01", "0.04", "0.95"])
+solve(build_primal(skewed, F(99, 100), 2, enumerate_reduced_keyset(3, 2)))
+path = str(Path(sys.argv[1]) / "scheme.json")
+instance = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
+for argv in (
+    ["construct", *instance, "--out", path],
+    ["verify", path],
+    ["optimal", *instance],
+    ["lp", "--px", "0.01,0.04,0.95", "--alpha", "0.99", "--t", "2"],
+    ["export", path],
+):
+    assert keymark.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded before the first draw"
+monte_carlo(scheme, 1, 10, 0)
+assert "numpy" in sys.modules, "monte_carlo ran without numpy"
+"""
+
+
+def test_numpy_loads_on_the_first_draw_only(tmp_path) -> None:
+    # The child imports the same keymark sources as this process.
+    env = {**os.environ, "PYTHONPATH": str(Path(keymark.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
