@@ -34,7 +34,6 @@ import math
 import numbers
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -247,13 +246,10 @@ class ReducedKeySet(KeySet):
     Order is lexicographic on entry tuples.  The all-zero key is index 0; a
     placement key's index is 1 plus its lexicographic rank among placements.
     Rank and unrank count the completions of each candidate prefix, visiting
-    only the T nonzero positions, so no key vector is ever needed.  The
-    counts come from a completion table built on first use, (T+1) * L
-    integers (about 7 MB at L = 32,768 and T = 5): rank reads 2T entries and
-    unrank bisects one row per nonzero position, O(T log L).  key() and
-    index() convert between those sparse keys and full vectors.  Nothing is
-    listed, so the set has no size limit; only operations that list keys
-    check one.
+    only the T nonzero positions: O(T) perm calls to rank and O(T log L) to
+    unrank, so no key vector is ever needed.  key() and index() convert
+    between those sparse keys and full vectors.  Nothing is listed, so the
+    set has no size limit; only operations that list keys check one.
     """
 
     kind = "reduced"
@@ -273,17 +269,6 @@ class ReducedKeySet(KeySet):
 
     def __repr__(self) -> str:
         return f"ReducedKeySet(length={self.length}, t={self.t})"
-
-    @cached_property
-    def _below(self) -> list[list[int]]:
-        """below[u][pos] = -perm(L-pos-1, u): minus the number of keys that
-        complete a prefix ending in a zero at pos with u values left to
-        place.  Negated so that each row is non-decreasing in pos, which is
-        the order bisect searches."""
-        return [
-            [-math.perm(self.length - pos - 1, u) for pos in range(self.length)]
-            for u in range(self.t + 1)
-        ]
 
     @property
     def zero_index(self) -> int:
@@ -309,7 +294,6 @@ class ReducedKeySet(KeySet):
         if index == 0:
             return ()
         rank = index - 1
-        below = self._below
         pairs: list[tuple[int, int]] = []
         unused = list(range(1, self.t + 1))
         pos = 0
@@ -319,9 +303,17 @@ class ReducedKeySet(KeySet):
             # every other key with this prefix.  That count falls as pos
             # grows, so the next nonzero position is the first one whose
             # zero-block no longer exceeds the rank; at pos = L-u it is 0.
-            row = below[u]
-            pos = bisect_left(row, -rank, pos, self.length - u)
-            chosen, rank = divmod(rank + row[pos], -below[u - 1][pos])
+            lo, hi = pos, self.length - u
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if math.perm(self.length - mid - 1, u) <= rank:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            pos = lo
+            remaining = self.length - pos - 1
+            rank -= math.perm(remaining, u)
+            chosen, rank = divmod(rank, math.perm(remaining, u - 1))
             pairs.append((pos, unused.pop(chosen)))
             pos += 1
         return tuple(pairs)
@@ -338,12 +330,11 @@ class ReducedKeySet(KeySet):
         # Rank only grows at nonzero positions: by every key with a zero
         # there, then by every key with a smaller unused value there.
         rank = 0
-        below = self._below
         unused = list(range(1, self.t + 1))
         for pos, value in pairs:
-            u = len(unused)
+            remaining = self.length - pos - 1
             spot = unused.index(value)
-            rank -= below[u][pos] + spot * below[u - 1][pos]
+            rank += math.perm(remaining, len(unused)) + spot * math.perm(remaining, len(unused) - 1)
             unused.pop(spot)
         return rank + 1
 

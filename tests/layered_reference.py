@@ -16,17 +16,11 @@ denominator.
 The Monte Carlo references build each inverse-CDF table from a running
 Fraction sum converted to float cell by cell, and search every cell, as
 keymark.sim did before it took integer prefix sums and searched one entry
-per run of like cells.
-
-The reduced-key rank and unrank references call math.perm at every step
-and every probe of a Python binary search, as keymark.core.ReducedKeySet
-did before it read those counts from a completion table.  No production
-code imports this module.
+per run of like cells.  No production code imports this module.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,46 +246,3 @@ def reference_hits(
     picks = np.searchsorted(cell_cdf, rng.random(trials), side="right")
     missed = [decode(token, scheme.keyset.key(idx)) != m for idx, token, _ in cells]
     return sum(missed[pick] for pick in picks)
-
-
-def reference_sparse_key(length: int, t: int, index: int) -> tuple[tuple[int, int], ...]:
-    """Unrank index in the reduced key set (length, t) to its nonzero
-    (position, value) pairs, binary-searching each position with perm calls."""
-    if index == 0:
-        return ()
-    rank = index - 1
-    pairs = []
-    unused = list(range(1, t + 1))
-    pos = 0
-    while unused:
-        u = len(unused)
-        lo, hi = pos, length - u
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if math.perm(length - mid - 1, u) <= rank:
-                hi = mid
-            else:
-                lo = mid + 1
-        pos = lo
-        remaining = length - pos - 1
-        rank -= math.perm(remaining, u)
-        chosen, rank = divmod(rank, math.perm(remaining, u - 1))
-        pairs.append((pos, unused.pop(chosen)))
-        pos += 1
-    return tuple(pairs)
-
-
-def reference_sparse_index(length: int, t: int, pairs) -> int:
-    """Index in the reduced key set (length, t) of the key whose nonzero
-    (position, value) pairs are `pairs`; the all-zero key is 0."""
-    pairs = sorted(pairs)
-    if not pairs:
-        return 0
-    rank = 0
-    unused = list(range(1, t + 1))
-    for pos, value in pairs:
-        remaining = length - pos - 1
-        spot = unused.index(value)
-        rank += math.perm(remaining, len(unused)) + spot * math.perm(remaining, len(unused) - 1)
-        unused.pop(spot)
-    return rank + 1

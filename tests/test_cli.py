@@ -145,6 +145,21 @@ def test_verify_loads_scheme_built_above_the_cap(capsys, tmp_path) -> None:
     assert payload["ok"]
 
 
+def test_verify_document_with_a_huge_key_length(capsys, tmp_path) -> None:
+    # The reduced key set is lazy: ranking and unranking the support keys
+    # of a 10^9-long key set touch only their T nonzero positions, so verify
+    # answers.  The same key indices now name other keys, which no longer
+    # cover every real token.
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["keyset"]["length"] = 10**9
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 1
+    assert [p["name"] for p in payload["properties"] if not p["passed"]] == ["capped-column-sum"]
+    assert payload["key_support"] == 13
+
+
 def test_optimal_value_command(capsys) -> None:
     code, out = run(capsys, "optimal", *INSTANCE_A)
     assert code == 0

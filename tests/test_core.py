@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_reference import column_sum, reference_sparse_index, reference_sparse_key
+from layered_reference import column_sum
 from keymark.core import (
     ENUMERATION_CAP,
     ExplicitKeySet,
@@ -118,38 +118,6 @@ def test_sparse_rank_unrank_match_enumeration(shape: tuple[int, int]) -> None:
         assert ks.sparse_index(reversed(pairs)) == i
         assert ks.key(i) == key
         assert ks.index(key) == i
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=300).flatmap(
-        lambda length: st.tuples(st.just(length), st.integers(1, min(length, 6)))
-    ),
-    st.lists(st.integers(min_value=0), max_size=6),
-)
-@example((1, 1), [])
-@example((6, 6), [])
-@example((300, 6), [])
-def test_table_rank_unrank_match_binary_search_reference(
-    shape: tuple[int, int], draws: list[int]
-) -> None:
-    length, t = shape
-    ks = ReducedKeySet(length, t)
-    last = ks.size - 1
-    for index in {0, 1, last, *(draw % ks.size for draw in draws)}:
-        pairs = ks.sparse_key(index)
-        assert pairs == reference_sparse_key(length, t, index)
-        assert ks.sparse_index(pairs) == reference_sparse_index(length, t, pairs) == index
-
-
-def test_table_rank_unrank_match_reference_on_every_small_key() -> None:
-    for length in range(1, 8):
-        for t in range(1, length + 1):
-            ks = ReducedKeySet(length, t)
-            for index in range(ks.size):
-                pairs = reference_sparse_key(length, t, index)
-                assert ks.sparse_key(index) == pairs
-                assert ks.sparse_index(pairs) == reference_sparse_index(length, t, pairs) == index
 
 
 @settings(max_examples=40, deadline=None)
