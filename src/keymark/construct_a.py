@@ -16,10 +16,13 @@ there directly:
          gap_m * px3(x)/R per token, R = sum(px3), and parks the
          remainder on the all-zero key.
 
-Every key is ranked once, at its final positions.  The combined tables
-have column sums equal to px, identical row sums across messages, and
-decode-to-m column sums exactly min(alpha/T, px(x)).  All arithmetic is
-exact.
+The builders list every key in sparse form at its final positions and
+rank it once, an anchored key (a member by construction) without the
+validating search.  A KeyListing collects the keys, and the scheme takes
+them as its sparse_keys, so it is checked, reported and exported without
+unranking a key.  The combined tables have column sums equal to px,
+identical row sums across messages, and decode-to-m column sums exactly
+min(alpha/T, px(x)).  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .thot import THotDecomposition, THotTerm, decompose_t_hot
 
 __all__ = [
     "ImbalanceLedger",
+    "KeyListing",
     "structural_keys",
     "anchored_keys",
     "build_pm1",
@@ -74,6 +78,37 @@ class ImbalanceLedger:
     total: Fraction
 
 
+class KeyListing:
+    """The sparse keys that a construction's builders list, by index.
+
+    Every key is built from shared (position, value) tuples, one per
+    distinct pair, so a listed key costs one small tuple.  structural maps
+    each structural key back to its index, so a key that a later term or
+    the anchored listing meets again is not ranked again; the far more
+    numerous anchored keys are not mapped back.  hand_over() returns the
+    map that WatermarkScheme takes as its sparse_keys.
+    """
+
+    def __init__(self, t: int) -> None:
+        self.t = t
+        self.keys: dict[int, SparseKey] = {}
+        self.structural: dict[SparseKey, int] = {}
+        self._rows: dict[int, list[tuple[int, int]]] = {}
+
+    def row(self, pos: int) -> list[tuple[int, int]]:
+        """row(pos)[v] is the shared pair (pos, v), for v in [0:T]."""
+        row = self._rows.get(pos)
+        if row is None:
+            row = self._rows[pos] = [(pos, v) for v in range(self.t + 1)]
+        return row
+
+    def hand_over(self, keyset: KeySet, tables: Sequence[JointTable]) -> dict[int, SparseKey]:
+        """The listed key of every index stored in a table, in index order."""
+        self.keys[keyset.zero_index] = ()
+        support = set().union(*(table.rows for table in tables))
+        return {idx: self.keys[idx] for idx in sorted(support)}
+
+
 def structural_keys(keyset: KeySet, omega: Sequence[int]) -> set[int]:
     """Indices of keys whose nonzero positions equal the support of omega.
 
@@ -84,19 +119,31 @@ def structural_keys(keyset: KeySet, omega: Sequence[int]) -> set[int]:
     return {idx for idx, _ in _structural_pairs(keyset, omega)}
 
 
-def _structural_pairs(keyset: KeySet, omega: Sequence[int]) -> list[tuple[int, SparseKey]]:
+def _structural_pairs(
+    keyset: KeySet, omega: Sequence[int], listing: KeyListing | None = None
+) -> list[tuple[int, SparseKey]]:
+    """(index, sparse key) of every key whose nonzero positions equal the
+    support of omega; listing, when given, records each key."""
     if len(omega) != keyset.length:
         raise ParameterError(f"omega length {len(omega)} != key length {keyset.length}")
     support = [i for i, bit in enumerate(omega) if bit]
     if len(support) != keyset.t:
         raise ParameterError(f"omega must have exactly {keyset.t} ones")
+    listing = KeyListing(keyset.t) if listing is None else listing
+    known, listed = listing.structural, listing.keys
+    rows = [listing.row(pos) for pos in support]
     pairs: list[tuple[int, SparseKey]] = []
     for values in itertools.permutations(range(1, keyset.t + 1)):
-        key = tuple(zip(support, values))
-        try:
-            pairs.append((keyset.sparse_index(key), key))
-        except KeyError:
-            continue
+        key = tuple([row[v] for row, v in zip(rows, values)])
+        idx = known.get(key)
+        if idx is None:
+            try:
+                idx = keyset.sparse_index(key)
+            except KeyError:
+                continue
+            known[key] = idx
+            listed[idx] = key
+        pairs.append((idx, key))
     return pairs
 
 
@@ -104,38 +151,54 @@ def anchored_keys(keyset: KeySet, k: int) -> set[int]:
     """Indices of keys whose last k coordinates are all nonzero."""
     if not 1 <= k <= keyset.t - 1:
         raise ParameterError(f"anchor width {k} outside [1:{keyset.t - 1}]")
-    return {idx for idx, _ in _anchored_tails(keyset, range(keyset.length - k, keyset.length))}
+    anchors = range(keyset.length - k, keyset.length)
+    return {idx for _, members in _anchored_tails(keyset, anchors) for idx in members}
 
 
 def _anchored_tails(
-    keyset: KeySet, anchors: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(index, entries at anchors) of every key that is nonzero at all anchors.
+    keyset: KeySet, anchors: Sequence[int], listing: KeyListing | None = None
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The keys that are nonzero at all anchors, grouped by their entries at
+    the anchors: one (tail, indices of the keys with that tail) per tail.
 
     anchors are distinct 0-based positions, increasing.  On the reduced key
     set these are perm(t, k) * perm(L-k, t-k) keys for k anchors, each
-    ranked once at its final positions; they are listed one by one, so a
-    count above ENUMERATION_CAP raises CapacityError before the first.
+    built in sparse form, sorted by position, and ranked once by
+    ReducedKeySet.unchecked_index, since each is a member by construction;
+    listing, when given, records each key.  They are listed one by one, so
+    a count above ENUMERATION_CAP raises CapacityError before the first.
     """
     t, length, k = keyset.t, keyset.length, len(anchors)
     if not isinstance(keyset, ReducedKeySet):
-        keys = ((i, keyset.key(i)) for i in range(len(keyset)))
-        tails = ((i, tuple(key[a] for a in anchors)) for i, key in keys)
-        return [(i, tail) for i, tail in tails if all(tail)]
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for i in range(len(keyset)):
+            tail = tuple(keyset.key(i)[a] for a in anchors)
+            if all(tail):
+                classes.setdefault(tail, []).append(i)
+        return list(classes.items())
     check_listing(
         math.perm(t, k) * math.perm(length - k, t - k),
         f"anchored keys (length={length}, t={t}, k={k})",
         ENUMERATION_CAP,
     )
+    listing = KeyListing(t) if listing is None else listing
+    rank, known, listed = keyset.unchecked_index, listing.structural, listing.keys
+    rows = [listing.row(pos) for pos in range(length)]
     anchor_set = set(anchors)
     free = [pos for pos in range(length) if pos not in anchor_set]
-    anchored: list[tuple[int, tuple[int, ...]]] = []
+    anchored: list[tuple[tuple[int, ...], list[int]]] = []
     for tail in itertools.permutations(range(1, t + 1), k):
         rest = [v for v in range(1, t + 1) if v not in tail]
-        tail_pairs = tuple(zip(anchors, tail))
+        tail_pairs = [rows[a][v] for a, v in zip(anchors, tail)]
+        members: list[int] = []
         for head_positions in itertools.permutations(free, len(rest)):
-            key = tuple(zip(head_positions, rest)) + tail_pairs
-            anchored.append((keyset.sparse_index(key), tail))
+            key = tuple(sorted([rows[p][v] for p, v in zip(head_positions, rest)] + tail_pairs))
+            idx = known.get(key)
+            if idx is None:
+                idx = rank(key)
+                listed[idx] = key
+            members.append(idx)
+        anchored.append((tail, members))
     return anchored
 
 
@@ -149,14 +212,16 @@ def anchored_cell_count(n: int, t: int, k: int) -> int:
     return math.perm(t - 1, k - 1) * math.perm(n - k, t - k)
 
 
-def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
+def build_pm1(
+    decomp: THotDecomposition, keyset: KeySet, listing: KeyListing | None = None
+) -> list[JointTable]:
     """Spread each term's weight over its structural keys, weight/(T-1)! per cell.
 
     Every key with the term's support assigns each message to exactly one
     token, so each key contributes one cell per message and column sums
     reconstruct the decomposed vector.  The T! keys of every term are listed
     one by one, so more than ENUMERATION_CAP of them in all raise
-    CapacityError before the first.
+    CapacityError before the first; listing, when given, records each key.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-1 allocation requires the reduced key set")
@@ -170,14 +235,14 @@ def build_pm1(decomp: THotDecomposition, keyset: KeySet) -> list[JointTable]:
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for term in decomp.terms:
         share = Fraction(term.weight, share_denominator)
-        for idx, key in _structural_pairs(keyset, term.omega):
+        for idx, key in _structural_pairs(keyset, term.omega, listing):
             for pos, m in key:
                 add_mass(rows_per_m[m - 1], idx, pos + 1, share)
     return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
 
 def build_pm2(
-    px2: Sequence[Fraction], keyset: KeySet
+    px2: Sequence[Fraction], keyset: KeySet, listing: KeyListing | None = None
 ) -> tuple[list[JointTable], ImbalanceLedger]:
     """Spread px2 over the anchored keys: one cell px2(x)/c per anchor token.
 
@@ -191,7 +256,8 @@ def build_pm2(
     entries at the anchors, so the row sums, peak and gaps are taken once per
     distinct tail and each class adds gap * class size to the totals.  The
     totals must agree across messages and equal the closed form
-    T*max(px2) - sum(px2), or InvariantError is raised.
+    T*max(px2) - sum(px2), or InvariantError is raised.  listing, when
+    given, records each anchored key.
     """
     t, length = keyset.t, keyset.length
     if any(v < 0 for v in px2):
@@ -202,15 +268,17 @@ def build_pm2(
         return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
     if k > t - 1:
         raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
-    anchored = _anchored_tails(keyset, anchors)
+    anchored = _anchored_tails(keyset, anchors, listing)
     cell_count = anchored_cell_count(length, t, k)
     slots = [(pos + 1, Fraction(px2[pos], cell_count)) for pos in anchors]
     hits = [[0] * t for _ in range(k)]
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
-    for idx, tail in anchored:
+    for tail, members in anchored:
         for (token, share), m, slot_hits in zip(slots, tail, hits):
-            rows_per_m[m - 1].setdefault(idx, {})[token] = share
-            slot_hits[m - 1] += 1
+            rows = rows_per_m[m - 1]
+            for idx in members:
+                rows.setdefault(idx, {})[token] = share
+            slot_hits[m - 1] += len(members)
     for slot_hits in hits:
         for count in slot_hits:
             if count != cell_count:
@@ -218,12 +286,9 @@ def build_pm2(
     tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
     # Keys sharing a tail share their part-2 rows: one member stands for all.
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for idx, tail in anchored:
-        classes.setdefault(tail, []).append(idx)
     per_key: dict[int, tuple[Fraction, ...]] = {}
     totals = [Fraction(0)] * t
-    for members in classes.values():
+    for _, members in anchored:
         sums = [tables[m - 1].row_sum(members[0]) for m in range(1, t + 1)]
         peak = max(sums)
         gaps = tuple(peak - s for s in sums)
@@ -305,12 +370,13 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
     keyset = ReducedKeySet(px.n, t)
     terms = decompose_t_hot(split.px1, t).terms
     mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
-    pm1 = build_pm1(THotDecomposition(mapped), keyset)
-    pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset)
+    listing = KeyListing(t)
+    pm1 = build_pm1(THotDecomposition(mapped), keyset, listing)
+    pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing)
     pm3 = build_pm3(restore_token_order(px, split.px3), ledger, keyset)
-    tables = [
-        merge_tables(m, pm1[m - 1], pm2[m - 1], pm3[m - 1]) for m in range(1, t + 1)
-    ]
+    # Each message's parts are let go once merged, so the parts of only one
+    # message sit next to the merged tables and the listed keys.
+    tables = [merge_tables(m, pm1.pop(0), pm2.pop(0), pm3.pop(0)) for m in range(1, t + 1)]
     for table in tables:
         if table.total_mass() != 1:
             raise InvariantError(f"table m={table.m} has mass {table.total_mass()}")
@@ -322,4 +388,6 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
         "imbalance": mass_to_string(ledger.total),
         "overshoot": mass_to_string(sum(split.px3, Fraction(0))),
     }
-    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)
+    return WatermarkScheme.assemble(
+        alpha, px, keyset, tables, provenance, listing.hand_over(keyset, tables)
+    )

@@ -25,7 +25,7 @@ from .core import (
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import cap_vector
-from .construct_a import build_pm1, restore_token_order
+from .construct_a import KeyListing, build_pm1, restore_token_order
 from .thot import THotDecomposition, THotTerm, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
@@ -110,7 +110,8 @@ def construct_b(
             )
     terms = decomposition.terms
     mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
-    prime_tables = build_pm1(THotDecomposition(mapped), keyset)
+    listing = KeyListing(t)
+    prime_tables = build_pm1(THotDecomposition(mapped), keyset, listing)
 
     n = px.n
     leftover = restore_token_order(px, ext.r)
@@ -144,4 +145,6 @@ def construct_b(
         "leftover": mass_to_string(ext.R),
         "forced": force_pseudo,
     }
-    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)
+    return WatermarkScheme.assemble(
+        alpha, px, keyset, tables, provenance, listing.hand_over(keyset, tables)
+    )

@@ -10,10 +10,13 @@ the all-zero key at index 0.  A key's working form is its sparse key, the
 from their T nonzero positions in O(T) steps, whatever L is.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
 metrics, sampler and exporter all read, with the exact sums that the checks
-and metrics compare.  The walk takes those sums as Python ints over one
-common denominator D, the LCM of the distinct cell and pz denominators:
-each mass adds numerator * (D // denominator), and only the finished sums
-become Fractions, so no per-cell Fraction addition is made.
+and metrics compare.  A scheme that a construction built takes its view's
+keys from the construction, which listed them in sparse form, so it unranks
+none; a loaded scheme unranks each support key once.  The walk takes those
+sums as Python ints over one common denominator D, the LCM of the distinct
+cell and pz denominators: each mass adds numerator * (D // denominator),
+and only the finished sums become Fractions, so no per-cell Fraction
+addition is made.
 
 >>> ks = enumerate_reduced_keyset(3, 2)
 >>> len(ks)
@@ -327,14 +330,22 @@ class ReducedKeySet(KeySet):
         values = sorted(value for _, value in pairs)
         if values != list(range(1, self.t + 1)) or len({pos for pos, _ in pairs}) != self.t:
             raise KeyError(f"nonzero entries {tuple(pairs)} are not a member of {self!r}")
+        return self.unchecked_index(pairs)
+
+    def unchecked_index(self, pairs: Sequence[tuple[int, int]]) -> int:
+        """sparse_index without its checks: pairs must be a member's sparse
+        key, sorted by position, such as a builder lists by construction."""
+        if not pairs:
+            return 0
         # Rank only grows at nonzero positions: by every key with a zero
         # there, then by every key with a smaller unused value there.
+        perm, last = math.perm, self.length - 1
         rank = 0
         unused = list(range(1, self.t + 1))
         for pos, value in pairs:
-            remaining = self.length - pos - 1
+            remaining = last - pos
             spot = unused.index(value)
-            rank += math.perm(remaining, len(unused)) + spot * math.perm(remaining, len(unused) - 1)
+            rank += perm(remaining, len(unused)) + spot * perm(remaining, len(unused) - 1)
             unused.pop(spot)
         return rank + 1
 
@@ -477,6 +488,14 @@ class WatermarkScheme:
     length n + extension), but table cells only ever reference real tokens
     1..n, and construction rejects any other token.  pz is defined as the
     row sums of the m=1 table.
+
+    sparse_keys is set only by the constructions: the sparse key of every
+    index in key_support() | pz, in index order, as they listed it.  The
+    decoded view takes it as its keys, so a scheme built in memory is
+    checked, reported and exported without unranking a key; a map that
+    lists other indices, or lists them out of order, raises
+    ValidationError.  A scheme without it, such as a loaded one, unranks
+    each support key once.  It takes no part in == or repr.
     """
 
     n: int
@@ -487,6 +506,7 @@ class WatermarkScheme:
     tables: tuple[JointTable, ...]
     pz: Mapping[int, Fraction]
     provenance: Mapping[str, object] = field(default_factory=dict)
+    sparse_keys: Mapping[int, SparseKey] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n != self.px.n:
@@ -504,6 +524,10 @@ class WatermarkScheme:
                     raise ValidationError(f"table m={m}: token {token} outside [1:{self.n}]")
         if exact_sum(self.pz.values()) != 1:
             raise ValidationError("key marginal does not sum to 1")
+        if self.sparse_keys is not None and list(self.sparse_keys) != self._decoded_indices():
+            raise ValidationError(
+                "sparse keys must list exactly the support and pz keys, in index order"
+            )
 
     @classmethod
     def assemble(
@@ -513,6 +537,7 @@ class WatermarkScheme:
         keyset: KeySet,
         tables: Sequence[JointTable],
         provenance: Mapping[str, object] | None = None,
+        sparse_keys: Mapping[int, SparseKey] | None = None,
     ) -> "WatermarkScheme":
         """Build a scheme, deriving pz from the m=1 table's row sums."""
         tables = tuple(tables)
@@ -528,6 +553,7 @@ class WatermarkScheme:
             tables=tables,
             pz=pz,
             provenance=dict(provenance or {}),
+            sparse_keys=sparse_keys,
         )
 
     def table(self, m: int) -> JointTable:
@@ -541,16 +567,21 @@ class WatermarkScheme:
             support |= table.key_support()
         return support
 
+    def _decoded_indices(self) -> list[int]:
+        return sorted(self.key_support() | set(self.pz))
+
     @cached_property
     def decoded(self) -> "DecodedCells":
         """Every stored cell decoded and summed once, on first use."""
-        # Keys share their (position, value) tuples: there are at most L*T
-        # distinct pairs, so each stored key costs one small tuple.
-        shared: dict[tuple[int, int], tuple[int, int]] = {}
-        keys = {
-            idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
-            for idx in sorted(self.key_support() | set(self.pz))
-        }
+        keys = self.sparse_keys
+        if keys is None:
+            # Keys share their (position, value) tuples: there are at most
+            # L*T distinct pairs, so each stored key costs one small tuple.
+            shared: dict[tuple[int, int], tuple[int, int]] = {}
+            keys = {
+                idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
+                for idx in self._decoded_indices()
+            }
         common, scale = common_scale(
             {
                 mass.denominator
@@ -618,7 +649,9 @@ class DecodedCells:
     """A scheme's support keys in sparse form, each cell's decoded message,
     and the exact sums that the property checks and error metrics read.
 
-    keys maps every key index stored in a table or in pz to its sparse key.
+    keys maps every key index stored in a table or in pz to its sparse key,
+    in index order: the scheme's sparse_keys as a construction handed them
+    over, or else each key unranked once.
     messages[m-1][i] is the message that the i-th cell of table m, in
     cells() order, decodes to (0 when the key is zero at that token).
     columns[m-1][x-1] is table m's mass on token x, and captured[m-1][x-1]

@@ -90,6 +90,12 @@ def step_decomposition(px2: Sequence[Fraction], t: int) -> StepDecomposition:
     return decomposition
 
 
+def anchored_pairs(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(index, entries at the last k positions) of every key nonzero there."""
+    anchors = range(keyset.length - k, keyset.length)
+    return [(idx, tail) for tail, members in _anchored_tails(keyset, anchors) for idx in members]
+
+
 def build_pm2_layered(
     px2: Sequence[Fraction], keyset: KeySet
 ) -> tuple[list[JointTable], ImbalanceLedger]:
@@ -99,7 +105,7 @@ def build_pm2_layered(
     if steps.k == 0:
         return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
     k = steps.k
-    anchored = _anchored_tails(keyset, range(length - k, length))
+    anchored = anchored_pairs(keyset, k)
     cell_count = anchored_cell_count(length, t, k)
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for j, delta in steps.increments:
@@ -138,7 +144,7 @@ def build_pm3_layered(
     if total_overshoot == 0:
         return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
     if steps.k > 0:
-        anchored = _anchored_tails(keyset, range(length - steps.k, length))
+        anchored = anchored_pairs(keyset, steps.k)
         for j, delta in steps.increments:
             if delta == 0:
                 continue

@@ -31,6 +31,8 @@ from keymark.core import (
     enumerate_reduced_keyset,
 )
 from keymark.errors import CapacityError, ParameterError
+from keymark.metrics import check_scheme, error_report
+from keymark.serialize import deserialize_scheme, export_csv, serialize_scheme
 from keymark.split import split_px
 from keymark.thot import decompose_t_hot
 
@@ -473,12 +475,15 @@ RANK_COUNT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RANK_COUNT_CASES))
 def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
-    """Both constructions build in px's own token order: no key is unranked,
-    and no key is ranked more than once per listing."""
+    """Both constructions build in px's own token order and hand their keys
+    to the scheme: construct, check, report and export unrank no key, each
+    support key is ranked at most once, and no anchored key goes through the
+    validating sparse_index.  A loaded scheme unranks each key once."""
     # The package attribute keymark.construct_a is the function, not the module.
     module = importlib.import_module("keymark.construct_a")
     build, px = RANK_COUNT_CASES[case]
-    calls = {"sparse_key": 0, "sparse_index": 0, "listed": 0}
+    calls = {"sparse_key": 0, "sparse_index": 0, "unchecked_index": 0, "listed": 0}
+    anchored_sparse_index = 0
 
     def counted(name):
         original = getattr(ReducedKeySet, name)
@@ -493,17 +498,35 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
         original = getattr(module, name)
 
         def wrapper(*args):
+            nonlocal anchored_sparse_index
+            before = calls["sparse_index"]
             result = original(*args)
-            calls["listed"] += len(result)
+            if name == "_anchored_tails":
+                calls["listed"] += sum(len(members) for _, members in result)
+                anchored_sparse_index += calls["sparse_index"] - before
+            else:
+                calls["listed"] += len(result)
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def check_report_export(scheme) -> None:
+        assert check_scheme(scheme).ok
+        assert error_report(scheme).gap == 0
+        export_csv(scheme)
+
     counted("sparse_key")
     counted("sparse_index")
+    counted("unchecked_index")
     listed("_structural_pairs")
     listed("_anchored_tails")
     scheme = build(px, F(1, 2), 3)
+    check_report_export(scheme)
     assert calls["sparse_key"] == 0
     assert 0 < calls["sparse_index"] <= calls["listed"]
     assert len(scheme.key_support()) <= calls["listed"] + 1
+    assert anchored_sparse_index == 0
+    assert 0 < calls["unchecked_index"] <= len(scheme.key_support())
+    loaded = deserialize_scheme(serialize_scheme(scheme))
+    check_report_export(loaded)
+    assert calls["sparse_key"] == len(loaded.key_support() | set(loaded.pz))

@@ -1,0 +1,148 @@
+"""The constructions hand the sparse keys they list to the scheme.
+
+A built scheme's decoded view takes those keys instead of unranking each
+support key, so each handed key must be the reduced key set's own key at
+its index, and the view must equal, field by field, the one that a loaded
+copy of the scheme builds by unranking.
+"""
+
+import dataclasses
+import itertools
+import json
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from test_output_digests import ALPHA, INSTANCES, T
+from keymark.construct_a import KeyListing, _anchored_tails, construct_a
+from keymark.construct_b import construct_b, extend_px
+from keymark.core import ReducedKeySet, TokenDistribution
+from keymark.errors import ValidationError
+from keymark.serialize import deserialize_scheme, serialize_scheme
+from keymark.split import split_px
+from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
+
+
+def halved_terms(px: TokenDistribution, alpha: F, t: int) -> THotDecomposition:
+    """The greedy terms of construct_b's extended vector, each split into two
+    halves and listed in reverse: a supplied decomposition (as `--term`
+    gives one) in which every support appears twice."""
+    ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t)
+    terms = decompose_t_hot(ext.px_prime, t).terms
+    return THotDecomposition(
+        tuple(THotTerm(term.omega, term.weight / 2) for term in reversed(terms) for _ in range(2))
+    )
+
+
+def builds(px: TokenDistribution, alpha: F, t: int):
+    return {
+        "a": construct_a(px, alpha, t),
+        "b": construct_b(px, alpha, t),
+        "b pseudo": construct_b(px, alpha, t, force_pseudo=True),
+        "b terms": construct_b(px, alpha, t, decomposition=halved_terms(px, alpha, t)),
+    }
+
+
+def assert_handed_keys(scheme) -> None:
+    keys = scheme.sparse_keys
+    assert keys is not None
+    assert list(keys) == sorted(scheme.key_support() | set(scheme.pz))
+    for idx, pairs in keys.items():
+        assert pairs == scheme.keyset.sparse_key(idx)
+    # Each distinct (position, value) pair is one shared tuple.
+    pairs = [pair for key in keys.values() for pair in key]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+    loaded = deserialize_scheme(json.loads(json.dumps(serialize_scheme(scheme))))
+    assert loaded.sparse_keys is None
+    assert (loaded.tables, loaded.pz) == (scheme.tables, scheme.pz)
+    built, unranked = scheme.decoded, loaded.decoded
+    assert built.keys is keys
+    for field in dataclasses.fields(built):
+        assert getattr(built, field.name) == getattr(unranked, field.name), field.name
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_handed_keys_on_digest_instances(name: str) -> None:
+    for scheme in builds(INSTANCES[name][0], ALPHA, T).values():
+        assert_handed_keys(scheme)
+
+
+@st.composite
+def leveled_instances(draw):
+    """A shuffled px with 1 to T-1 heavy tokens, N <= 9 and T <= 5, whose
+    split levels at least one token (K >= 1)."""
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(t, 9))
+    heavy = draw(st.integers(1, t - 1))
+    weights = draw(st.lists(st.integers(1, 10), min_size=n - heavy, max_size=n - heavy))
+    weights += draw(st.lists(st.integers(20, 300), min_size=heavy, max_size=heavy))
+    weights = draw(st.permutations(weights))
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    alpha = F(draw(st.integers(20, 99)), 100)
+    assume(split_px(TokenDistribution(px.sorted_probs), alpha, t).K >= 1)
+    return px, alpha, t
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(leveled_instances())
+def test_handed_keys_on_leveled_instances(case) -> None:
+    for scheme in builds(*case).values():
+        assert_handed_keys(scheme)
+
+
+@pytest.mark.parametrize(
+    "length, t, anchors",
+    [
+        (5, 2, [2]),
+        (6, 3, [0]),
+        (6, 3, [5]),
+        (7, 4, [1, 4]),
+        (8, 4, [0, 7]),
+        (8, 5, [0, 3, 6]),
+        (9, 3, [4]),
+    ],
+)
+def test_unchecked_rank_of_anchored_keys(length: int, t: int, anchors: list[int]) -> None:
+    """Every anchored key, at any anchors, ranks by unchecked_index to its
+    sparse_index, and the listing finds exactly the keys nonzero at all of
+    them, with their entries there as the tail."""
+    keyset = ReducedKeySet(length, t)
+    listing = KeyListing(t)
+    anchored = _anchored_tails(keyset, anchors, listing)
+    k = len(anchors)
+    listed = [(idx, tail) for tail, members in anchored for idx in members]
+    assert len(listed) == len(listing.keys) == math.perm(t, k) * math.perm(length - k, t - k)
+    assert len(anchored) == math.perm(t, k)
+    for idx, tail in listed:
+        key = listing.keys[idx]
+        assert keyset.unchecked_index(key) == keyset.sparse_index(key) == idx
+        assert keyset.sparse_key(idx) == key
+        assert tail == tuple(dict(key)[a] for a in anchors)
+    expected = {
+        idx
+        for idx in range(keyset.size)
+        if set(anchors) <= {pos for pos, _ in keyset.sparse_key(idx)}
+    }
+    assert {idx for idx, _ in listed} == expected
+
+
+def test_handed_map_must_list_exactly_the_support() -> None:
+    scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
+    keys = dict(scheme.sparse_keys)
+    stored = set(keys)
+    extra = next(idx for idx in itertools.count(1) if idx not in stored)
+    wrong = {
+        "one extra key": dict(sorted({**keys, extra: scheme.keyset.sparse_key(extra)}.items())),
+        "one missing key": dict(itertools.islice(keys.items(), 1, None)),
+        "out of order": dict(reversed(keys.items())),
+    }
+    for name, sparse_keys in wrong.items():
+        with pytest.raises(ValidationError, match="sparse keys"):
+            dataclasses.replace(scheme, sparse_keys=sparse_keys)
+    # The map takes no part in == or repr.
+    plain = dataclasses.replace(scheme, sparse_keys=None)
+    assert plain == scheme and repr(plain) == repr(scheme)
+    assert "sparse_keys" not in repr(scheme)
