@@ -24,12 +24,10 @@ from .core import (
 )
 from .construct_a import (
     ImbalanceLedger,
-    anchored_keys,
     build_pm1,
     build_pm2,
     build_pm3,
     construct_a,
-    structural_keys,
 )
 from .construct_b import Extension, construct_b, extend_px
 from .errors import (
@@ -106,7 +104,6 @@ __all__ = [
     "TrialReport",
     "ValidationError",
     "WatermarkScheme",
-    "anchored_keys",
     "bijective_keyset",
     "build_pm1",
     "build_pm2",
@@ -138,6 +135,5 @@ __all__ = [
     "serialize_scheme",
     "solve",
     "split_px",
-    "structural_keys",
     "worst_false_alarm",
 ]

@@ -16,9 +16,9 @@ there directly:
          gap_m * px3(x)/R per token, R = sum(px3), and parks the
          remainder on the all-zero key.
 
-The builders list every key in sparse form at its final positions and
-rank it once, an anchored key (a member by construction) without the
-validating search.  A KeyListing collects the keys, and the scheme takes
+The builders list every key in sparse form at its final positions, a
+member of the reduced key set by construction, and rank it once without
+the validating search.  A KeyListing collects the keys, and the scheme takes
 them as its sparse_keys, so it is checked, reported and exported without
 unranking a key.  The combined tables have column sums equal to px,
 identical row sums across messages, and decode-to-m column sums exactly
@@ -54,8 +54,6 @@ from .thot import THotDecomposition, THotTerm, decompose_t_hot
 __all__ = [
     "ImbalanceLedger",
     "KeyListing",
-    "structural_keys",
-    "anchored_keys",
     "build_pm1",
     "build_pm2",
     "build_pm3",
@@ -109,21 +107,13 @@ class KeyListing:
         return {idx: self.keys[idx] for idx in sorted(support)}
 
 
-def structural_keys(keyset: KeySet, omega: Sequence[int]) -> set[int]:
-    """Indices of keys whose nonzero positions equal the support of omega.
-
-    These are the T! orderings of 1..T over the support, listed one by one,
-    so T! above ENUMERATION_CAP raises CapacityError before the first.
-    """
-    check_listing(math.factorial(keyset.t), "structural keys", ENUMERATION_CAP)
-    return {idx for idx, _ in _structural_pairs(keyset, omega)}
-
-
 def _structural_pairs(
-    keyset: KeySet, omega: Sequence[int], listing: KeyListing | None = None
+    keyset: ReducedKeySet, omega: Sequence[int], listing: KeyListing | None = None
 ) -> list[tuple[int, SparseKey]]:
     """(index, sparse key) of every key whose nonzero positions equal the
-    support of omega; listing, when given, records each key."""
+    support of omega; listing, when given, records each key.  The support
+    positions increase, so each key is sorted and a member by construction,
+    and ReducedKeySet.unchecked_index ranks it."""
     if len(omega) != keyset.length:
         raise ParameterError(f"omega length {len(omega)} != key length {keyset.length}")
     support = [i for i, bit in enumerate(omega) if bit]
@@ -137,45 +127,26 @@ def _structural_pairs(
         key = tuple([row[v] for row, v in zip(rows, values)])
         idx = known.get(key)
         if idx is None:
-            try:
-                idx = keyset.sparse_index(key)
-            except KeyError:
-                continue
-            known[key] = idx
+            idx = known[key] = keyset.unchecked_index(key)
             listed[idx] = key
         pairs.append((idx, key))
     return pairs
 
 
-def anchored_keys(keyset: KeySet, k: int) -> set[int]:
-    """Indices of keys whose last k coordinates are all nonzero."""
-    if not 1 <= k <= keyset.t - 1:
-        raise ParameterError(f"anchor width {k} outside [1:{keyset.t - 1}]")
-    anchors = range(keyset.length - k, keyset.length)
-    return {idx for _, members in _anchored_tails(keyset, anchors) for idx in members}
-
-
 def _anchored_tails(
-    keyset: KeySet, anchors: Sequence[int], listing: KeyListing | None = None
+    keyset: ReducedKeySet, anchors: Sequence[int], listing: KeyListing | None = None
 ) -> list[tuple[tuple[int, ...], list[int]]]:
     """The keys that are nonzero at all anchors, grouped by their entries at
     the anchors: one (tail, indices of the keys with that tail) per tail.
 
-    anchors are distinct 0-based positions, increasing.  On the reduced key
-    set these are perm(t, k) * perm(L-k, t-k) keys for k anchors, each
-    built in sparse form, sorted by position, and ranked once by
+    anchors are distinct 0-based positions, increasing.  These are
+    perm(t, k) * perm(L-k, t-k) keys for k anchors, each built in sparse
+    form, sorted by position, and ranked once by
     ReducedKeySet.unchecked_index, since each is a member by construction;
     listing, when given, records each key.  They are listed one by one, so
     a count above ENUMERATION_CAP raises CapacityError before the first.
     """
     t, length, k = keyset.t, keyset.length, len(anchors)
-    if not isinstance(keyset, ReducedKeySet):
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for i in range(len(keyset)):
-            tail = tuple(keyset.key(i)[a] for a in anchors)
-            if all(tail):
-                classes.setdefault(tail, []).append(i)
-        return list(classes.items())
     check_listing(
         math.perm(t, k) * math.perm(length - k, t - k),
         f"anchored keys (length={length}, t={t}, k={k})",
@@ -259,6 +230,8 @@ def build_pm2(
     T*max(px2) - sum(px2), or InvariantError is raised.  listing, when
     given, records each anchored key.
     """
+    if not isinstance(keyset, ReducedKeySet):
+        raise ParameterError("part-2 allocation requires the reduced key set")
     t, length = keyset.t, keyset.length
     if any(v < 0 for v in px2):
         raise ParameterError("px2 has a negative entry")

@@ -58,7 +58,6 @@ __all__ = [
     "ErrorReport",
     "decode",
     "enumerate_reduced_keyset",
-    "is_reduced_member",
     "ENUMERATION_CAP",
     "check_listing",
     "exact_rational",
@@ -138,14 +137,6 @@ def _decode_sparse(x: int, pairs: SparseKey) -> int:
     return 0
 
 
-def is_reduced_member(entries: Sequence[int], t: int) -> bool:
-    """All-zero, or the nonzero entries are exactly {1, ..., t} each once."""
-    nonzero = [v for v in entries if v != 0]
-    if not nonzero:
-        return all(v == 0 for v in entries)
-    return len(nonzero) == t and sorted(nonzero) == list(range(1, t + 1))
-
-
 @dataclass(frozen=True)
 class TokenDistribution:
     """Exact probability vector over tokens, in the caller's token order.
@@ -197,13 +188,24 @@ class KeySet:
     """Common interface: an ordered, indexable family of key vectors.
 
     size is the number of keys.  len() returns it too, but Python caps len()
-    at sys.maxsize, which large reduced key sets exceed.
+    at sys.maxsize, which large reduced key sets exceed.  Key sets compare
+    by value: a reduced set by (length, t), an explicit one by (kind, t,
+    keys in order).
     """
 
     kind: str
     length: int
     t: int
     size: int
+    _value: tuple
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value == other._value
+
+    def __hash__(self) -> int:
+        return hash(self._value)
 
     def __len__(self) -> int:
         return self.size
@@ -269,6 +271,7 @@ class ReducedKeySet(KeySet):
         self.length = length
         self.t = t
         self.size = math.perm(length, t) + 1
+        self._value = (length, t)
 
     def __repr__(self) -> str:
         return f"ReducedKeySet(length={self.length}, t={self.t})"
@@ -354,7 +357,7 @@ class ExplicitKeySet(KeySet):
     """A stored list of key vectors in a fixed order."""
 
     def __init__(self, keys: Iterable[Sequence[int]], t: int, kind: str = "explicit-list") -> None:
-        stored = [tuple(exact_int(v, "key entry") for v in k) for k in keys]
+        stored = tuple(tuple(exact_int(v, "key entry") for v in k) for k in keys)
         if not stored:
             raise ParameterError("explicit key set must contain at least one key")
         length = len(stored[0])
@@ -373,6 +376,7 @@ class ExplicitKeySet(KeySet):
         self.t = t
         self.size = len(stored)
         self._keys = stored
+        self._value = (kind, t, stored)
         self._index = {k: i for i, k in enumerate(stored)}
 
     def __repr__(self) -> str:

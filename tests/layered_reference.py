@@ -96,6 +96,11 @@ def anchored_pairs(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(idx, tail) for tail, members in _anchored_tails(keyset, anchors) for idx in members]
 
 
+def anchored_indices(keyset: KeySet, k: int) -> set[int]:
+    """Indices of the keys nonzero at all of the last k positions."""
+    return {idx for idx, _ in anchored_pairs(keyset, k)}
+
+
 def build_pm2_layered(
     px2: Sequence[Fraction], keyset: KeySet
 ) -> tuple[list[JointTable], ImbalanceLedger]:

@@ -21,8 +21,8 @@ from goldens import (
     PRE_FOLD_B,
     table_as_cells,
 )
-from layered_reference import step_decomposition
-from keymark.construct_a import anchored_keys, build_pm1, build_pm2, construct_a
+from layered_reference import anchored_indices, step_decomposition
+from keymark.construct_a import build_pm1, build_pm2, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import TokenDistribution, enumerate_reduced_keyset
 from keymark.lp import bijective_keyset, build_primal, check_dual, solve
@@ -235,7 +235,7 @@ def test_criterion_7_imbalance_identities() -> None:
                         (
                             max(tb.row_sum(idx) for tb in tables)
                             - tables[m - 1].row_sum(idx)
-                            for idx in anchored_keys(keyset, split.K)
+                            for idx in anchored_indices(keyset, split.K)
                         ),
                         F(0),
                     )

@@ -8,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldens import COMBINED_A, PART1_A, PART2_A, table_as_cells
-from layered_reference import build_pm2_layered, build_pm3_layered, column_sum, step_decomposition
+from layered_reference import (
+    anchored_indices,
+    build_pm2_layered,
+    build_pm3_layered,
+    column_sum,
+    step_decomposition,
+)
 from keymark.construct_a import (
+    _structural_pairs,
     anchored_cell_count,
-    anchored_keys,
     build_pm1,
     build_pm2,
     build_pm3,
     construct_a,
-    structural_keys,
 )
 from keymark.construct_b import construct_b
 from keymark.core import (
@@ -34,7 +39,7 @@ from keymark.errors import CapacityError, ParameterError
 from keymark.metrics import check_scheme, error_report
 from keymark.serialize import deserialize_scheme, export_csv, serialize_scheme
 from keymark.split import split_px
-from keymark.thot import decompose_t_hot
+from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
 
 PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
 ALPHA_A = F(9, 10)
@@ -82,24 +87,17 @@ def test_structural_keys_match_filter() -> None:
                 for i in range(len(ks))
                 if {p for p, v in enumerate(ks.key(i)) if v} == set(support)
             }
-            found = structural_keys(ks, omega)
-            assert found == expected
-            assert len(found) == math.factorial(t)
+            pairs = _structural_pairs(ks, omega)
+            assert {idx for idx, _ in pairs} == expected
+            assert len(pairs) == math.factorial(t)
 
 
 def test_structural_keys_validation() -> None:
     ks = enumerate_reduced_keyset(4, 3)
     with pytest.raises(ParameterError):
-        structural_keys(ks, (1, 1, 1))
+        _structural_pairs(ks, (1, 1, 1))
     with pytest.raises(ParameterError):
-        structural_keys(ks, (1, 1, 0, 0))
-
-
-def test_structural_keys_explicit_subset() -> None:
-    # Explicit sets may hold only part of a support class; missing keys are skipped.
-    ks = ExplicitKeySet([(0, 0, 0), (1, 2, 0), (2, 1, 0), (0, 1, 2)], t=2)
-    assert structural_keys(ks, (1, 1, 0)) == {1, 2}
-    assert structural_keys(ks, (0, 1, 1)) == {3}
+        _structural_pairs(ks, (1, 1, 0, 0))
 
 
 def test_anchored_keys_match_filter() -> None:
@@ -111,31 +109,23 @@ def test_anchored_keys_match_filter() -> None:
                 for i in range(len(ks))
                 if all(v != 0 for v in ks.key(i)[n - k :])
             }
-            found = anchored_keys(ks, k)
+            found = anchored_indices(ks, k)
             assert found == expected
             assert len(found) == math.perm(t, k) * math.perm(n - k, t - k)
 
 
 def test_anchored_keys_examples() -> None:
-    assert len(anchored_keys(enumerate_reduced_keyset(4, 3), 2)) == 12
-    assert len(anchored_keys(enumerate_reduced_keyset(5, 3), 1)) == 36
-
-
-def test_anchored_keys_validation() -> None:
-    ks = enumerate_reduced_keyset(4, 3)
-    with pytest.raises(ParameterError):
-        anchored_keys(ks, 0)
-    with pytest.raises(ParameterError):
-        anchored_keys(ks, 3)
+    assert len(anchored_indices(enumerate_reduced_keyset(4, 3), 2)) == 12
+    assert len(anchored_indices(enumerate_reduced_keyset(5, 3), 1)) == 36
 
 
 def test_anchored_listing_cap() -> None:
     # heavy-40's listing: 3 * perm(39, 2) = 4,446 anchored keys.
-    assert len(anchored_keys(enumerate_reduced_keyset(40, 3), 1)) == 4446
+    assert len(anchored_indices(enumerate_reduced_keyset(40, 3), 1)) == 4446
     # 5 * perm(24, 4) = 1,275,120 anchored keys are refused before any is listed.
     assert math.perm(5, 1) * math.perm(24, 4) > ENUMERATION_CAP
     with pytest.raises(CapacityError, match="1275120 anchored keys"):
-        anchored_keys(enumerate_reduced_keyset(25, 5), 1)
+        anchored_indices(enumerate_reduced_keyset(25, 5), 1)
     # construct_a reaches the guard on a 25-token T=5 input with one 0.95 token.
     px = TokenDistribution.from_strings(["1/480"] * 24 + ["0.95"])
     with pytest.raises(CapacityError, match="anchored keys"):
@@ -143,10 +133,12 @@ def test_anchored_listing_cap() -> None:
 
 
 def test_structural_listing_cap() -> None:
-    # T! structural keys per term: 9! = 362,880 fit, 10! = 3,628,800 do not.
+    # T! structural keys per term: 9! = 362,880 fit, 10! = 3,628,800 do not,
+    # so build_pm1 refuses even one 10-hot term.
     assert math.factorial(9) <= ENUMERATION_CAP < math.factorial(10)
+    one_term = THotDecomposition((THotTerm((1,) * 10, F(1, 10)),))
     with pytest.raises(CapacityError, match="3628800 structural keys"):
-        structural_keys(enumerate_reduced_keyset(10, 10), (1,) * 10)
+        build_pm1(one_term, enumerate_reduced_keyset(10, 10))
     # Three 9-hot terms list 3 * 9! keys in all, which build_pm1 refuses.
     decomp = decompose_t_hot([F(1, 30)] * 10, 9)
     assert len(decomp.terms) * math.factorial(9) > ENUMERATION_CAP
@@ -162,7 +154,7 @@ def test_anchored_cell_count_matches_filter() -> None:
     assert anchored_cell_count(4, 3, 2) == 4
     for n, t, k in [(4, 3, 1), (4, 3, 2), (5, 3, 2), (5, 4, 3), (6, 4, 2)]:
         ks = enumerate_reduced_keyset(n, t)
-        pairs = [(i, ks.key(i)) for i in anchored_keys(ks, k)]
+        pairs = [(i, ks.key(i)) for i in anchored_indices(ks, k)]
         for token in range(n - k + 1, n + 1):
             for m in range(1, t + 1):
                 hits = sum(1 for _, key in pairs if key[token - 1] == m)
@@ -202,11 +194,14 @@ def test_build_pm1_golden() -> None:
 
 
 def test_build_pm1_requires_reduced_keyset() -> None:
+    # Both listing builders refuse an explicit key set up front.
     explicit = ExplicitKeySet([(0, 0), (1, 0), (0, 1)], t=1)
     split = split_px(TokenDistribution.from_strings(["0.4", "0.6"]), F(1, 2), 1)
     decomp = decompose_t_hot(split.px1, 1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="part-1 allocation requires"):
         build_pm1(decomp, explicit)
+    with pytest.raises(ParameterError, match="part-2 allocation requires"):
+        build_pm2(split.px2, explicit)
 
 
 def test_build_pm2_golden() -> None:
@@ -230,7 +225,7 @@ def test_build_pm2_imbalance_totals_match_tables() -> None:
         measured = sum(
             (
                 max(tables[i].row_sum(idx) for i in range(3)) - tables[m - 1].row_sum(idx)
-                for idx in anchored_keys(keyset, 2)
+                for idx in anchored_indices(keyset, 2)
             ),
             F(0),
         )
@@ -398,7 +393,7 @@ def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
     with the gaps recomputed from that key's own row sums."""
     tables, ledger = build_pm2(px2, keyset)
     expected = {}
-    for idx in anchored_keys(keyset, k):
+    for idx in anchored_indices(keyset, k):
         sums = [table.row_sum(idx) for table in tables]
         gaps = tuple(max(sums) - s for s in sums)
         if any(gaps):
@@ -477,13 +472,12 @@ RANK_COUNT_CASES = {
 def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     """Both constructions build in px's own token order and hand their keys
     to the scheme: construct, check, report and export unrank no key, each
-    support key is ranked at most once, and no anchored key goes through the
+    support key is ranked at most once, and no key goes through the
     validating sparse_index.  A loaded scheme unranks each key once."""
     # The package attribute keymark.construct_a is the function, not the module.
     module = importlib.import_module("keymark.construct_a")
     build, px = RANK_COUNT_CASES[case]
     calls = {"sparse_key": 0, "sparse_index": 0, "unchecked_index": 0, "listed": 0}
-    anchored_sparse_index = 0
 
     def counted(name):
         original = getattr(ReducedKeySet, name)
@@ -498,12 +492,9 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
         original = getattr(module, name)
 
         def wrapper(*args):
-            nonlocal anchored_sparse_index
-            before = calls["sparse_index"]
             result = original(*args)
             if name == "_anchored_tails":
                 calls["listed"] += sum(len(members) for _, members in result)
-                anchored_sparse_index += calls["sparse_index"] - before
             else:
                 calls["listed"] += len(result)
             return result
@@ -523,9 +514,8 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     scheme = build(px, F(1, 2), 3)
     check_report_export(scheme)
     assert calls["sparse_key"] == 0
-    assert 0 < calls["sparse_index"] <= calls["listed"]
+    assert calls["sparse_index"] == 0
     assert len(scheme.key_support()) <= calls["listed"] + 1
-    assert anchored_sparse_index == 0
     assert 0 < calls["unchecked_index"] <= len(scheme.key_support())
     loaded = deserialize_scheme(serialize_scheme(scheme))
     check_report_export(loaded)

@@ -21,7 +21,6 @@ from keymark.core import (
     decode,
     enumerate_reduced_keyset,
     exact_rational,
-    is_reduced_member,
     merge_tables,
 )
 from keymark.construct_a import construct_a
@@ -32,6 +31,14 @@ from keymark.metrics import optimal_value
 from keymark.serialize import serialize_scheme
 from keymark.split import cap_vector, split_px
 from keymark.thot import decompose_t_hot, is_t_hot_representable
+
+
+def is_reduced_member(entries: tuple[int, ...], t: int) -> bool:
+    """Oracle: all-zero, or the nonzero entries are exactly {1, ..., t} each once."""
+    nonzero = [v for v in entries if v != 0]
+    if not nonzero:
+        return all(v == 0 for v in entries)
+    return len(nonzero) == t and sorted(nonzero) == list(range(1, t + 1))
 
 
 def brute_force_keys(length: int, t: int) -> list[tuple[int, ...]]:

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_output_digests import ALPHA, INSTANCES, T
-from keymark.construct_a import KeyListing, _anchored_tails, construct_a
+from keymark.construct_a import KeyListing, _anchored_tails, _structural_pairs, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import ReducedKeySet, TokenDistribution
 from keymark.errors import ValidationError
@@ -127,6 +128,32 @@ def test_unchecked_rank_of_anchored_keys(length: int, t: int, anchors: list[int]
         if set(anchors) <= {pos for pos, _ in keyset.sparse_key(idx)}
     }
     assert {idx for idx, _ in listed} == expected
+
+
+@pytest.mark.parametrize("n, pseudo", [(4, 0), (7, 0), (5, 3), (6, 2), (3, 6)])
+def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
+    """Every structural key of a random T-hot 0/1 omega ranks by
+    unchecked_index to its sparse_index and unranks back to itself, also on
+    keys longer than the n real tokens, as construct_b's pseudo slots make
+    them."""
+    rng = random.Random(10 * n + pseudo)
+    length = n + pseudo
+    reached_pseudo = 0
+    for t in range(1, min(length, 5) + 1):
+        keyset = ReducedKeySet(length, t)
+        for _ in range(8):
+            support = set(rng.sample(range(length), t))
+            reached_pseudo += max(support) >= n
+            omega = [int(pos in support) for pos in range(length)]
+            listing = KeyListing(t)
+            pairs = _structural_pairs(keyset, omega, listing)
+            assert len({idx for idx, _ in pairs}) == len(pairs) == math.factorial(t)
+            assert listing.keys == dict(pairs)
+            for idx, key in pairs:
+                assert {pos for pos, _ in key} == support
+                assert keyset.unchecked_index(key) == keyset.sparse_index(key) == idx
+                assert keyset.sparse_key(idx) == key
+    assert reached_pseudo > 0 if pseudo else reached_pseudo == 0
 
 
 def test_handed_map_must_list_exactly_the_support() -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_output_digests import ALPHA, INSTANCES, T
 from keymark.construct_a import construct_a
+from keymark.construct_b import construct_b
 from keymark.core import (
     ExplicitKeySet,
     JointTable,
+    ReducedKeySet,
     TokenDistribution,
     WatermarkScheme,
     enumerate_reduced_keyset,
 )
 from keymark.errors import ParameterError, ValidationError
+from keymark.lp import bijective_keyset
 from keymark.metrics import check_scheme
 from keymark.serialize import (
     DOCUMENT_VERSION,
@@ -249,3 +254,58 @@ def test_export_csv_constructed_scheme() -> None:
     keyset = enumerate_reduced_keyset(4, 3)
     zero_row = f"1,{keyset.zero_index},0 0 0 0,4,0.1"
     assert zero_row in lines
+
+
+def bijective_scheme() -> WatermarkScheme:
+    """px = 1/3 each on the 3/2 bijective family: under each message, every
+    token sits on the one nonzero key that decodes it to that message."""
+    keyset = bijective_keyset(3, 2)
+    third = Fraction(1, 3)
+    px = TokenDistribution((third,) * 3)
+    tables = [
+        JointTable(
+            m,
+            {k: {x: third} for k, key in enumerate(keyset) for x, v in enumerate(key, 1) if v == m},
+        )
+        for m in (1, 2)
+    ]
+    return WatermarkScheme.assemble(Fraction(9, 10), px, keyset, tables)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_round_trip_compares_equal(name: str) -> None:
+    px = INSTANCES[name][0]
+    for scheme in (construct_a(px, ALPHA, T), construct_b(px, ALPHA, T)):
+        loaded = deserialize_scheme(json.loads(json.dumps(serialize_scheme(scheme))))
+        assert loaded == scheme
+        assert loaded.keyset is not scheme.keyset
+
+
+def test_round_trip_bijective_scheme_compares_equal() -> None:
+    scheme = bijective_scheme()
+    assert check_scheme(scheme).ok
+    assert deserialize_scheme(json.loads(json.dumps(serialize_scheme(scheme)))) == scheme
+    # The same keys under another kind are another key set, so another scheme.
+    plain_list = ExplicitKeySet(list(scheme.keyset), 2)
+    assert dataclasses.replace(scheme, keyset=plain_list) != scheme
+
+
+def test_keysets_compare_by_value() -> None:
+    keys = [(0, 0), (1, 0), (0, 1)]
+    equal = [
+        (ReducedKeySet(4, 2), ReducedKeySet(4, 2)),
+        (ExplicitKeySet(keys, 1), ExplicitKeySet(list(keys), 1)),
+        (bijective_keyset(3, 2), bijective_keyset(3, 2)),
+    ]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+    unequal = {
+        "length": (ReducedKeySet(4, 2), ReducedKeySet(5, 2)),
+        "reduced t": (ReducedKeySet(4, 2), ReducedKeySet(4, 3)),
+        "explicit t": (ExplicitKeySet(keys, 1), ExplicitKeySet(keys, 2)),
+        "kind": (ExplicitKeySet(keys, 1), ExplicitKeySet(keys, 1, kind="bijective")),
+        "key order": (ExplicitKeySet(keys, 1), ExplicitKeySet(keys[::-1], 1)),
+        "class": (ReducedKeySet(2, 1), ExplicitKeySet(ReducedKeySet(2, 1), 1, kind="reduced")),
+    }
+    for name, (a, b) in unequal.items():
+        assert a != b, name
