@@ -122,13 +122,17 @@ def _split_terms(text: str) -> list[str]:
 
 
 def _parse_terms(items: Sequence[str]) -> THotDecomposition:
-    terms = []
+    terms, widths = [], set()
     for item in items:
         mass_text, sep, bits = item.partition(":")
         if not sep or not bits or set(bits) - {"0", "1"}:
             raise ParameterError(f"--term expects MASS:BITS with binary bits, got {item!r}")
-        terms.append(THotTerm(tuple(int(b) for b in bits), parse_mass(mass_text)))
-    return THotDecomposition(tuple(terms))
+        widths.add(len(bits))
+        support = tuple(i for i, bit in enumerate(bits) if bit == "1")
+        terms.append(THotTerm(support, parse_mass(mass_text)))
+    if len(widths) != 1:
+        raise ParameterError(f"--term BITS have mixed widths {sorted(widths)}")
+    return THotDecomposition(tuple(terms), widths.pop())
 
 
 def _emit(payload: dict, as_json: bool, lines: Sequence[str]) -> None:

@@ -108,17 +108,12 @@ class KeyListing:
 
 
 def _structural_pairs(
-    keyset: ReducedKeySet, omega: Sequence[int], listing: KeyListing | None = None
+    keyset: ReducedKeySet, support: Sequence[int], listing: KeyListing | None = None
 ) -> list[tuple[int, SparseKey]]:
-    """(index, sparse key) of every key whose nonzero positions equal the
-    support of omega; listing, when given, records each key.  The support
-    positions increase, so each key is sorted and a member by construction,
+    """(index, sparse key) of every key whose nonzero positions are support,
+    T increasing positions below the key length; listing, when given,
+    records each key.  Each key is then sorted and a member by construction,
     and ReducedKeySet.unchecked_index ranks it."""
-    if len(omega) != keyset.length:
-        raise ParameterError(f"omega length {len(omega)} != key length {keyset.length}")
-    support = [i for i, bit in enumerate(omega) if bit]
-    if len(support) != keyset.t:
-        raise ParameterError(f"omega must have exactly {keyset.t} ones")
     listing = KeyListing(keyset.t) if listing is None else listing
     known, listed = listing.structural, listing.keys
     rows = [listing.row(pos) for pos in support]
@@ -196,6 +191,8 @@ def build_pm1(
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-1 allocation requires the reduced key set")
+    if decomp.length != keyset.length:
+        raise ParameterError(f"decomposition length {decomp.length} != key length {keyset.length}")
     t = keyset.t
     check_listing(
         len(decomp.terms) * math.factorial(t),
@@ -205,8 +202,10 @@ def build_pm1(
     share_denominator = math.factorial(t - 1)
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for term in decomp.terms:
+        if len(term.support) != t:
+            raise ParameterError(f"support {term.support} is not {t}-hot")
         share = Fraction(term.weight, share_denominator)
-        for idx, key in _structural_pairs(keyset, term.omega, listing):
+        for idx, key in _structural_pairs(keyset, term.support, listing):
             for pos, m in key:
                 add_mass(rows_per_m[m - 1], idx, pos + 1, share)
     return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
@@ -323,11 +322,10 @@ def build_pm3(
 
 
 def restore_token_order(px: TokenDistribution, values: Sequence) -> tuple:
-    """Map a vector on the sorted token view to px's own token order.
+    """Map a length-N vector on the sorted token view to px's own token order.
 
-    Sorted entry i moves to position sort_perm[i]; entries beyond px.n (the
-    extension slots of a longer key) stay where they are.  The constructions
-    map their inputs with it, so the builders rank every key at its final
+    Sorted entry i moves to position sort_perm[i].  The constructions map
+    px2, px3 and r with it, so the builders rank every key at its final
     positions.
     """
     moved = list(values)
@@ -336,15 +334,25 @@ def restore_token_order(px: TokenDistribution, values: Sequence) -> tuple:
     return tuple(moved)
 
 
+def restore_supports(px: TokenDistribution, decomp: THotDecomposition) -> THotDecomposition:
+    """Map each term's support from the sorted token view to px's own order;
+    positions from px.n on (the extension slots of a longer key) stay put."""
+    where = px.sort_perm + tuple(range(px.n, decomp.length))
+    terms = tuple(
+        THotTerm(tuple(sorted(where[i] for i in term.support)), term.weight)
+        for term in decomp.terms
+    )
+    return THotDecomposition(terms, decomp.length)
+
+
 def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
     """Full scheme on the reduced key set over the real tokens only."""
     alpha, t = check_instance(px, alpha, t)
     split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
     keyset = ReducedKeySet(px.n, t)
-    terms = decompose_t_hot(split.px1, t).terms
-    mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
+    decomp = restore_supports(px, decompose_t_hot(split.px1, t))
     listing = KeyListing(t)
-    pm1 = build_pm1(THotDecomposition(mapped), keyset, listing)
+    pm1 = build_pm1(decomp, keyset, listing)
     pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing)
     pm3 = build_pm3(restore_token_order(px, split.px3), ledger, keyset)
     # Each message's parts are let go once merged, so the parts of only one

@@ -25,8 +25,8 @@ from .core import (
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import cap_vector
-from .construct_a import KeyListing, build_pm1, restore_token_order
-from .thot import THotDecomposition, THotTerm, decompose_t_hot, is_t_hot_representable
+from .construct_a import KeyListing, build_pm1, restore_supports, restore_token_order
+from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
 
@@ -80,12 +80,10 @@ def construct_b(
 ) -> WatermarkScheme:
     """Full scheme via extension; keys have length N + n, tokens stay 1..N.
 
-    A caller-supplied decomposition replaces the greedy one: every term must
-    have a positive weight and a 0/1 omega with exactly T ones, and the terms
-    must reconstruct the extended vector exactly; term supports are read in
-    the sorted token order.  The terms and the leftover r are then mapped to
-    px's own order (restore_token_order), so each key is ranked once at its
-    final positions.
+    A caller-supplied decomposition, read in the sorted token order, replaces
+    the greedy one; it needs length N + n and the extended vector as its
+    reconstruction.  Supports and the leftover r then move to px's own order,
+    so each key is ranked once at its final positions.
     """
     alpha, t = check_instance(px, alpha, t)
     ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force_pseudo)
@@ -94,24 +92,14 @@ def construct_b(
     if decomposition is None:
         decomposition = decompose_t_hot(ext.px_prime, t)
     else:
-        widths = {len(term.omega) for term in decomposition.terms}
-        if widths - {length}:
-            raise ParameterError(
-                f"supplied terms have lengths {sorted(widths)}, expected {length}"
-            )
-        for k, term in enumerate(decomposition.terms, 1):
-            if term.weight <= 0:
-                raise ParameterError(f"supplied term {k} has non-positive weight {term.weight}")
-            if set(term.omega) - {0, 1} or sum(term.omega) != t:
-                raise ParameterError(f"supplied term {k} is not a {t}-hot 0/1 vector")
-        if decomposition.reconstruct(length) != ext.px_prime:
+        if decomposition.length != length:
+            raise ParameterError(f"supplied length {decomposition.length} != key length {length}")
+        if decomposition.reconstruct() != ext.px_prime:
             raise ParameterError(
                 "supplied decomposition does not reconstruct the extended vector"
             )
-    terms = decomposition.terms
-    mapped = tuple(THotTerm(restore_token_order(px, term.omega), term.weight) for term in terms)
     listing = KeyListing(t)
-    prime_tables = build_pm1(THotDecomposition(mapped), keyset, listing)
+    prime_tables = build_pm1(restore_supports(px, decomposition), keyset, listing)
 
     n = px.n
     leftover = restore_token_order(px, ext.r)

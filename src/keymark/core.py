@@ -98,7 +98,7 @@ def exact_rational(value: object, what: str = "value") -> Fraction:
 def exact_int(value: object, what: str) -> int:
     """value as an int.  Ints and numpy integers are accepted; a bool, a
     float or anything else raises ParameterError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ParameterError(f"{what} must be an integer, got {type(value).__name__}")
 

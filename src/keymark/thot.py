@@ -6,11 +6,6 @@ the T largest residual entries each round and removes the largest weight that
 keeps the residual non-negative and representable; each round zeroes an entry
 or drives another to the boundary, so at most L rounds run.
 
-The residual entries stay sorted across rounds and their sum is a running
-value, so a round does exact work only on the T entries it lowers: O(T log L)
-comparisons to reinsert them, and O(T) invariant checks.  Omega is still a
-dense length-L tuple, so building it costs O(L) plain list work per term.
-
 Entries must be ints or Fractions and T an integer, else ParameterError.
 """
 
@@ -30,20 +25,28 @@ __all__ = ["THotTerm", "THotDecomposition", "is_t_hot_representable", "decompose
 
 @dataclass(frozen=True)
 class THotTerm:
-    omega: tuple[int, ...]
+    support: tuple[int, ...]  # the T positions of the term's ones, increasing
     weight: Fraction
 
 
 @dataclass(frozen=True)
 class THotDecomposition:
     terms: tuple[THotTerm, ...]
+    length: int  # every support strictly increases inside [0:length)
 
-    def reconstruct(self, length: int) -> tuple[Fraction, ...]:
-        total = [Fraction(0)] * length
+    def __post_init__(self) -> None:
+        for k, term in enumerate(self.terms, 1):
+            pos = [exact_int(p, "support position") for p in term.support]
+            if pos != sorted(set(pos)) or (pos and not 0 <= pos[0] <= pos[-1] < self.length):
+                raise ParameterError(f"term {k} support {pos} not increasing in [0:{self.length})")
+            if exact_rational(term.weight, "term weight") <= 0:
+                raise ParameterError(f"term {k} has non-positive weight {term.weight}")
+
+    def reconstruct(self) -> tuple[Fraction, ...]:
+        total = [Fraction(0)] * self.length
         for term in self.terms:
-            for i, bit in enumerate(term.omega):
-                if bit:
-                    total[i] += term.weight
+            for i in term.support:
+                total[i] += term.weight
         return tuple(total)
 
 
@@ -89,8 +92,8 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     can go negative, the largest entry is the first in order, zeros only grow
     (from the support) and the boundary entries T*v(i)=sum(v) are a prefix of
     the order with at most T members.  A round costs O(T log L) exact
-    operations plus O(L) list moves for the order and omega, so after the
-    initial sort the at most L rounds take O(L T log L) exact operations.
+    operations plus O(L) list moves for the order, so after the initial sort
+    the at most L rounds take O(L T log L) exact operations.
     """
     residual, t = _check_inputs(a, t)
     length = len(residual)
@@ -116,10 +119,7 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
         weight = Fraction(min(inner, outer), t)
         if weight <= 0:
             raise InvariantError("greedy step produced a non-positive weight")
-        bits = [0] * length
-        for j in support:
-            bits[j] = 1
-        terms.append(THotTerm(tuple(bits), weight))
+        terms.append(THotTerm(tuple(sorted(support)), weight))
         del order[:t]
         for j in support:
             residual[j] -= weight
@@ -144,4 +144,4 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
         frozen = grown
     else:
         raise InvariantError(f"decomposition did not terminate in {length} rounds")
-    return THotDecomposition(tuple(terms))
+    return THotDecomposition(tuple(terms), length)

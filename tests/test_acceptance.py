@@ -39,7 +39,11 @@ ALPHA_B = F(4, 5)
 PX_SKEWED = TokenDistribution.from_strings(["0.01", "0.04", "0.95"])
 ALPHA_SKEWED = F(99, 100)
 TERMS_B = THotDecomposition(
-    tuple(THotTerm(omega, weight) for weight, omega in INSTANCE_B_TERMS)
+    tuple(
+        THotTerm(tuple(i for i, bit in enumerate(omega) if bit), weight)
+        for weight, omega in INSTANCE_B_TERMS
+    ),
+    4,
 )
 
 
@@ -183,14 +187,13 @@ def test_criterion_6_decomposition_on_random_representable_vectors() -> None:
                     vec[pos] += weight
             vec = tuple(vec)
             decomp = decompose_t_hot(vec, t)
-            assert decomp.reconstruct(length) == vec
+            assert decomp.reconstruct() == vec
             assert len(decomp.terms) <= length
             residual = list(vec)
             for term in decomp.terms:
-                assert sum(term.omega) == t and term.weight > 0
-                for i, bit in enumerate(term.omega):
-                    if bit:
-                        residual[i] -= term.weight
+                assert len(set(term.support)) == t and term.weight > 0
+                for i in term.support:
+                    residual[i] -= term.weight
                 assert all(v >= 0 for v in residual)
                 assert is_t_hot_representable(tuple(residual), t)
         result["detail"] = (
@@ -285,9 +288,9 @@ def test_criterion_9_full_scale_reproduction() -> None:
 
         # Greedy decomposition trace of the capped vector.
         decomp = decompose_t_hot(split.px1, 3)
-        assert [(term.weight, term.omega) for term in decomp.terms] == [
-            (F(1, 10), (0, 1, 1, 1)),
-            (F(1, 20), (1, 0, 1, 1)),
+        assert [(term.weight, term.support) for term in decomp.terms] == [
+            (F(1, 10), (1, 2, 3)),
+            (F(1, 20), (0, 2, 3)),
         ]
         checks += 1
 

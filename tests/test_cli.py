@@ -285,6 +285,10 @@ def test_usage_errors_exit_2(capsys, tmp_path) -> None:
     assert main(["construct", "--alpha", "0.9", "--t", "3"]) == 2
     assert main(["construct", *INSTANCE_A, "--term", "0.1:110"]) == 2
     assert main(["construct", *INSTANCE_B, "--method", "b", "--term", "0.1:bad"]) == 2
+    # BITS of mixed widths, and BITS wider than N + pseudo tokens (3 + 0 here).
+    mixed = ["--term", "0.1:1100", "--term", "0.2:011", "--term", "0.2:0011"]
+    assert main(["construct", *INSTANCE_B, "--method", "b", "--force-pseudo", *mixed]) == 2
+    assert main(["construct", *INSTANCE_B, "--method", "b", *TERMS_B]) == 2
     assert main(["construct", *INSTANCE_A, "--force-pseudo"]) == 2
     assert main(["export", "nonexistent.json"]) == 2
     bad_cfg = tmp_path / "bad.cfg"

@@ -16,6 +16,7 @@ from layered_reference import (
     step_decomposition,
 )
 from keymark.construct_a import (
+    KeyListing,
     _structural_pairs,
     anchored_cell_count,
     build_pm1,
@@ -81,23 +82,43 @@ def test_structural_keys_match_filter() -> None:
     for n, t in [(3, 2), (4, 3), (5, 2), (4, 4)]:
         ks = enumerate_reduced_keyset(n, t)
         for support in [tuple(range(t)), tuple(range(n - t, n))]:
-            omega = tuple(1 if i in support else 0 for i in range(n))
             expected = {
                 i
                 for i in range(len(ks))
                 if {p for p, v in enumerate(ks.key(i)) if v} == set(support)
             }
-            pairs = _structural_pairs(ks, omega)
+            pairs = _structural_pairs(ks, support)
             assert {idx for idx, _ in pairs} == expected
             assert len(pairs) == math.factorial(t)
 
 
 def test_structural_keys_validation() -> None:
-    ks = enumerate_reduced_keyset(4, 3)
-    with pytest.raises(ParameterError):
-        _structural_pairs(ks, (1, 1, 1))
-    with pytest.raises(ParameterError):
-        _structural_pairs(ks, (1, 1, 0, 0))
+    # _structural_pairs takes a support as given.  THotDecomposition refuses
+    # a repeated, unsorted, negative, non-integer or out-of-range position
+    # as it is built; build_pm1 refuses a count other than T and a length
+    # other than the key length.  Each raises ParameterError before any key
+    # is listed.  (construct_b's own cases are in test_construct_b.)
+    keyset = ReducedKeySet(4, 2)
+    cases = [
+        ((1, 1), 4, "not increasing in"),
+        ((1, 0), 4, "not increasing in"),
+        ((-1, 1), 4, "not increasing in"),
+        ((0, 4), 4, r"not increasing in \[0:4\)"),
+        ((0.0, 1), 4, "must be an integer"),
+        ((0, 1, 2), 4, "not 2-hot"),
+        ((0,), 4, "not 2-hot"),
+        ((0, 4), 5, "length 5 != key length 4"),
+    ]
+    for support, length, match in cases:
+        terms = [(support, F(1, 10)), ((1, 2), F(1, 5)), ((2, 3), F(1, 5))]
+        listing = KeyListing(2)
+        with pytest.raises(ParameterError, match=match):
+            decomposition = THotDecomposition(tuple(THotTerm(s, w) for s, w in terms), length)
+            build_pm1(decomposition, keyset, listing)
+        assert listing.keys == {}
+    # A float weight is not an exact rational.
+    with pytest.raises(ParameterError, match="term weight must be an int or a Fraction"):
+        THotDecomposition((THotTerm((0, 1), 0.5),), 4)
 
 
 def test_anchored_keys_match_filter() -> None:
@@ -136,7 +157,7 @@ def test_structural_listing_cap() -> None:
     # T! structural keys per term: 9! = 362,880 fit, 10! = 3,628,800 do not,
     # so build_pm1 refuses even one 10-hot term.
     assert math.factorial(9) <= ENUMERATION_CAP < math.factorial(10)
-    one_term = THotDecomposition((THotTerm((1,) * 10, F(1, 10)),))
+    one_term = THotDecomposition((THotTerm(tuple(range(10)), F(1, 10)),), 10)
     with pytest.raises(CapacityError, match="3628800 structural keys"):
         build_pm1(one_term, enumerate_reduced_keyset(10, 10))
     # Three 9-hot terms list 3 * 9! keys in all, which build_pm1 refuses.

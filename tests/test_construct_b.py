@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,11 @@ PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
 PX_B = TokenDistribution.from_strings(["0.1", "0.3", "0.6"])
 
 TERMS_B = THotDecomposition(
-    tuple(THotTerm(omega, weight) for weight, omega in INSTANCE_B_TERMS)
+    tuple(
+        THotTerm(tuple(i for i, bit in enumerate(omega) if bit), weight)
+        for weight, omega in INSTANCE_B_TERMS
+    ),
+    4,
 )
 
 
@@ -81,15 +86,15 @@ def test_construct_b_golden_folded_tables() -> None:
 
 
 def test_construct_b_rejects_bad_injected_decompositions() -> None:
-    short = THotDecomposition((THotTerm((1, 1, 0), F(1, 2)),))
-    with pytest.raises(ParameterError, match="lengths"):
+    short = THotDecomposition((THotTerm((0, 1), F(1, 2)),), 3)
+    with pytest.raises(ParameterError, match="supplied length 3 != key length 4"):
         construct_b(PX_B, F(4, 5), 2, force_pseudo=True, decomposition=short)
-    wrong_sum = THotDecomposition((THotTerm((1, 1, 0, 0), F(1, 2)),))
+    wrong_sum = THotDecomposition((THotTerm((0, 1), F(1, 2)),), 4)
     with pytest.raises(ParameterError, match="reconstruct"):
         construct_b(PX_B, F(4, 5), 2, force_pseudo=True, decomposition=wrong_sum)
 
 
-GREEDY_B = [(omega, weight) for weight, omega in INSTANCE_B_TERMS]
+GREEDY_B = [(term.support, term.weight) for term in TERMS_B.terms]
 
 
 @pytest.mark.parametrize(
@@ -97,25 +102,34 @@ GREEDY_B = [(omega, weight) for weight, omega in INSTANCE_B_TERMS]
     [
         # Four extra terms that cancel out.
         (
-            GREEDY_B + [((1, 1, 0, 0), F(1, 100)), ((0, 0, 1, 1), F(1, 100)),
-                        ((1, 0, 1, 0), F(-1, 100)), ((0, 1, 0, 1), F(-1, 100))],
+            GREEDY_B + [((0, 1), F(1, 100)), ((2, 3), F(1, 100)),
+                        ((0, 2), F(-1, 100)), ((1, 3), F(-1, 100))],
             "non-positive weight",
         ),
-        (GREEDY_B + [((1, 1, 0, 0), F(0))], "non-positive weight"),
-        # reconstruct() reads any nonzero bit as 1, so entries 2 slip through it.
-        ([((2, 2, 0, 0), F(1, 10))] + GREEDY_B[1:], "2-hot"),
+        (GREEDY_B + [((0, 1), F(0))], "non-positive weight"),
+        # A repeated position would add the weight to its entry twice.
+        ([((0, 0), F(1, 20)), ((1, 1), F(1, 20))] + GREEDY_B[1:], "not increasing"),
         (
-            [((1, 0, 0, 0), F(1, 10)), ((0, 1, 1, 1), F(1, 10)), ((0, 1, 1, 0), F(1, 10)),
-             ((0, 1, 1, 1), F(1, 10)), ((0, 0, 1, 0), F(1, 10))],
+            [((0,), F(1, 10)), ((1, 2, 3), F(1, 10)), ((1, 2), F(1, 10)),
+             ((1, 2, 3), F(1, 10)), ((2,), F(1, 10))],
             "2-hot",
         ),
     ],
-    ids=["cancelling", "zero-weight", "entry-2", "mixed-widths"],
+    ids=["cancelling", "zero-weight", "repeats", "mixed-widths"],
 )
 def test_construct_b_rejects_terms_that_reconstruct_but_are_not_t_hot(terms, match) -> None:
-    decomposition = THotDecomposition(tuple(THotTerm(omega, weight) for omega, weight in terms))
-    assert decomposition.reconstruct(4) == extend_px(PX_B, F(4, 5), 2, force_pseudo=True).px_prime
+    # Each case sums to the extended vector, position by position.
+    total = [F(0)] * 4
+    for support, weight in terms:
+        for i in support:
+            total[i] += weight
+    assert tuple(total) == extend_px(PX_B, F(4, 5), 2, force_pseudo=True).px_prime
+    # A bad weight or position is refused as the decomposition is built, a
+    # count other than T when construct_b lists the keys.
     with pytest.raises(ParameterError, match=match):
+        decomposition = THotDecomposition(
+            tuple(THotTerm(support, weight) for support, weight in terms), 4
+        )
         construct_b(PX_B, F(4, 5), 2, force_pseudo=True, decomposition=decomposition)
 
 
@@ -202,3 +216,21 @@ def test_constructions_on_a_zipf_vocabulary_of_200() -> None:
         scheme = builder(px, F(1, 2), 3)
         assert check_scheme(scheme).ok
         assert error_report(scheme).gap == 0
+
+
+def test_pseudo_path_memory_grows_linearly_in_key_length() -> None:
+    # Forced pseudo tokens at alpha = 1/500 and 1/1000 give keys of 1,000
+    # and 2,000 positions.  Terms carry T support positions, so doubling the
+    # key length about doubles the traced peak; a dense length-L vector per
+    # term would make it grow about fourfold.
+    px = TokenDistribution.from_strings(["0.5", "0.25", "0.25"])
+    peaks = []
+    for alpha in (F(1, 500), F(1, 1000)):
+        tracemalloc.start()
+        try:
+            scheme = construct_b(px, alpha, 2, force_pseudo=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert scheme.keyset.length == 2 / alpha
+    assert peaks[1] <= 2.5 * peaks[0], peaks

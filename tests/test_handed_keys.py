@@ -34,7 +34,8 @@ def halved_terms(px: TokenDistribution, alpha: F, t: int) -> THotDecomposition:
     ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t)
     terms = decompose_t_hot(ext.px_prime, t).terms
     return THotDecomposition(
-        tuple(THotTerm(term.omega, term.weight / 2) for term in reversed(terms) for _ in range(2))
+        tuple(THotTerm(term.support, term.weight / 2) for term in reversed(terms) for _ in range(2)),
+        len(ext.px_prime),
     )
 
 
@@ -132,7 +133,7 @@ def test_unchecked_rank_of_anchored_keys(length: int, t: int, anchors: list[int]
 
 @pytest.mark.parametrize("n, pseudo", [(4, 0), (7, 0), (5, 3), (6, 2), (3, 6)])
 def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
-    """Every structural key of a random T-hot 0/1 omega ranks by
+    """Every structural key of a random T-position support ranks by
     unchecked_index to its sparse_index and unranks back to itself, also on
     keys longer than the n real tokens, as construct_b's pseudo slots make
     them."""
@@ -142,15 +143,14 @@ def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
     for t in range(1, min(length, 5) + 1):
         keyset = ReducedKeySet(length, t)
         for _ in range(8):
-            support = set(rng.sample(range(length), t))
+            support = sorted(rng.sample(range(length), t))
             reached_pseudo += max(support) >= n
-            omega = [int(pos in support) for pos in range(length)]
             listing = KeyListing(t)
-            pairs = _structural_pairs(keyset, omega, listing)
+            pairs = _structural_pairs(keyset, support, listing)
             assert len({idx for idx, _ in pairs}) == len(pairs) == math.factorial(t)
             assert listing.keys == dict(pairs)
             for idx, key in pairs:
-                assert {pos for pos, _ in key} == support
+                assert [pos for pos, _ in key] == support
                 assert keyset.unchecked_index(key) == keyset.sparse_index(key) == idx
                 assert keyset.sparse_key(idx) == key
     assert reached_pseudo > 0 if pseudo else reached_pseudo == 0

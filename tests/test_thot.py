@@ -35,10 +35,10 @@ def test_worked_greedy_trace_t3() -> None:
     a = [F(1, 20), F(1, 10), F(3, 20), F(3, 20)]
     decomp = decompose_t_hot(a, 3)
     assert decomp.terms == (
-        THotTerm((0, 1, 1, 1), F(1, 10)),
-        THotTerm((1, 0, 1, 1), F(1, 20)),
+        THotTerm((1, 2, 3), F(1, 10)),
+        THotTerm((0, 2, 3), F(1, 20)),
     )
-    assert decomp.reconstruct(4) == tuple(a)
+    assert decomp.reconstruct() == tuple(a)
 
 
 def test_worked_greedy_trace_t2() -> None:
@@ -46,39 +46,39 @@ def test_worked_greedy_trace_t2() -> None:
     a = [F(1, 10), F(3, 10), F(2, 5), F(1, 5)]
     decomp = decompose_t_hot(a, 2)
     assert decomp.terms == (
-        THotTerm((0, 1, 1, 0), F(3, 10)),
-        THotTerm((1, 0, 0, 1), F(1, 10)),
-        THotTerm((0, 0, 1, 1), F(1, 10)),
+        THotTerm((1, 2), F(3, 10)),
+        THotTerm((0, 3), F(1, 10)),
+        THotTerm((2, 3), F(1, 10)),
     )
-    assert decomp.reconstruct(4) == tuple(a)
+    assert decomp.reconstruct() == tuple(a)
 
 
 def test_boundary_vector_single_term() -> None:
     a = [F(1, 4), F(1, 4), F(1, 2)]
     # t=2 boundary: weight is capped by the outer entry at index 0 or 1.
     decomp = decompose_t_hot(a, 2)
-    assert decomp.reconstruct(3) == tuple(a)
+    assert decomp.reconstruct() == tuple(a)
     assert len(decomp.terms) <= 3
 
 
 def test_zero_vector_decomposes_to_nothing() -> None:
     decomp = decompose_t_hot([F(0), F(0)], 1)
     assert decomp.terms == ()
-    assert decomp.reconstruct(2) == (F(0), F(0))
+    assert decomp.reconstruct() == (F(0), F(0))
 
 
 def test_t_equals_length() -> None:
     a = [F(1, 3), F(1, 3), F(1, 3)]
     decomp = decompose_t_hot(a, 3)
-    assert decomp.terms == (THotTerm((1, 1, 1), F(1, 3)),)
+    assert decomp.terms == (THotTerm((0, 1, 2), F(1, 3)),)
 
 
 def test_t_equals_one() -> None:
     a = [F(2, 5), F(3, 5)]
     decomp = decompose_t_hot(a, 1)
-    assert decomp.reconstruct(2) == tuple(a)
+    assert decomp.reconstruct() == tuple(a)
     for term in decomp.terms:
-        assert sum(term.omega) == 1
+        assert len(term.support) == 1
 
 
 @st.composite
@@ -101,12 +101,13 @@ def test_greedy_reconstructs_exactly(case) -> None:
     values, t = case
     assert is_t_hot_representable(values, t)
     decomp = decompose_t_hot(values, t)
-    assert decomp.reconstruct(len(values)) == tuple(values)
+    assert decomp.length == len(values)
+    assert decomp.reconstruct() == tuple(values)
     assert len(decomp.terms) <= len(values)
     for term in decomp.terms:
         assert term.weight > 0
-        assert sum(term.omega) == t
-        assert set(term.omega) <= {0, 1}
+        assert len(term.support) == t
+        assert list(term.support) == sorted(set(term.support) & set(range(len(values))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,9 +117,8 @@ def test_first_term_keeps_representability(case) -> None:
     decomp = decompose_t_hot(values, t)
     residual = list(values)
     for term in decomp.terms:
-        for i, bit in enumerate(term.omega):
-            if bit:
-                residual[i] -= term.weight
+        for i in term.support:
+            residual[i] -= term.weight
         assert all(v >= 0 for v in residual)
         assert t * max(residual) <= sum(residual)
     assert sum(residual) == 0
@@ -149,7 +149,7 @@ def reference_decompose(a, t):
         )
         weight = F(min(inner, outer), t)
         assert weight > 0
-        terms.append(THotTerm(tuple(1 if i in support else 0 for i in range(length)), weight))
+        terms.append(THotTerm(tuple(sorted(support)), weight))
         for j in support:
             residual[j] -= weight
         assert all(v >= 0 for v in residual)
@@ -159,7 +159,7 @@ def reference_decompose(a, t):
         frozen = grown
     else:
         raise AssertionError("no termination")
-    return THotDecomposition(tuple(terms))
+    return THotDecomposition(tuple(terms), length)
 
 
 @st.composite
@@ -204,6 +204,6 @@ def test_reconstructs_zipf_px1_at_4096_tokens() -> None:
     px = TokenDistribution.from_fractions(sorted(F(u, grid) for u in units))
     px1 = split_px(px, F(1, 2), 3).px1
     decomp = decompose_t_hot(px1, 3)
-    assert decomp.reconstruct(length) == px1
+    assert decomp.reconstruct() == px1
     assert len(decomp.terms) <= length
-    assert all(term.weight > 0 and sum(term.omega) == 3 for term in decomp.terms)
+    assert all(term.weight > 0 and len(term.support) == 3 for term in decomp.terms)
