@@ -16,6 +16,10 @@ there directly:
          gap_m * px3(x)/R per token, R = sum(px3), and parks the
          remainder on the all-zero key.
 
+An anchored key's part-2 and part-3 rows depend only on its tail, its
+entries at the K anchors, so both parts are built once per tail class (the
+keys with one tail) and shared by the class's keys.
+
 The builders list every key in sparse form at its final positions, a
 member of the reduced key set by construction, and rank it once without
 the validating search.  A KeyListing collects the keys, and the scheme takes
@@ -44,6 +48,7 @@ from .core import (
     add_mass,
     check_instance,
     check_listing,
+    exact_rational,
     merge_tables,
 )
 from .errors import InvariantError, ParameterError
@@ -64,15 +69,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ImbalanceLedger:
-    """Row-sum imbalance of the part-2 tables.
+    """Row-sum imbalance of the part-2 tables, one entry per tail class.
 
-    per_key[key_index][m-1] is the gap between that key's largest row sum
-    over messages and its row sum under m; keys whose gaps are all zero are
-    left out.  Keys with the same tail share one gaps tuple.  The total gap
-    is the same for every message; total stores that common value.
+    classes holds one (members, gaps) per tail class: the indices of its
+    keys, which share their part-2 rows, and gaps[m-1], the gap between each
+    member's largest row sum over messages and its row sum under m.  The
+    total gap is the same for every message; total stores that common value.
     """
 
-    per_key: dict[int, tuple[Fraction, ...]]
+    classes: tuple[tuple[list[int], tuple[Fraction, ...]], ...]
     total: Fraction
 
 
@@ -211,63 +216,66 @@ def build_pm1(
     return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
 
 
+def _exact_entries(values: Sequence[Fraction], what: str, length: int) -> list[Fraction]:
+    """values as Fractions, one per key position; a float, bool or negative
+    entry, or a count other than length, raises ParameterError."""
+    entries = [exact_rational(v, f"{what} entry") for v in values]
+    if len(entries) != length:
+        raise ParameterError(f"{what} has {len(entries)} entries, key length {length}")
+    if any(v < 0 for v in entries):
+        raise ParameterError(f"{what} has a negative entry")
+    return entries
+
+
 def build_pm2(
     px2: Sequence[Fraction], keyset: KeySet, listing: KeyListing | None = None
 ) -> tuple[list[JointTable], ImbalanceLedger]:
     """Spread px2 over the anchored keys: one cell px2(x)/c per anchor token.
 
-    px2 must be non-negative with K <= T-1 positive entries; their positions,
-    wherever they sit, are the anchors.  An anchored key (nonzero at every
-    anchor) that holds message m at anchor token x gets px2(x)/c in table m,
-    where c = anchored_cell_count(L, T, K) keys share each (token, message)
-    pair; a count other than c raises InvariantError.  Row sums now differ
-    across messages; the returned ledger records the per-key gaps and their
-    total (equal for every message).  A key's part-2 rows depend only on its
-    entries at the anchors, so the row sums, peak and gaps are taken once per
-    distinct tail and each class adds gap * class size to the totals.  The
-    totals must agree across messages and equal the closed form
+    px2 must hold one non-negative int or Fraction per key position, K <= T-1
+    of them positive; their positions, wherever they sit, are the anchors.
+    An anchored key (nonzero at every anchor) that holds message m at anchor
+    token x gets px2(x)/c in table m, where c = anchored_cell_count(L, T, K)
+    keys share each (token, message) pair; a count other than c raises
+    InvariantError.  Each tail class's one-cell rows, row sums and gaps are taken once from
+    its tail and shared by its members.  Row sums now differ across
+    messages; the returned ledger records each class's gaps and their total
+    (equal for every message), which must equal the closed form
     T*max(px2) - sum(px2), or InvariantError is raised.  listing, when
     given, records each anchored key.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-2 allocation requires the reduced key set")
     t, length = keyset.t, keyset.length
-    if any(v < 0 for v in px2):
-        raise ParameterError("px2 has a negative entry")
+    px2 = _exact_entries(px2, "px2", length)
     anchors = [i for i, v in enumerate(px2) if v > 0]
     k = len(anchors)
     if k == 0:
-        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
+        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger((), Fraction(0))
     if k > t - 1:
         raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
-    anchored = _anchored_tails(keyset, anchors, listing)
     cell_count = anchored_cell_count(length, t, k)
     slots = [(pos + 1, Fraction(px2[pos], cell_count)) for pos in anchors]
     hits = [[0] * t for _ in range(k)]
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
-    for tail, members in anchored:
+    classes = []
+    totals = [Fraction(0)] * t
+    for tail, members in _anchored_tails(keyset, anchors, listing):
+        sums = [Fraction(0)] * t
         for (token, share), m, slot_hits in zip(slots, tail, hits):
-            rows = rows_per_m[m - 1]
-            for idx in members:
-                rows.setdefault(idx, {})[token] = share
+            # JointTable copies every row, so the members can share this one.
+            rows_per_m[m - 1].update(dict.fromkeys(members, {token: share}))
+            sums[m - 1] = share
             slot_hits[m - 1] += len(members)
+        peak = max(sums)
+        gaps = tuple(peak - s for s in sums)
+        classes.append((members, gaps))
+        for m_i, gap in enumerate(gaps):
+            totals[m_i] += gap * len(members)
     for slot_hits in hits:
         for count in slot_hits:
             if count != cell_count:
                 raise InvariantError(f"anchored slice size {count} != expected {cell_count}")
-    tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
-
-    # Keys sharing a tail share their part-2 rows: one member stands for all.
-    per_key: dict[int, tuple[Fraction, ...]] = {}
-    totals = [Fraction(0)] * t
-    for _, members in anchored:
-        sums = [tables[m - 1].row_sum(members[0]) for m in range(1, t + 1)]
-        peak = max(sums)
-        gaps = tuple(peak - s for s in sums)
-        if any(gaps):
-            per_key.update(dict.fromkeys(members, gaps))
-        for m_i, gap in enumerate(gaps):
-            totals[m_i] += gap * len(members)
     if len(set(totals)) != 1:
         raise InvariantError(f"imbalance totals differ across messages: {totals}")
     expected_total = t * max(px2) - sum(px2, Fraction(0))
@@ -275,7 +283,8 @@ def build_pm2(
         raise InvariantError(
             f"measured imbalance {totals[0]} != closed form {expected_total}"
         )
-    return tables, ImbalanceLedger(per_key, totals[0])
+    tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+    return tables, ImbalanceLedger(tuple(classes), totals[0])
 
 
 def build_pm3(
@@ -283,16 +292,18 @@ def build_pm3(
 ) -> list[JointTable]:
     """Cancel the part-2 imbalance with px3 mass and park the rest on key 0.
 
-    Each key in the ledger gets gap_m * px3(x)/R under message m on every
-    token x with px3(x) > 0, where R = sum(px3); this lifts its row sum
-    under m to its peak.  Keys of one tail class share their gaps, so the
-    cells are computed once per class.  Every token with leftover
-    cap then puts px3(x)*(1 - U/R) on the all-zero key, U = ledger.total.
+    px3 must hold one non-negative int or Fraction per key position.  Each
+    key in the ledger gets gap_m * px3(x)/R under message m on every token x
+    with px3(x) > 0, where R = sum(px3); this lifts its row sum under m to
+    its peak.  The cells are computed once per tail class and shared by its
+    members.  Every token with leftover cap then puts px3(x)*(1 - U/R) on
+    the all-zero key, U = ledger.total.
     """
     t, length = keyset.t, keyset.length
+    px3 = _exact_entries(px3, "px3", length)
     total_overshoot = sum(px3, Fraction(0))
     tables: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
-    support = [x for x in range(1, length + 1) if x <= len(px3) and px3[x - 1] > 0]
+    support = [x for x in range(1, length + 1) if px3[x - 1] > 0]
     if total_overshoot == 0:
         if ledger.total != 0:
             raise InvariantError("imbalance positive but no mass left to cancel it")
@@ -302,18 +313,10 @@ def build_pm3(
             f"imbalance {ledger.total} exceeds remaining mass {total_overshoot}"
         )
     weights = [(x, px3[x - 1] / total_overshoot) for x in support]
-    # Keyed by the identity of the gaps tuple that a tail class shares, so
-    # no Fraction is hashed per key; per_key keeps every tuple alive.
-    rows_by_class: dict[int, list[dict[int, Fraction]]] = {}
-    for idx, gaps in ledger.per_key.items():
-        class_rows = rows_by_class.get(id(gaps))
-        if class_rows is None:
-            class_rows = rows_by_class[id(gaps)] = [
-                {x: gap * w for x, w in weights} if gap else {} for gap in gaps
-            ]
-        for rows, row in zip(tables, class_rows):
-            if row:
-                rows[idx] = dict(row)
+    for members, gaps in ledger.classes:
+        for rows, gap in zip(tables, gaps):
+            if gap:
+                rows.update(dict.fromkeys(members, {x: gap * w for x, w in weights}))
     leftover = 1 - Fraction(ledger.total, total_overshoot)
     for m in range(1, t + 1):
         for x in support:

@@ -18,10 +18,11 @@ Relabelling messages and key values together by any sigma in S_T maps
 column (m, x, k) to (sigma m, x, sigma o k), z_k to z_(sigma o k), fixes t,
 and maps rows the same way.  When the key set is closed under it, the LP
 is invariant, so it has an optimum constant on each column orbit (Bödi,
-Herr & Joswig 2013).  solve() then runs the simplex on the orbit quotient
-(one variable per column orbit, one collapsed row per row orbit) and
-lifts the solution back.  Either way, solve() accepts an optimum only once
-its dual passes check_dual on the full LP with the optimum as its value.
+Herr & Joswig 2013).  solve() runs the simplex on the orbit quotient (one
+variable per column orbit, one collapsed row per row orbit) and lifts the
+solution back; an LP without that symmetry is its own quotient, with one
+orbit per column and per row.  solve() accepts an optimum only once its
+dual passes check_dual on the full LP with the optimum as its value.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """values and dual index the columns and rows of the full LP, also when
-    the simplex ran on the orbit quotient.  solved_variables and solved_rows
-    give the size of the LP that the simplex ran.  pivots is the total; the
+    """values and dual index the columns and rows of the full LP, lifted
+    from the orbit quotient that the simplex ran.  solved_variables and
+    solved_rows give the size of that quotient.  pivots is the total; the
     phase counts and degenerate (ratio 0) pivots are the simplex telemetry
     of SimplexResult."""
 
@@ -224,11 +225,12 @@ def _key_images(
         return None
 
 
-def _orbits(perms: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """The orbit of each point under the group that perms generate, and the
-    points of each orbit; orbits are numbered by their smallest point, which
-    comes first in its list."""
-    label = [-1] * len(perms[0])
+def _orbits(count: int, perms: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The orbit of each of count points under the group that perms
+    generate, and the points of each orbit; orbits are numbered by their
+    smallest point, which comes first in its list.  With no perms every
+    orbit is a singleton."""
+    label = [-1] * count
     members: list[list[int]] = []
     for start in range(len(label)):
         if label[start] < 0:
@@ -284,12 +286,13 @@ def _solve_quotient(
     its coefficients on O.  The rows of one orbit collapse to the same row,
     and one is kept.  The lifted dual spreads y_R evenly over the |R| rows
     of orbit R, which makes each full reduced cost the quotient one divided
-    by the size of the column orbit, and keeps the value."""
-    col_orbit, col_members = _orbits([cols for cols, _, _ in maps])
+    by the size of the column orbit, and keeps the value.  With no maps the
+    quotient is the full LP."""
+    col_orbit, col_members = _orbits(problem.nvars, [cols for cols, _, _ in maps])
     objective = [sum((problem.objective[j] for j in orbit), Fraction(0)) for orbit in col_members]
 
     def collapse(rows, rhs, images):
-        row_orbit, row_members = _orbits(images)
+        row_orbit, row_members = _orbits(len(rows), images)
         collapsed = []
         for orbit in row_members:
             row: dict[int, Fraction] = {}
@@ -316,21 +319,11 @@ def _solve_quotient(
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Run the simplex on the orbit quotient when the problem is invariant
-    under relabelling messages, and on the full LP otherwise.  An optimum
-    is returned only once its dual passes check_dual on the full LP with
-    the simplex optimum as its value; otherwise SolverError is raised."""
-    maps = _symmetry(problem)
-    if maps is not None:
-        result, values, dual, variables, rows = _solve_quotient(problem, maps)
-    else:
-        result = simplex_solve(
-            problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
-        )
-        values, dual = result.values, None
-        if result.status == "optimal":
-            dual = DualCertificate(result.dual_ineq, result.dual_eq)
-        variables, rows = problem.nvars, len(problem.ineq) + len(problem.eq)
+    """Run the simplex on the orbit quotient under relabelling messages, or
+    on the full LP, its own quotient, when the problem is not invariant.  An
+    optimum is returned only once its dual passes check_dual on the full LP
+    with the simplex optimum as its value; otherwise SolverError is raised."""
+    result, values, dual, variables, rows = _solve_quotient(problem, _symmetry(problem) or [])
     if dual is not None:
         feasible, value = check_dual(problem, dual)
         if not feasible or value != result.objective:

@@ -101,13 +101,13 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     if t * max(residual) > total:
         raise ParameterError(f"vector is not {t}-hot representable")
 
-    def order_key(i: int) -> tuple[Fraction, int]:
-        return -residual[i], i
+    # rank[i] = (-residual[i], i), kept current, so a probe only reads it.
+    rank = [(-v, i) for i, v in enumerate(residual)]
 
     def boundary() -> list[int]:
         return list(takewhile(lambda i: t * residual[i] == total, order))
 
-    order = sorted(range(length), key=order_key)
+    order = sorted(range(length), key=rank.__getitem__)
     terms: list[THotTerm] = []
     frozen = boundary()
     for _ in range(length + 1):
@@ -123,7 +123,8 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
         del order[:t]
         for j in support:
             residual[j] -= weight
-            insort(order, j, key=order_key)
+            rank[j] = (-residual[j], j)
+            insort(order, j, key=rank.__getitem__)
         total -= t * weight
         if any(residual[j] < 0 for j in support):
             raise InvariantError("residual went negative")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from keymark.construct_a import ImbalanceLedger, _anchored_tails, anchored_cell_count
+from keymark.construct_a import _anchored_tails, anchored_cell_count
 from keymark.core import (
     JointTable,
     KeySet,
@@ -103,12 +103,13 @@ def anchored_indices(keyset: KeySet, k: int) -> set[int]:
 
 def build_pm2_layered(
     px2: Sequence[Fraction], keyset: KeySet
-) -> tuple[list[JointTable], ImbalanceLedger]:
-    """Part 2 one step layer at a time, with the ledger measured per key."""
+) -> tuple[list[JointTable], dict[int, tuple[Fraction, ...]], Fraction]:
+    """Part 2 one step layer at a time, with the imbalance measured per key:
+    the tables, the gaps of every key with a nonzero gap, and the total."""
     t, length = keyset.t, keyset.length
     steps = step_decomposition(px2, t)
     if steps.k == 0:
-        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger({}, Fraction(0))
+        return [JointTable(m, {}) for m in range(1, t + 1)], {}, Fraction(0)
     k = steps.k
     anchored = anchored_pairs(keyset, k)
     cell_count = anchored_cell_count(length, t, k)
@@ -132,16 +133,17 @@ def build_pm2_layered(
         if any(gaps):
             per_key[idx] = gaps
         total += gaps[0]
-    return tables, ImbalanceLedger(per_key, total)
+    return tables, per_key, total
 
 
 def build_pm3_layered(
     px3: Sequence[Fraction],
     steps: StepDecomposition,
-    ledger: ImbalanceLedger,
+    imbalance: Fraction,
     keyset: KeySet,
 ) -> list[JointTable]:
-    """Part 3 one step layer at a time, then the leftover on the zero key."""
+    """Part 3 one step layer at a time, then the leftover on the zero key;
+    imbalance is the part-2 total gap."""
     t, length = keyset.t, keyset.length
     total_overshoot = sum(px3, Fraction(0))
     tables: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
@@ -160,7 +162,7 @@ def build_pm3_layered(
                     share = px3[x - 1] / total_overshoot * layer_mass / len(eligible)
                     for idx in eligible:
                         add_mass(tables[m - 1], idx, x, share)
-    leftover = 1 - Fraction(ledger.total, total_overshoot)
+    leftover = 1 - Fraction(imbalance, total_overshoot)
     for m in range(1, t + 1):
         for x in support:
             add_mass(tables[m - 1], keyset.zero_index, x, px3[x - 1] * leftover)

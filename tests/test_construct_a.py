@@ -16,6 +16,7 @@ from layered_reference import (
     step_decomposition,
 )
 from keymark.construct_a import (
+    ImbalanceLedger,
     KeyListing,
     _structural_pairs,
     anchored_cell_count,
@@ -198,12 +199,39 @@ def test_step_decomposition_empty() -> None:
     assert step_decomposition((F(0), F(0)), 2).increments == ()
 
 
+def per_key(ledger: ImbalanceLedger) -> dict[int, tuple[F, ...]]:
+    """The ledger's gaps expanded to every member of every tail class."""
+    return {idx: gaps for members, gaps in ledger.classes for idx in members}
+
+
 def test_build_pm2_validation() -> None:
     # More than t-1 positive entries and a negative entry.
     with pytest.raises(ParameterError):
         build_pm2((F(0), F(1, 10), F(1, 5)), ReducedKeySet(3, 2))
     with pytest.raises(ParameterError):
         build_pm2((F(0), F(-1, 10), F(1, 10)), ReducedKeySet(3, 3))
+
+
+@pytest.mark.parametrize("bad", [0.2, True, F(-1, 10), -1])
+def test_part_builders_refuse_inexact_or_negative_entries(bad) -> None:
+    # A float or bool is not an exact rational, and no part takes negative
+    # mass: each ends in ParameterError, not a TypeError or InvariantError.
+    keyset = ReducedKeySet(3, 2)
+    with pytest.raises(ParameterError, match="px2"):
+        build_pm2((F(0), F(0), bad), keyset)
+    with pytest.raises(ParameterError, match="px3"):
+        build_pm3((F(1, 10), F(1, 5), bad), ImbalanceLedger((), F(0)), keyset)
+
+
+def test_part_builders_refuse_a_length_other_than_the_key_length() -> None:
+    # A longer px2 reached past the key positions (IndexError), and a longer
+    # px3 lost its extra mass without a word.
+    keyset = ReducedKeySet(3, 2)
+    for entries in ((F(0), F(0)), (F(0), F(0), F(0), F(1, 10))):
+        with pytest.raises(ParameterError, match="px2 has .* entries, key length 3"):
+            build_pm2(entries, keyset)
+        with pytest.raises(ParameterError, match="px3 has .* entries, key length 3"):
+            build_pm3(entries, ImbalanceLedger((), F(0)), keyset)
 
 
 def test_build_pm1_golden() -> None:
@@ -235,7 +263,7 @@ def test_build_pm2_golden() -> None:
     # Example gap row: key (2,0,3,1) gets 3/80 under m=1, nothing under m=2,
     # 1/40 under m=3, so its gaps are (0, 3/80, 1/80).
     idx = keyset.index((2, 0, 3, 1))
-    assert ledger.per_key[idx] == (F(0), F(3, 80), F(1, 80))
+    assert per_key(ledger)[idx] == (F(0), F(3, 80), F(1, 80))
 
 
 def test_build_pm2_imbalance_totals_match_tables() -> None:
@@ -258,7 +286,7 @@ def test_build_pm2_empty_tail() -> None:
     tables, ledger = build_pm2((F(0), F(0), F(0)), keyset)
     assert all(t.total_mass() == 0 for t in tables)
     assert ledger.total == 0
-    assert ledger.per_key == {}
+    assert ledger.classes == ()
 
 
 def test_build_pm3_golden_cells() -> None:
@@ -410,8 +438,9 @@ def test_restore_token_order_matches_per_cell_reference(case) -> None:
 
 
 def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
-    """ledger.per_key holds exactly the anchored keys with a nonzero gap, each
-    with the gaps recomputed from that key's own row sums."""
+    """The ledger's classes, expanded per key, hold exactly the anchored keys
+    with a nonzero gap, each with the gaps recomputed from that key's own
+    row sums."""
     tables, ledger = build_pm2(px2, keyset)
     expected = {}
     for idx in anchored_indices(keyset, k):
@@ -419,7 +448,7 @@ def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
         gaps = tuple(max(sums) - s for s in sums)
         if any(gaps):
             expected[idx] = gaps
-    assert ledger.per_key == expected
+    assert per_key(ledger) == expected
 
 
 def test_build_pm2_per_key_ledger_random_leveling() -> None:
@@ -445,6 +474,28 @@ def test_build_pm2_per_key_ledger_heavy_shape() -> None:
     assert_ledger_per_key(split.px2, ReducedKeySet(40, 3), 1)
 
 
+@pytest.mark.parametrize("anchors", [(3,), (0, 2, 5)])
+def test_ledger_classes_partition_anchored_keys(anchors) -> None:
+    """At K = 1 and K = T-1, anchors off the tail: the classes partition the
+    anchored keys, the members of a class share one tail and no two classes
+    do, and every class holds perm(L-K, T-K) keys."""
+    n, t, k = 6, 4, len(anchors)
+    keyset = enumerate_reduced_keyset(n, t)
+    px2 = [F(pos + 1, 40) if pos in anchors else F(0) for pos in range(n)]
+    _, ledger = build_pm2(px2, keyset)
+    tails = []
+    for members, gaps in ledger.classes:
+        assert len(members) == math.perm(n - k, t - k)
+        assert any(gaps)
+        member_tails = {tuple(keyset.key(idx)[a] for a in anchors) for idx in members}
+        assert len(member_tails) == 1
+        tails += member_tails
+    assert len(tails) == len(set(tails)) == math.perm(t, k)
+    anchored = [i for i in range(len(keyset)) if all(keyset.key(i)[a] for a in anchors)]
+    assert sorted(per_key(ledger)) == anchored
+    assert sum(len(members) for members, _ in ledger.classes) == len(anchored)
+
+
 def test_closed_form_parts_match_layered_reference() -> None:
     """build_pm2/build_pm3 give the layered builders' tables and ledger cell
     for cell, on sorted views where up to T-1 heavy tokens force leveling."""
@@ -460,12 +511,12 @@ def test_closed_form_parts_match_layered_reference() -> None:
         split = split_px(px, F(rng.randint(5, 99), 100), t)
         keyset = ReducedKeySet(n, t)
         pm2, ledger = build_pm2(split.px2, keyset)
-        pm2_ref, ledger_ref = build_pm2_layered(split.px2, keyset)
+        pm2_ref, per_key_ref, total_ref = build_pm2_layered(split.px2, keyset)
         assert [list(tb.cells()) for tb in pm2] == [list(tb.cells()) for tb in pm2_ref]
-        assert (ledger.per_key, ledger.total) == (ledger_ref.per_key, ledger_ref.total)
+        assert (per_key(ledger), ledger.total) == (per_key_ref, total_ref)
         pm3 = build_pm3(split.px3, ledger, keyset)
         steps = step_decomposition(split.px2, t)
-        pm3_ref = build_pm3_layered(split.px3, steps, ledger_ref, keyset)
+        pm3_ref = build_pm3_layered(split.px3, steps, total_ref, keyset)
         assert [list(tb.cells()) for tb in pm3] == [list(tb.cells()) for tb in pm3_ref]
         widest += t >= 3 and split.K == t - 1
         distinct_steps += len({delta for _, delta in steps.increments if delta}) > 1
