@@ -18,7 +18,8 @@ there directly:
 
 An anchored key's part-2 and part-3 rows depend only on its tail, its
 entries at the K anchors, so both parts are built once per tail class (the
-keys with one tail) and shared by the class's keys.
+keys with one tail) and shared by the class's keys: N-K cyclic windows, not
+all perm(N-K, T-K) keys with its tail, with the same checks and optimum.
 
 The builders list every key in sparse form at its final positions, a
 member of the reduced key set by construction, and rank it once without
@@ -48,6 +49,7 @@ from .core import (
     add_mass,
     check_instance,
     check_listing,
+    exact_int,
     exact_rational,
     merge_tables,
 )
@@ -134,36 +136,30 @@ def _structural_pairs(
 
 
 def _anchored_tails(
-    keyset: ReducedKeySet, anchors: Sequence[int], listing: KeyListing | None = None
+    keyset: ReducedKeySet, anchors: Sequence[int], order: Sequence[int], listing: KeyListing
 ) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The keys that are nonzero at all anchors, grouped by their entries at
-    the anchors: one (tail, indices of the keys with that tail) per tail.
+    """The anchored keys by their entries at the anchors: one (tail, indices
+    of the keys with that tail) per tail; listing records each key.
 
-    anchors are distinct 0-based positions, increasing.  These are
-    perm(t, k) * perm(L-k, t-k) keys for k anchors, each built in sparse
-    form, sorted by position, and ranked once by
-    ReducedKeySet.unchecked_index, since each is a member by construction;
-    listing, when given, records each key.  They are listed one by one, so
-    a count above ENUMERATION_CAP raises CapacityError before the first.
+    anchors are distinct increasing positions; the others, the free ones,
+    are taken in order (the sorted view's, so px's labelling does not
+    matter).  Each tail puts the other T-K messages, increasing, on free[s],
+    ..., free[s+T-K-1] (mod L-K) for each shift s: L-K keys, not all
+    perm(L-K, T-K) with that tail (the same keys at T-K = 1).  Each is built
+    sorted, a member by construction, and ranked once by unchecked_index.
     """
-    t, length, k = keyset.t, keyset.length, len(anchors)
-    check_listing(
-        math.perm(t, k) * math.perm(length - k, t - k),
-        f"anchored keys (length={length}, t={t}, k={k})",
-        ENUMERATION_CAP,
-    )
-    listing = KeyListing(t) if listing is None else listing
+    t, k = keyset.t, len(anchors)
     rank, known, listed = keyset.unchecked_index, listing.structural, listing.keys
-    rows = [listing.row(pos) for pos in range(length)]
     anchor_set = set(anchors)
-    free = [pos for pos in range(length) if pos not in anchor_set]
+    free = [listing.row(pos) for pos in order if pos not in anchor_set]
     anchored: list[tuple[tuple[int, ...], list[int]]] = []
     for tail in itertools.permutations(range(1, t + 1), k):
         rest = [v for v in range(1, t + 1) if v not in tail]
-        tail_pairs = [rows[a][v] for a, v in zip(anchors, tail)]
+        tail_pairs = [listing.row(a)[v] for a, v in zip(anchors, tail)]
         members: list[int] = []
-        for head_positions in itertools.permutations(free, len(rest)):
-            key = tuple(sorted([rows[p][v] for p, v in zip(head_positions, rest)] + tail_pairs))
+        for s in range(len(free)):
+            window = [free[(s + j) % len(free)][v] for j, v in enumerate(rest)]
+            key = tuple(sorted(window + tail_pairs))
             idx = known.get(key)
             if idx is None:
                 idx = rank(key)
@@ -176,11 +172,11 @@ def _anchored_tails(
 def anchored_cell_count(n: int, t: int, k: int) -> int:
     """Anchored keys hitting a fixed (token, message) pair at one of k anchors.
 
-    Fixing one anchor to a given message leaves k-1 anchors for the
-    remaining values and t-k values for the other n-k slots, so the count is
-    perm(t-1, k-1) * perm(n-k, t-k), independent of which pair was fixed.
+    Fixing one anchor to a given message leaves perm(t-1, k-1) tails, each
+    with n-k cyclic windows (not the perm(n-k, t-k) keys of the full
+    listing), so the count is perm(t-1, k-1) * (n-k) for every pair.
     """
-    return math.perm(t - 1, k - 1) * math.perm(n - k, t - k)
+    return math.perm(t - 1, k - 1) * (n - k)
 
 
 def build_pm1(
@@ -228,26 +224,40 @@ def _exact_entries(values: Sequence[Fraction], what: str, length: int) -> list[F
 
 
 def build_pm2(
-    px2: Sequence[Fraction], keyset: KeySet, listing: KeyListing | None = None
+    px2: Sequence[Fraction],
+    keyset: KeySet,
+    listing: KeyListing | None = None,
+    order: Sequence[int] | None = None,
 ) -> tuple[list[JointTable], ImbalanceLedger]:
     """Spread px2 over the anchored keys: one cell px2(x)/c per anchor token.
 
     px2 must hold one non-negative int or Fraction per key position, K <= T-1
     of them positive; their positions, wherever they sit, are the anchors.
-    An anchored key (nonzero at every anchor) that holds message m at anchor
-    token x gets px2(x)/c in table m, where c = anchored_cell_count(L, T, K)
-    keys share each (token, message) pair; a count other than c raises
-    InvariantError.  Each tail class's one-cell rows, row sums and gaps are taken once from
-    its tail and shared by its members.  Row sums now differ across
-    messages; the returned ledger records each class's gaps and their total
-    (equal for every message), which must equal the closed form
-    T*max(px2) - sum(px2), or InvariantError is raised.  listing, when
-    given, records each anchored key.
+    order is every position once, in the sorted view's order (px.sort_perm;
+    position order if omitted).  An anchored key that holds m at anchor x
+    gets px2(x)/c in table m, where c = anchored_cell_count(L, T, K) keys
+    share each (token, message) pair; a count other than c raises
+    InvariantError.  Each tail class's rows, row sums and gaps are taken
+    once from its tail and shared by its members.  The ledger records each
+    class's gaps and their total (equal for every message), which must
+    equal T*max(px2) - sum(px2), or InvariantError is raised.  listing,
+    when given, records each anchored key.
+
+    The anchored keys are cyclic windows, not all keys nonzero at the
+    anchors.  Parts 2 and 3 fill anchor cells only, so a free token meets
+    the checks only through its key marginal, the same share (T-K)/(L-K) of
+    each class, and every check, each token's false alarm and the optimum
+    are the full listing's.  Part 3 needs px3 > 0 only at anchors when K > 0
+    (construct_a checks it): split_px then has K >= K_tilde, so the K_tilde
+    tokens at or above alpha/T, which hold all of px3, have px2 > 0.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-2 allocation requires the reduced key set")
     t, length = keyset.t, keyset.length
     px2 = _exact_entries(px2, "px2", length)
+    order = range(length) if order is None else [exact_int(p, "order entry") for p in order]
+    if sorted(order) != list(range(length)):
+        raise ParameterError(f"order is not a permutation of the {length} positions")
     anchors = [i for i, v in enumerate(px2) if v > 0]
     k = len(anchors)
     if k == 0:
@@ -260,7 +270,7 @@ def build_pm2(
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     classes = []
     totals = [Fraction(0)] * t
-    for tail, members in _anchored_tails(keyset, anchors, listing):
+    for tail, members in _anchored_tails(keyset, anchors, order, listing or KeyListing(t)):
         sums = [Fraction(0)] * t
         for (token, share), m, slot_hits in zip(slots, tail, hits):
             # JointTable copies every row, so the members can share this one.
@@ -352,11 +362,13 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
     """Full scheme on the reduced key set over the real tokens only."""
     alpha, t = check_instance(px, alpha, t)
     split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
+    if split.K and any(p3 and not p2 for p2, p3 in zip(split.px2, split.px3)):
+        raise InvariantError("px3 is positive off the anchors")
     keyset = ReducedKeySet(px.n, t)
     decomp = restore_supports(px, decompose_t_hot(split.px1, t))
     listing = KeyListing(t)
     pm1 = build_pm1(decomp, keyset, listing)
-    pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing)
+    pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing, px.sort_perm)
     pm3 = build_pm3(restore_token_order(px, split.px3), ledger, keyset)
     # Each message's parts are let go once merged, so the parts of only one
     # message sit next to the merged tables and the listed keys.

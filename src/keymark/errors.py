@@ -21,10 +21,11 @@ class ParameterError(KeymarkError, ValueError):
 class CapacityError(KeymarkError, RuntimeError):
     """An operation would list more keys or LP variables than its fixed cap.
 
-    Only the operations that list keys check one: construction A's
-    structural keys (T! per decomposition term) and anchored keys on the
-    reduced key set (ENUMERATION_CAP), and an LP's table variables
-    (VARIABLE_CAP).  Key sets themselves have no size limit.
+    Only the operations that list items one by one check one: the
+    structural keys of construction A's part 1 (T! per decomposition term)
+    and the key entries of a CSV row (ENUMERATION_CAP), and an LP's table
+    variables (VARIABLE_CAP).  Construction A's anchored keys, cyclic
+    windows linear in N, have no cap, and key sets no size limit.
     """
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from keymark.construct_a import _anchored_tails, anchored_cell_count
+from keymark.construct_a import KeyListing, _anchored_tails, anchored_cell_count
 from keymark.core import (
     JointTable,
     KeySet,
@@ -91,13 +91,15 @@ def step_decomposition(px2: Sequence[Fraction], t: int) -> StepDecomposition:
 
 
 def anchored_pairs(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(index, entries at the last k positions) of every key nonzero there."""
+    """(index, entries at the last k positions) of every anchored key that
+    construction A lists on a sorted view with those k anchors."""
     anchors = range(keyset.length - k, keyset.length)
-    return [(idx, tail) for tail, members in _anchored_tails(keyset, anchors) for idx in members]
+    anchored = _anchored_tails(keyset, anchors, range(keyset.length), KeyListing(keyset.t))
+    return [(idx, tail) for tail, members in anchored for idx in members]
 
 
 def anchored_indices(keyset: KeySet, k: int) -> set[int]:
-    """Indices of the keys nonzero at all of the last k positions."""
+    """Indices of the anchored keys at the last k positions."""
     return {idx for idx, _ in anchored_pairs(keyset, k)}
 
 

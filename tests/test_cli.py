@@ -402,11 +402,24 @@ def test_argparse_level_errors(capsys) -> None:
     capsys.readouterr()
 
 
-def test_capacity_errors_exit_3(capsys) -> None:
-    # 5 * perm(24, 4) = 1,275,120 anchored keys to list.
+def test_one_heavy_t5_builds_and_verifies(capsys, tmp_path) -> None:
+    # One 0.95 token among 25 at T=5: construction A lists 5 * 24 windowed
+    # anchored keys, where every key nonzero at the anchor, 5 * perm(24, 4)
+    # = 1,275,120 of them, exceeded the cap.
     heavy = ",".join(["1/480"] * 24 + ["0.95"])
-    assert main(["construct", "--px", heavy, "--alpha", "1/2", "--t", "5"]) == 3
-    assert "anchored keys" in capsys.readouterr().err
+    path = tmp_path / "heavy.json"
+    code, payload = run_json(
+        capsys, "construct", "--px", heavy, "--alpha", "1/2", "--t", "5", "--out", str(path)
+    )
+    assert code == 0
+    assert payload["gap"] == "0"
+    assert payload["key_support"] == 811
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 0
+    assert payload["ok"]
+
+
+def test_capacity_errors_exit_3(capsys) -> None:
     # n=20, T=3: 410,460 LP table variables.
     uniform = ",".join(["0.05"] * 20)
     assert main(["lp", "--px", uniform, "--alpha", "1/2", "--t", "3"]) == 3

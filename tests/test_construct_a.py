@@ -1,6 +1,9 @@
+import dataclasses
 import importlib
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +13,13 @@ from hypothesis import strategies as st
 from goldens import COMBINED_A, PART1_A, PART2_A, table_as_cells
 from layered_reference import (
     anchored_indices,
+    anchored_pairs,
     build_pm2_layered,
     build_pm3_layered,
     column_sum,
     step_decomposition,
 )
+from test_output_digests import one_heavy, shuffled
 from keymark.construct_a import (
     ImbalanceLedger,
     KeyListing,
@@ -37,7 +42,7 @@ from keymark.core import (
     decode,
     enumerate_reduced_keyset,
 )
-from keymark.errors import CapacityError, ParameterError
+from keymark.errors import CapacityError, InvariantError, ParameterError
 from keymark.metrics import check_scheme, error_report
 from keymark.serialize import deserialize_scheme, export_csv, serialize_scheme
 from keymark.split import split_px
@@ -122,36 +127,71 @@ def test_structural_keys_validation() -> None:
         THotDecomposition((THotTerm((0, 1), 0.5),), 4)
 
 
+def assert_window_family(classes, anchors, length: int, t: int) -> None:
+    """classes maps each tail to its anchored keys, as full vectors.  They
+    form the cyclic window family: one class per tail, perm(T, K) of them,
+    each of L-K distinct keys of the reduced key set that hold the tail at
+    the anchors; each (anchor, message) pair is hit by anchored_cell_count
+    keys, and each free position is nonzero in exactly T-K keys of every
+    class."""
+    k = len(anchors)
+    assert sorted(classes) == sorted(itertools.permutations(range(1, t + 1), k))
+    hits = {(a, m): 0 for a in anchors for m in range(1, t + 1)}
+    for tail, keys in classes.items():
+        assert len(keys) == len(set(keys)) == length - k
+        for key in keys:
+            assert len(key) == length
+            assert sorted(v for v in key if v) == list(range(1, t + 1))
+            assert tuple(key[a] for a in anchors) == tail
+            for a in anchors:
+                hits[a, key[a]] += 1
+        for pos in set(range(length)) - set(anchors):
+            assert sum(1 for key in keys if key[pos]) == t - k
+    assert set(hits.values()) == {anchored_cell_count(length, t, k)}
+
+
 def test_anchored_keys_match_filter() -> None:
+    """On sorted views: the anchored keys at the last k positions are the
+    cyclic windows, among the keys nonzero there, and all of them at
+    T-K = 1."""
     for n, t in [(3, 2), (4, 3), (5, 3), (5, 4)]:
         ks = enumerate_reduced_keyset(n, t)
         for k in range(1, t):
-            expected = {
+            nonzero = {
                 i
                 for i in range(len(ks))
                 if all(v != 0 for v in ks.key(i)[n - k :])
             }
+            assert len(nonzero) == math.perm(t, k) * math.perm(n - k, t - k)
             found = anchored_indices(ks, k)
-            assert found == expected
-            assert len(found) == math.perm(t, k) * math.perm(n - k, t - k)
+            assert len(found) == math.perm(t, k) * (n - k)
+            assert found <= nonzero
+            assert (found == nonzero) == (t - k == 1)
+            classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for idx, tail in anchored_pairs(ks, k):
+                classes.setdefault(tail, []).append(ks.key(idx))
+            assert_window_family(classes, range(n - k, n), n, t)
 
 
 def test_anchored_keys_examples() -> None:
     assert len(anchored_indices(enumerate_reduced_keyset(4, 3), 2)) == 12
-    assert len(anchored_indices(enumerate_reduced_keyset(5, 3), 1)) == 36
+    # 3 tails of 4 windows, where 3 * perm(4, 2) = 36 keys are nonzero at the
+    # anchor.
+    assert len(anchored_indices(enumerate_reduced_keyset(5, 3), 1)) == 12
 
 
 def test_anchored_listing_cap() -> None:
-    # heavy-40's listing: 3 * perm(39, 2) = 4,446 anchored keys.
-    assert len(anchored_indices(enumerate_reduced_keyset(40, 3), 1)) == 4446
-    # 5 * perm(24, 4) = 1,275,120 anchored keys are refused before any is listed.
+    # heavy-40's listing: 3 tails of 39 windows, 117 anchored keys, where
+    # 3 * perm(39, 2) = 4,446 keys are nonzero at the anchor.
+    assert len(anchored_indices(enumerate_reduced_keyset(40, 3), 1)) == 117
+    # The listing is linear in N, so no cap guards it: at N = 25, T = 5 it
+    # holds 5 * 24 keys, not the 5 * perm(24, 4) = 1,275,120 above the cap.
     assert math.perm(5, 1) * math.perm(24, 4) > ENUMERATION_CAP
-    with pytest.raises(CapacityError, match="1275120 anchored keys"):
-        anchored_indices(enumerate_reduced_keyset(25, 5), 1)
-    # construct_a reaches the guard on a 25-token T=5 input with one 0.95 token.
+    assert len(anchored_indices(enumerate_reduced_keyset(25, 5), 1)) == 5 * 24
+    # construct_a builds the 25-token T=5 input with one 0.95 token.
     px = TokenDistribution.from_strings(["1/480"] * 24 + ["0.95"])
-    with pytest.raises(CapacityError, match="anchored keys"):
-        construct_a(px, F(1, 2), 5)
+    scheme = construct_a(px, F(1, 2), 5)
+    assert check_scheme(scheme).ok and error_report(scheme).gap == 0
 
 
 def test_structural_listing_cap() -> None:
@@ -232,6 +272,17 @@ def test_part_builders_refuse_a_length_other_than_the_key_length() -> None:
             build_pm2(entries, keyset)
         with pytest.raises(ParameterError, match="px3 has .* entries, key length 3"):
             build_pm3(entries, ImbalanceLedger((), F(0)), keyset)
+
+
+@pytest.mark.parametrize("order", [(0, 0, 2), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0.0, 1, 2)])
+def test_build_pm2_refuses_an_order_that_is_not_a_permutation(order) -> None:
+    # A repeated, missing, extra, out-of-range or float position would list
+    # keys that are not members, ranked without the validating search.
+    keyset = ReducedKeySet(3, 3)
+    listing = KeyListing(3)
+    with pytest.raises(ParameterError, match="order"):
+        build_pm2((F(0), F(0), F(1, 10)), keyset, listing, order)
+    assert listing.keys == {}
 
 
 def test_build_pm1_golden() -> None:
@@ -478,22 +529,25 @@ def test_build_pm2_per_key_ledger_heavy_shape() -> None:
 def test_ledger_classes_partition_anchored_keys(anchors) -> None:
     """At K = 1 and K = T-1, anchors off the tail: the classes partition the
     anchored keys, the members of a class share one tail and no two classes
-    do, and every class holds perm(L-K, T-K) keys."""
+    do, and every class holds the L-K cyclic windows of its tail, which at
+    K = T-1 are every key nonzero at the anchors."""
     n, t, k = 6, 4, len(anchors)
     keyset = enumerate_reduced_keyset(n, t)
     px2 = [F(pos + 1, 40) if pos in anchors else F(0) for pos in range(n)]
     _, ledger = build_pm2(px2, keyset)
-    tails = []
+    classes = {}
     for members, gaps in ledger.classes:
-        assert len(members) == math.perm(n - k, t - k)
         assert any(gaps)
         member_tails = {tuple(keyset.key(idx)[a] for a in anchors) for idx in members}
         assert len(member_tails) == 1
-        tails += member_tails
-    assert len(tails) == len(set(tails)) == math.perm(t, k)
-    anchored = [i for i in range(len(keyset)) if all(keyset.key(i)[a] for a in anchors)]
-    assert sorted(per_key(ledger)) == anchored
-    assert sum(len(members) for members, _ in ledger.classes) == len(anchored)
+        classes[member_tails.pop()] = [keyset.key(idx) for idx in members]
+    assert len(classes) == len(ledger.classes) == math.perm(t, k)
+    assert_window_family(classes, anchors, n, t)
+    nonzero = [i for i in range(len(keyset)) if all(keyset.key(i)[a] for a in anchors)]
+    listed = sorted(per_key(ledger))
+    assert set(listed) <= set(nonzero)
+    assert (listed == nonzero) == (t - k == 1)
+    assert sum(len(members) for members, _ in ledger.classes) == len(listed)
 
 
 def test_closed_form_parts_match_layered_reference() -> None:
@@ -522,6 +576,49 @@ def test_closed_form_parts_match_layered_reference() -> None:
         distinct_steps += len({delta for _, delta in steps.increments if delta}) > 1
     assert widest >= 20
     assert distinct_steps >= 20
+
+
+def test_construct_a_refuses_overshoot_off_the_anchors(monkeypatch) -> None:
+    # A split whose px3 sits on a token outside px2's support would put part-3
+    # cells on a free token, where the windowed keys decode by their head.
+    module = importlib.import_module("keymark.construct_a")
+    split = split_px(PX_A, ALPHA_A, 3)
+    moved = dataclasses.replace(split, px3=split.px3[::-1])
+    monkeypatch.setattr(module, "split_px", lambda *args: moved)
+    with pytest.raises(InvariantError, match="px3 is positive off the anchors"):
+        construct_a(PX_A, ALPHA_A, 3)
+
+
+def test_one_heavy_at_vocabulary_scale(monkeypatch) -> None:
+    """One 0.95 token among N = 1,024 and 2,048 at T = 3 (K = 1): the anchored
+    listing holds 3 * (N-1) keys, so doubling N about doubles the traced
+    peak of construct_a, and the larger scheme checks with gap 0.  Every
+    key nonzero at the anchor, 3 * perm(N-1, 2) of them, would grow it
+    fourfold."""
+    module = importlib.import_module("keymark.construct_a")
+    anchored_tails = module._anchored_tails
+    listed = []
+
+    def counted(*args):
+        result = anchored_tails(*args)
+        listed.append(sum(len(members) for _, members in result))
+        return result
+
+    monkeypatch.setattr(module, "_anchored_tails", counted)
+    peaks = []
+    for n in (1024, 2048):
+        px = shuffled(one_heavy(n), 5)
+        tracemalloc.start()
+        try:
+            scheme = construct_a(px, F(1, 2), 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert scheme.provenance["K"] == 1
+        assert listed[-1] == 3 * (n - 1)
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+    assert check_scheme(scheme).ok
+    assert error_report(scheme).gap == 0
 
 
 def shuffled_px(weights: list[F], seed: int) -> TokenDistribution:

@@ -190,7 +190,7 @@ def test_keyset_parameter_validation() -> None:
 
 def test_reduced_keyset_has_no_size_cap(monkeypatch: pytest.MonkeyPatch) -> None:
     # The key set lists nothing, so no size or environment setting limits it;
-    # the listing guard lives on the anchored-key listing (test_construct_a).
+    # the listing guard lives on part 1's structural keys (test_construct_a).
     monkeypatch.setenv("KEYMARK_KEYSET_CAP", "1")
     ks = enumerate_reduced_keyset(100, 10)
     # size is exact even beyond sys.maxsize, where len() cannot report it.

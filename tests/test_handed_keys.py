@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_construct_a import assert_window_family
 from test_output_digests import ALPHA, INSTANCES, T
 from keymark.construct_a import KeyListing, _anchored_tails, _structural_pairs, construct_a
 from keymark.construct_b import construct_b, extend_px
@@ -108,27 +109,40 @@ def test_handed_keys_on_leveled_instances(case) -> None:
     ],
 )
 def test_unchecked_rank_of_anchored_keys(length: int, t: int, anchors: list[int]) -> None:
-    """Every anchored key, at any anchors, ranks by unchecked_index to its
-    sparse_index, and the listing finds exactly the keys nonzero at all of
-    them, with their entries there as the tail."""
+    """Every anchored key, at any anchors and in any order of the free
+    positions, ranks by unchecked_index to its sparse_index, with its
+    entries at the anchors as the tail.  The listing is the cyclic window
+    family in that order, among the keys nonzero at all anchors, and all of
+    them at T-K = 1."""
     keyset = ReducedKeySet(length, t)
     listing = KeyListing(t)
-    anchored = _anchored_tails(keyset, anchors, listing)
+    order = list(range(length))
+    random.Random(10 * length + t).shuffle(order)
+    anchored = _anchored_tails(keyset, anchors, order, listing)
     k = len(anchors)
     listed = [(idx, tail) for tail, members in anchored for idx in members]
-    assert len(listed) == len(listing.keys) == math.perm(t, k) * math.perm(length - k, t - k)
+    assert len(listed) == len(listing.keys) == math.perm(t, k) * (length - k)
     assert len(anchored) == math.perm(t, k)
     for idx, tail in listed:
         key = listing.keys[idx]
         assert keyset.unchecked_index(key) == keyset.sparse_index(key) == idx
         assert keyset.sparse_key(idx) == key
         assert tail == tuple(dict(key)[a] for a in anchors)
-    expected = {
+    free = [pos for pos in order if pos not in anchors]
+    for tail, members in anchored:
+        rest = [v for v in range(1, t + 1) if v not in tail]
+        for shift, idx in enumerate(members):
+            window = {free[(shift + j) % len(free)]: v for j, v in enumerate(rest)}
+            assert dict(listing.keys[idx]) == window | dict(zip(anchors, tail))
+    classes = {tail: [keyset.key(idx) for idx in members] for tail, members in anchored}
+    assert_window_family(classes, anchors, length, t)
+    nonzero = {
         idx
         for idx in range(keyset.size)
         if set(anchors) <= {pos for pos, _ in keyset.sparse_key(idx)}
     }
-    assert {idx for idx, _ in listed} == expected
+    assert {idx for idx, _ in listed} <= nonzero
+    assert ({idx for idx, _ in listed} == nonzero) == (t - k == 1)
 
 
 @pytest.mark.parametrize("n, pseudo", [(4, 0), (7, 0), (5, 3), (6, 2), (3, 6)])

@@ -475,7 +475,7 @@ def test_checks_match_fraction_reference_on_built_schemes() -> None:
 
 def heavy_scheme(n: int = 40, t: int = 3, seed: int = 1) -> WatermarkScheme:
     """One 0.95 token plus n-1 seeded light tokens on the 10^-6 grid, in a
-    shuffled order: the shape whose construction A stores about 14k cells."""
+    shuffled order: heavy-40's shape, K = 1."""
     rng = random.Random(seed)
     light = [rng.randint(500, 1500) for _ in range(n - 1)]
     units = [50_000 * w // sum(light) for w in light]
@@ -486,7 +486,7 @@ def heavy_scheme(n: int = 40, t: int = 3, seed: int = 1) -> WatermarkScheme:
 
 
 def test_check_and_report_work_does_not_grow_with_cells(monkeypatch) -> None:
-    scheme = heavy_scheme()
+    scheme = heavy_scheme(1000)
     cells = sum(len(row) for table in scheme.tables for row in table.rows.values())
     assert cells > 10_000
     additions = 0

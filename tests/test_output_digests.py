@@ -4,7 +4,10 @@ A change that only speeds construction up must leave these documents byte
 for byte the same.  The digests were taken before the row-relabelling token
 reorder and the per-tail imbalance ledger went in; those of two-step-10,
 whose part-2 tail has two distinct nonzero steps, before parts 2 and 3 of
-construction A were built in closed form.
+construction A were built in closed form.  one-heavy-12's construct_a
+digest (K = 1, T-K = 2) was taken again when construction A's anchored
+keys became cyclic windows, once its property checks passed with the same
+beta, worst false alarm and per-token false alarms as the full listing.
 """
 
 import hashlib
@@ -59,7 +62,7 @@ INSTANCES = {
     "one-heavy-12": (
         shuffled(one_heavy(12), 5),
         1,
-        "055296253372a65642e289019f1c9316ca82269db9bf3b7ee2f89b3bac007ab1",
+        "d9669f5b1e6e2de912fef3203cf232e2b2ab6b0b9c7fad93c28c0680a41fc1af",
         "bcf89869fbaf664e6ea6276bc3da5af97b9c2a9dd6324c1989d84d6f505ff70a",
     ),
     "two-heavy-10": (
@@ -118,9 +121,10 @@ def test_document_round_trip(name: str, construct) -> None:
 
 # name -> monte_carlo hits for m = 0..T at 20,000 trials and seed 5, for
 # construct_a and construct_b, taken when each table's inverse CDF was a
-# running Fraction sum searched cell by cell.
+# running Fraction sum searched cell by cell; one-heavy-12's construct_a
+# hits again with its digest above.
 MONTE_CARLO_HITS = {
-    "one-heavy-12": ((9488, 15728, 15660, 15719), (9407, 15665, 15716, 15696)),
+    "one-heavy-12": ((9506, 15644, 15623, 15669), (9407, 15665, 15716, 15696)),
     "two-heavy-10": ((9076, 11283, 11377, 11349), (9017, 11302, 11359, 11397)),
     "two-step-10": ((9494, 12597, 12683, 12776), (9437, 12634, 12579, 12671)),
     "zipf-30": ((4779, 1659, 1659, 1659), (4779, 1659, 1659, 1659)),

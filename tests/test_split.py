@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -110,3 +111,25 @@ def test_split_invariants(case) -> None:
         # The tail of px1 is level at y and px2 fills back up to a.
         assert split.px1[n - split.K :] == (split.y,) * split.K
         assert all(split.px2[i] == split.a[i] - split.y for i in range(n - split.K, n))
+
+
+def test_overshoot_lies_inside_the_leveled_tail() -> None:
+    """When the split levels (K > 0), px3 is positive only where px2 is: the
+    scan starts at K_tilde, so the K_tilde tokens at or above alpha/T, which
+    hold all of px3, are among the last K.  Construction A's windowed
+    anchored keys rest on this."""
+    rng = random.Random(23)
+    leveled = 0
+    for _ in range(800):
+        t = rng.randint(2, 5)
+        n = rng.randint(t, 10)
+        heavy = rng.randint(0, t - 1)
+        weights = [rng.randint(1, 10) for _ in range(n - heavy)]
+        weights += [rng.randint(20, 300) for _ in range(heavy)]
+        px = TokenDistribution.from_fractions(sorted(F(w, sum(weights)) for w in weights))
+        split = split_px(px, F(rng.randint(1, 99), 100), t)
+        if split.K:
+            leveled += 1
+            assert split.K >= split.K_tilde
+            assert all(p2 > 0 for p2, p3 in zip(split.px2, split.px3) if p3 > 0)
+    assert leveled >= 200
