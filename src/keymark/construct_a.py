@@ -5,8 +5,8 @@ rules fix the outputs; their results (each term's support, px2 and px3) are
 then mapped to px's own token order, and three additive parts are built
 there directly:
 
-  part 1 spreads each T-hot term's weight uniformly over the keys whose
-         support equals the term's support (weight / (T-1)! per cell);
+  part 1 spreads each T-hot term's weight over all T! keys with its support
+         (weight / (T-1)! per cell; construct_b takes T cyclic shifts);
   part 2 gives each anchored key (nonzero at the K tokens where px2 > 0,
          the heaviest ones) the cell px2(x)/c at every such token x, under
          the message the key holds there, with c anchored keys per
@@ -115,18 +115,23 @@ class KeyListing:
 
 
 def _structural_pairs(
-    keyset: ReducedKeySet, support: Sequence[int], listing: KeyListing | None = None
+    keyset: ReducedKeySet, support: Sequence[int], listing: KeyListing | None = None,
+    cyclic: bool = False,
 ) -> list[tuple[int, SparseKey]]:
-    """(index, sparse key) of every key whose nonzero positions are support,
-    T increasing positions below the key length; listing, when given,
-    records each key.  Each key is then sorted and a member by construction,
-    and ReducedKeySet.unchecked_index ranks it."""
-    listing = KeyListing(keyset.t) if listing is None else listing
+    """(index, sparse key) of the T! keys with nonzero positions support (T
+    distinct positions below the key length), or, if cyclic, of the T keys s
+    with message (j+s) mod T + 1 on support[j]; listing, when given, records
+    each.  Each is built sorted, a member, and ranked by unchecked_index."""
+    t = keyset.t
+    listing = KeyListing(t) if listing is None else listing
     known, listed = listing.structural, listing.keys
     rows = [listing.row(pos) for pos in support]
+    shifts = ([(j + s) % t + 1 for j in range(t)] for s in range(t))
+    messages = shifts if cyclic else itertools.permutations(range(1, t + 1))
     pairs: list[tuple[int, SparseKey]] = []
-    for values in itertools.permutations(range(1, keyset.t + 1)):
-        key = tuple([row[v] for row, v in zip(rows, values)])
+    for values in messages:
+        cells = [row[v] for row, v in zip(rows, values)]
+        key = tuple(sorted(cells) if cyclic else cells)
         idx = known.get(key)
         if idx is None:
             idx = known[key] = keyset.unchecked_index(key)
@@ -180,36 +185,47 @@ def anchored_cell_count(n: int, t: int, k: int) -> int:
 
 
 def build_pm1(
-    decomp: THotDecomposition, keyset: KeySet, listing: KeyListing | None = None
+    decomp: THotDecomposition, keyset: KeySet, listing: KeyListing | None = None,
+    order: Sequence[int] | None = None,
 ) -> list[JointTable]:
-    """Spread each term's weight over its structural keys, weight/(T-1)! per cell.
+    """Spread each term's weight over keys with its support; listing records them.
 
-    Every key with the term's support assigns each message to exactly one
-    token, so each key contributes one cell per message and column sums
-    reconstruct the decomposed vector.  The T! keys of every term are listed
-    one by one, so more than ENUMERATION_CAP of them in all raise
-    CapacityError before the first; listing, when given, records each key.
+    Without order, each term's T! structural keys get weight/(T-1)! per cell;
+    more than ENUMERATION_CAP keys in all raise CapacityError before the first.
+    With order (construct_b's: the sorted view's, then the extension slots),
+    position i of the decomposition is the key's order[i], and the T cyclic
+    shifts of 1..T over the support in that order get the weight per cell.
+    Both put each message once on each support position at the term's weight.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-1 allocation requires the reduced key set")
     if decomp.length != keyset.length:
         raise ParameterError(f"decomposition length {decomp.length} != key length {keyset.length}")
     t = keyset.t
-    check_listing(
-        len(decomp.terms) * math.factorial(t),
-        f"structural keys ({len(decomp.terms)} terms, t={t})",
-        ENUMERATION_CAP,
-    )
-    share_denominator = math.factorial(t - 1)
+    if order is None:
+        count = len(decomp.terms) * math.factorial(t)
+        check_listing(count, f"structural keys ({len(decomp.terms)} terms, t={t})", ENUMERATION_CAP)
+        share_denominator = math.factorial(t - 1)
+    else:
+        order, share_denominator = _key_order(order, keyset.length), 1
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     for term in decomp.terms:
         if len(term.support) != t:
             raise ParameterError(f"support {term.support} is not {t}-hot")
+        support = term.support if order is None else [order[i] for i in term.support]
         share = Fraction(term.weight, share_denominator)
-        for idx, key in _structural_pairs(keyset, term.support, listing):
+        for idx, key in _structural_pairs(keyset, support, listing, order is not None):
             for pos, m in key:
                 add_mass(rows_per_m[m - 1], idx, pos + 1, share)
     return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+
+
+def _key_order(order: Sequence[int], length: int) -> list[int]:
+    """order as ints; ParameterError unless it is a permutation of [0:length)."""
+    order = [exact_int(p, "order entry") for p in order]
+    if sorted(order) != list(range(length)):
+        raise ParameterError(f"order is not a permutation of the {length} positions")
+    return order
 
 
 def _exact_entries(values: Sequence[Fraction], what: str, length: int) -> list[Fraction]:
@@ -255,9 +271,7 @@ def build_pm2(
         raise ParameterError("part-2 allocation requires the reduced key set")
     t, length = keyset.t, keyset.length
     px2 = _exact_entries(px2, "px2", length)
-    order = range(length) if order is None else [exact_int(p, "order entry") for p in order]
-    if sorted(order) != list(range(length)):
-        raise ParameterError(f"order is not a permutation of the {length} positions")
+    order = range(length) if order is None else _key_order(order, length)
     anchors = [i for i, v in enumerate(px2) if v > 0]
     k = len(anchors)
     if k == 0:

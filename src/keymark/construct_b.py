@@ -2,10 +2,11 @@
 
 The capped vector a = min(alpha/T, px) is extended with n pseudo entries of
 R/n each (R = leftover mass above the cap) until the extension is T-hot
-representable; the part-1 allocation then runs on keys of length N+n, and
-every key's pseudo-column mass is folded back onto real tokens with weights
-r(x)/R.  Fold-back never lands on a cell decoding to the embedded message,
-so the decode-to-m column sums still equal min(alpha/T, px(x)).
+representable.  Part 1 gives each term's weight, per cell, to the T cyclic
+shifts of 1..T over its support in the sorted view's order (not T! keys) on
+keys of length N+n, and every key's pseudo-column mass is folded back onto
+real tokens with weights r(x)/R.  Fold-back never lands on a cell decoding to
+the embedded message, so decode-to-m column sums still equal min(alpha/T, px(x)).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
 from .split import cap_vector
-from .construct_a import KeyListing, build_pm1, restore_supports, restore_token_order
+from .construct_a import KeyListing, build_pm1, restore_token_order
 from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
@@ -99,7 +100,7 @@ def construct_b(
                 "supplied decomposition does not reconstruct the extended vector"
             )
     listing = KeyListing(t)
-    prime_tables = build_pm1(restore_supports(px, decomposition), keyset, listing)
+    prime_tables = build_pm1(decomposition, keyset, listing, px.sort_perm + tuple(range(px.n, length)))
 
     n = px.n
     leftover = restore_token_order(px, ext.r)

@@ -24,8 +24,8 @@ class CapacityError(KeymarkError, RuntimeError):
     Only the operations that list items one by one check one: the
     structural keys of construction A's part 1 (T! per decomposition term)
     and the key entries of a CSV row (ENUMERATION_CAP), and an LP's table
-    variables (VARIABLE_CAP).  Construction A's anchored keys, cyclic
-    windows linear in N, have no cap, and key sets no size limit.
+    variables (VARIABLE_CAP).  A's anchored windows and B's T cyclic keys
+    per term are linear and have no cap, and key sets no size limit.
     """
 
 

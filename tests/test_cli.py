@@ -11,6 +11,7 @@ import pytest
 from keymark.cli import main
 from keymark.construct_b import construct_b
 from keymark.core import TokenDistribution
+from keymark.metrics import check_scheme, error_report
 from keymark.serialize import save_scheme
 
 INSTANCE_A = ["--px", "0.05,0.1,0.25,0.6", "--alpha", "0.9", "--t", "3"]
@@ -424,12 +425,26 @@ def test_capacity_errors_exit_3(capsys) -> None:
     uniform = ",".join(["0.05"] * 20)
     assert main(["lp", "--px", uniform, "--alpha", "1/2", "--t", "3"]) == 3
     assert "table variables" in capsys.readouterr().err
-    # T=10: 10! structural keys for every decomposition term, either method.
+    # T=10: construction A lists 10! structural keys for every term.
     twelve = ",".join(["1/12"] * 12)
-    for method in ("a", "b"):
-        argv = ["construct", "--px", twelve, "--alpha", "1/2", "--t", "10", "--method", method]
-        assert main(argv) == 3
-        assert "structural keys" in capsys.readouterr().err
+    argv = ["construct", "--px", twelve, "--alpha", "1/2", "--t", "10", "--method", "a"]
+    assert main(argv) == 3
+    assert "structural keys" in capsys.readouterr().err
+
+
+def test_method_b_builds_at_t_10(capsys, tmp_path) -> None:
+    # Construction B lists T cyclic keys per term, not T!, so T=10 builds
+    # and verifies optimal where construction A exits 3.
+    twelve = ["1/12"] * 12
+    scheme = construct_b(TokenDistribution.from_strings(twelve), Fraction(1, 2), 10)
+    assert check_scheme(scheme).ok and error_report(scheme).gap == 0
+    path = tmp_path / "t10.json"
+    argv = ["--px", ",".join(twelve), "--alpha", "1/2", "--t", "10", "--method", "b"]
+    code, payload = run_json(capsys, "construct", *argv, "--out", str(path))
+    assert code == 0 and payload["gap"] == "0"
+    assert payload["key_support"] == len(scheme.key_support())
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 0 and payload["ok"] and payload["gap"] == "0"
 
 
 def readme_transcripts() -> list[tuple[str, list[str]]]:

@@ -278,10 +278,13 @@ def test_part_builders_refuse_a_length_other_than_the_key_length() -> None:
 def test_build_pm2_refuses_an_order_that_is_not_a_permutation(order) -> None:
     # A repeated, missing, extra, out-of-range or float position would list
     # keys that are not members, ranked without the validating search.
+    # build_pm1 takes the same check on construct_b's order.
     keyset = ReducedKeySet(3, 3)
     listing = KeyListing(3)
     with pytest.raises(ParameterError, match="order"):
         build_pm2((F(0), F(0), F(1, 10)), keyset, listing, order)
+    with pytest.raises(ParameterError, match="order"):
+        build_pm1(THotDecomposition((THotTerm((0, 1, 2), F(1)),), 3), keyset, listing, order)
     assert listing.keys == {}
 
 

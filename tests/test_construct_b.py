@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from goldens import FOLDED_B, INSTANCE_B_TERMS, PRE_FOLD_B, table_as_cells
-from keymark.construct_a import build_pm1, construct_a
+from keymark.construct_a import KeyListing, build_pm1, construct_a, restore_supports
 from keymark.construct_b import construct_b, extend_px
-from keymark.core import TokenDistribution, decode, enumerate_reduced_keyset
+from keymark.core import ReducedKeySet, TokenDistribution, decode, enumerate_reduced_keyset
 from keymark.errors import ParameterError
-from keymark.metrics import check_scheme, error_report
-from keymark.thot import THotDecomposition, THotTerm
+from keymark.metrics import check_scheme, error_report, optimal_value
+from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
 
 from test_construct_a import assert_scheme_properties
 
@@ -206,6 +206,63 @@ def test_construct_b_random_instances() -> None:
         force = rng.random() < 0.5
         scheme = construct_b(px, alpha, t, force_pseudo=force)
         assert_scheme_properties(scheme)
+
+
+def part1_sums(tables, keys) -> tuple[dict, dict]:
+    """Per (token, message): the mass decoding to the message on the token,
+    and the key-marginal mass of the keys nonzero on the token; keys maps
+    each index to its sparse key."""
+    columns: dict[tuple[int, int], F] = {}
+    marginals: dict[tuple[int, int], F] = {}
+    for table in tables:
+        for idx, row in table.rows.items():
+            for token, mass in row.items():
+                columns[token, table.m] = columns.get((token, table.m), F(0)) + mass
+            row_sum = table.row_sum(idx)
+            for pos, _ in keys[idx]:
+                cell = (pos + 1, table.m)
+                marginals[cell] = marginals.get(cell, F(0)) + row_sum
+    return columns, marginals
+
+
+def test_cyclic_part1_matches_the_t_factorial_spread() -> None:
+    """The T cyclic shifts of one decomposition's terms give the T! spread's
+    column sums and per-token key marginals, and construct_b on them is
+    optimal."""
+    rng = random.Random(24)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        t = rng.randint(1, min(n, 5))
+        weights = [rng.randint(1, 30) for _ in range(n)]
+        px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+        alpha = F(rng.randint(5, 99), 100)
+        for force in (False, True):
+            ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force)
+            decomp = decompose_t_hot(ext.px_prime, t)
+            keyset = ReducedKeySet(decomp.length, t)
+            order = px.sort_perm + tuple(range(px.n, decomp.length))
+            listing = KeyListing(t)
+            cyclic = build_pm1(decomp, keyset, listing, order)
+            full = build_pm1(restore_supports(px, decomp), keyset, listing)
+            assert part1_sums(cyclic, listing.keys) == part1_sums(full, listing.keys)
+            assert len(set().union(*(tb.key_support() for tb in cyclic))) <= t * len(decomp.terms)
+            scheme = construct_b(px, alpha, t, force_pseudo=force)
+            report = error_report(scheme)
+            assert check_scheme(scheme).ok and report.gap == 0
+            assert set(report.beta) == {optimal_value(px, alpha, t)}
+
+
+def test_construct_b_on_a_shuffled_zipf_of_2048_at_t_5() -> None:
+    # T! = 120 keys per term would be 120 * terms; the cyclic family lists T.
+    n, t, alpha = 2048, 5, F(1, 2)
+    weights = [10**6 // i for i in range(1, n + 1)]
+    random.Random(5).shuffle(weights)
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t)
+    terms = len(decompose_t_hot(ext.px_prime, t).terms)
+    scheme = construct_b(px, alpha, t)
+    assert check_scheme(scheme).ok and error_report(scheme).gap == 0
+    assert len(scheme.key_support()) <= t * terms + 1
 
 
 def test_constructions_on_a_zipf_vocabulary_of_200() -> None:

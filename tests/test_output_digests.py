@@ -8,6 +8,9 @@ construction A were built in closed form.  one-heavy-12's construct_a
 digest (K = 1, T-K = 2) was taken again when construction A's anchored
 keys became cyclic windows, once its property checks passed with the same
 beta, worst false alarm and per-token false alarms as the full listing.
+Every construct_b digest was taken again, on the same condition against the
+T! listing, when construction B's part 1 became the T cyclic shifts of each
+term.
 """
 
 import hashlib
@@ -63,25 +66,25 @@ INSTANCES = {
         shuffled(one_heavy(12), 5),
         1,
         "d9669f5b1e6e2de912fef3203cf232e2b2ab6b0b9c7fad93c28c0680a41fc1af",
-        "bcf89869fbaf664e6ea6276bc3da5af97b9c2a9dd6324c1989d84d6f505ff70a",
+        "439e908478d42869c81347613c094dafd1ddcf48b09efac7440c165c1d246af4",
     ),
     "two-heavy-10": (
         shuffled(two_heavy(), 7),
         2,
         "1e3927e2f2bc32277346f4dfea048a115e42e3d94dc2aba2e66da9809ec9c1a5",
-        "b78a0855d0b92544f2b9879188d70fd5e428eef48e1dbeef8734b855a8b883d3",
+        "0e875679c5a458290d0d8c474bbfbed1b9ce689709f16aa1a015512cd229bb4e",
     ),
     "two-step-10": (
         shuffled(two_step(), 3),
         2,
         "6ecf2a0a711adb7d34bc3453af266eed878c97112d5c2868e1c13334ebd2b30a",
-        "eda78f0836b37d155ef6b233414d7c1d14e388f4ba018789930f890823ec7085",
+        "7ef023eaee1a54c9d350a1167caa81d8100f22d4d470339e9f5df9f12961127a",
     ),
     "zipf-30": (
         shuffled(zipf(30), 7),
         0,
         "8c6905d0e3cf10dd2b02a2c7109e87a152b1c2f7835acdb5ef584fd691c22ab5",
-        "c61d071f8dac4352f4d6d4dbb9f92b4bc74efe9e884a07166f20e12204ffdc1b",
+        "f99b7c57e24d65148ba8fa0bd3007e69b0449bdb73f89726e88e274cd8446a32",
     ),
 }
 
@@ -122,12 +125,13 @@ def test_document_round_trip(name: str, construct) -> None:
 # name -> monte_carlo hits for m = 0..T at 20,000 trials and seed 5, for
 # construct_a and construct_b, taken when each table's inverse CDF was a
 # running Fraction sum searched cell by cell; one-heavy-12's construct_a
-# hits again with its digest above.
+# hits again with its digest above, and the construct_b hits that moved
+# with the construct_b digests.
 MONTE_CARLO_HITS = {
-    "one-heavy-12": ((9506, 15644, 15623, 15669), (9407, 15665, 15716, 15696)),
-    "two-heavy-10": ((9076, 11283, 11377, 11349), (9017, 11302, 11359, 11397)),
+    "one-heavy-12": ((9506, 15644, 15623, 15669), (9405, 15665, 15716, 15696)),
+    "two-heavy-10": ((9076, 11283, 11377, 11349), (9017, 11373, 11303, 11382)),
     "two-step-10": ((9494, 12597, 12683, 12776), (9437, 12634, 12579, 12671)),
-    "zipf-30": ((4779, 1659, 1659, 1659), (4779, 1659, 1659, 1659)),
+    "zipf-30": ((4779, 1659, 1659, 1659), (4780, 1659, 1659, 1659)),
 }
 
 
