@@ -22,12 +22,12 @@ keys with one tail) and shared by the class's keys: N-K cyclic windows, not
 all perm(N-K, T-K) keys with its tail, with the same checks and optimum.
 
 The builders list every key in sparse form at its final positions, a
-member of the reduced key set by construction, and rank it once without
-the validating search.  A KeyListing collects the keys, and the scheme takes
-them as its sparse_keys, so it is checked, reported and exported without
-unranking a key.  The combined tables have column sums equal to px,
-identical row sums across messages, and decode-to-m column sums exactly
-min(alpha/T, px(x)).  All arithmetic is exact.
+member of the reduced key set by construction.  One KeyListing per key set
+ranks each distinct key once, without the validating search, and the
+scheme takes its record as sparse_keys, so it is checked, reported and
+exported without unranking a key.  The combined tables have column sums
+equal to px, identical row sums across messages, and decode-to-m column
+sums exactly min(alpha/T, px(x)).  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -84,34 +84,47 @@ class ImbalanceLedger:
 
 
 class KeyListing:
-    """The sparse keys that a construction's builders list, by index.
+    """The sparse keys that a construction's builders list in one key set.
 
-    Every key is built from shared (position, value) tuples, one per
-    distinct pair, so a listed key costs one small tuple.  structural maps
-    each structural key back to its index, so a key that a later term or
-    the anchored listing meets again is not ranked again; the far more
-    numerous anchored keys are not mapped back.  hand_over() returns the
-    map that WatermarkScheme takes as its sparse_keys.
+    Keys are built from shared (position, value) tuples, one per distinct
+    pair.  add(key) ranks a key when a builder first meets it and looks it
+    up after that; keys maps each index to its key, and hand_over() adds the
+    all-zero key and gives that record to WatermarkScheme as sparse_keys.
     """
 
-    def __init__(self, t: int) -> None:
-        self.t = t
+    def __init__(self, keyset: ReducedKeySet) -> None:
+        self.keyset = keyset
         self.keys: dict[int, SparseKey] = {}
-        self.structural: dict[SparseKey, int] = {}
+        self._indices: dict[SparseKey, int] = {}
         self._rows: dict[int, list[tuple[int, int]]] = {}
 
     def row(self, pos: int) -> list[tuple[int, int]]:
         """row(pos)[v] is the shared pair (pos, v), for v in [0:T]."""
         row = self._rows.get(pos)
         if row is None:
-            row = self._rows[pos] = [(pos, v) for v in range(self.t + 1)]
+            row = self._rows[pos] = [(pos, v) for v in range(self.keyset.t + 1)]
         return row
 
-    def hand_over(self, keyset: KeySet, tables: Sequence[JointTable]) -> dict[int, SparseKey]:
-        """The listed key of every index stored in a table, in index order."""
-        self.keys[keyset.zero_index] = ()
-        support = set().union(*(table.rows for table in tables))
-        return {idx: self.keys[idx] for idx in sorted(support)}
+    def add(self, key: SparseKey) -> int:
+        """The index of key, a member's sparse key sorted by position (as the
+        builders build it), ranked by unchecked_index on first sight."""
+        idx = self._indices.get(key)
+        if idx is None:
+            idx = self._indices[key] = self.keyset.unchecked_index(key)
+            self.keys[idx] = key
+        return idx
+
+    def hand_over(self) -> dict[int, SparseKey]:
+        """The listed keys and the all-zero key, by index."""
+        self.keys[self.keyset.zero_index] = ()
+        return self.keys
+
+
+def _own_listing(keyset: ReducedKeySet, listing: KeyListing | None) -> KeyListing:
+    """listing, or a new one; ParameterError if it lists another key set."""
+    if listing is not None and listing.keyset != keyset:
+        raise ParameterError(f"listing of {listing.keyset!r} used for {keyset!r}")
+    return KeyListing(keyset) if listing is None else listing
 
 
 def _structural_pairs(
@@ -121,23 +134,15 @@ def _structural_pairs(
     """(index, sparse key) of the T! keys with nonzero positions support (T
     distinct positions below the key length), or, if cyclic, of the T keys s
     with message (j+s) mod T + 1 on support[j]; listing, when given, records
-    each.  Each is built sorted, a member, and ranked by unchecked_index."""
+    each.  Each is built sorted, a member, and added to the listing."""
     t = keyset.t
-    listing = KeyListing(t) if listing is None else listing
-    known, listed = listing.structural, listing.keys
+    listing = _own_listing(keyset, listing)
     rows = [listing.row(pos) for pos in support]
     shifts = ([(j + s) % t + 1 for j in range(t)] for s in range(t))
     messages = shifts if cyclic else itertools.permutations(range(1, t + 1))
-    pairs: list[tuple[int, SparseKey]] = []
-    for values in messages:
-        cells = [row[v] for row, v in zip(rows, values)]
-        key = tuple(sorted(cells) if cyclic else cells)
-        idx = known.get(key)
-        if idx is None:
-            idx = known[key] = keyset.unchecked_index(key)
-            listed[idx] = key
-        pairs.append((idx, key))
-    return pairs
+    cells = ([row[v] for row, v in zip(rows, values)] for values in messages)
+    keys = [tuple(sorted(key) if cyclic else key) for key in cells]
+    return [(listing.add(key), key) for key in keys]
 
 
 def _anchored_tails(
@@ -151,10 +156,9 @@ def _anchored_tails(
     matter).  Each tail puts the other T-K messages, increasing, on free[s],
     ..., free[s+T-K-1] (mod L-K) for each shift s: L-K keys, not all
     perm(L-K, T-K) with that tail (the same keys at T-K = 1).  Each is built
-    sorted, a member by construction, and ranked once by unchecked_index.
+    sorted, a member by construction, and added to the listing.
     """
-    t, k = keyset.t, len(anchors)
-    rank, known, listed = keyset.unchecked_index, listing.structural, listing.keys
+    t, k, add = keyset.t, len(anchors), listing.add
     anchor_set = set(anchors)
     free = [listing.row(pos) for pos in order if pos not in anchor_set]
     anchored: list[tuple[tuple[int, ...], list[int]]] = []
@@ -164,12 +168,7 @@ def _anchored_tails(
         members: list[int] = []
         for s in range(len(free)):
             window = [free[(s + j) % len(free)][v] for j, v in enumerate(rest)]
-            key = tuple(sorted(window + tail_pairs))
-            idx = known.get(key)
-            if idx is None:
-                idx = rank(key)
-                listed[idx] = key
-            members.append(idx)
+            members.append(add(tuple(sorted(window + tail_pairs))))
         anchored.append((tail, members))
     return anchored
 
@@ -201,7 +200,7 @@ def build_pm1(
         raise ParameterError("part-1 allocation requires the reduced key set")
     if decomp.length != keyset.length:
         raise ParameterError(f"decomposition length {decomp.length} != key length {keyset.length}")
-    t = keyset.t
+    listing, t = _own_listing(keyset, listing), keyset.t
     if order is None:
         count = len(decomp.terms) * math.factorial(t)
         check_listing(count, f"structural keys ({len(decomp.terms)} terms, t={t})", ENUMERATION_CAP)
@@ -269,7 +268,7 @@ def build_pm2(
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-2 allocation requires the reduced key set")
-    t, length = keyset.t, keyset.length
+    listing, t, length = _own_listing(keyset, listing), keyset.t, keyset.length
     px2 = _exact_entries(px2, "px2", length)
     order = range(length) if order is None else _key_order(order, length)
     anchors = [i for i, v in enumerate(px2) if v > 0]
@@ -284,7 +283,7 @@ def build_pm2(
     rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     classes = []
     totals = [Fraction(0)] * t
-    for tail, members in _anchored_tails(keyset, anchors, order, listing or KeyListing(t)):
+    for tail, members in _anchored_tails(keyset, anchors, order, listing):
         sums = [Fraction(0)] * t
         for (token, share), m, slot_hits in zip(slots, tail, hits):
             # JointTable copies every row, so the members can share this one.
@@ -380,7 +379,7 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
         raise InvariantError("px3 is positive off the anchors")
     keyset = ReducedKeySet(px.n, t)
     decomp = restore_supports(px, decompose_t_hot(split.px1, t))
-    listing = KeyListing(t)
+    listing = KeyListing(keyset)
     pm1 = build_pm1(decomp, keyset, listing)
     pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing, px.sort_perm)
     pm3 = build_pm3(restore_token_order(px, split.px3), ledger, keyset)
@@ -398,6 +397,4 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
         "imbalance": mass_to_string(ledger.total),
         "overshoot": mass_to_string(sum(split.px3, Fraction(0))),
     }
-    return WatermarkScheme.assemble(
-        alpha, px, keyset, tables, provenance, listing.hand_over(keyset, tables)
-    )
+    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance, listing.hand_over())

@@ -99,7 +99,7 @@ def construct_b(
             raise ParameterError(
                 "supplied decomposition does not reconstruct the extended vector"
             )
-    listing = KeyListing(t)
+    listing = KeyListing(keyset)
     prime_tables = build_pm1(decomposition, keyset, listing, px.sort_perm + tuple(range(px.n, length)))
 
     n = px.n
@@ -134,6 +134,4 @@ def construct_b(
         "leftover": mass_to_string(ext.R),
         "forced": force_pseudo,
     }
-    return WatermarkScheme.assemble(
-        alpha, px, keyset, tables, provenance, listing.hand_over(keyset, tables)
-    )
+    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance, listing.hand_over())

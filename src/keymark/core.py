@@ -10,9 +10,9 @@ the all-zero key at index 0.  A key's working form is its sparse key, the
 from their T nonzero positions in O(T) steps, whatever L is.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
 metrics, sampler and exporter all read, with the exact sums that the checks
-and metrics compare.  A scheme that a construction built takes its view's
-keys from the construction, which listed them in sparse form, so it unranks
-none; a loaded scheme unranks each support key once.  The walk takes those
+and metrics compare.  The view takes each key that the construction listed
+in sparse form from it and unranks the others, so a built scheme unranks
+none and a loaded one each support key once.  The walk takes those
 sums as Python ints over one common denominator D, the LCM of the distinct
 cell and pz denominators: each mass adds numerator * (D // denominator),
 and only the finished sums become Fractions, so no per-cell Fraction
@@ -493,13 +493,12 @@ class WatermarkScheme:
     1..n, and construction rejects any other token.  pz is defined as the
     row sums of the m=1 table.
 
-    sparse_keys is set only by the constructions: the sparse key of every
-    index in key_support() | pz, in index order, as they listed it.  The
-    decoded view takes it as its keys, so a scheme built in memory is
-    checked, reported and exported without unranking a key; a map that
-    lists other indices, or lists them out of order, raises
-    ValidationError.  A scheme without it, such as a loaded one, unranks
-    each support key once.  It takes no part in == or repr.
+    sparse_keys is set only by the constructions: index -> sparse key of
+    each key they listed, in any order.  The decoded view takes a support
+    key from it where it holds the index and unranks the key otherwise, so
+    a built scheme is checked, reported and exported without unranking a
+    key, and a loaded one unranks each support key once.  It takes no part
+    in == or repr.
     """
 
     n: int
@@ -528,10 +527,6 @@ class WatermarkScheme:
                     raise ValidationError(f"table m={m}: token {token} outside [1:{self.n}]")
         if exact_sum(self.pz.values()) != 1:
             raise ValidationError("key marginal does not sum to 1")
-        if self.sparse_keys is not None and list(self.sparse_keys) != self._decoded_indices():
-            raise ValidationError(
-                "sparse keys must list exactly the support and pz keys, in index order"
-            )
 
     @classmethod
     def assemble(
@@ -571,21 +566,18 @@ class WatermarkScheme:
             support |= table.key_support()
         return support
 
-    def _decoded_indices(self) -> list[int]:
-        return sorted(self.key_support() | set(self.pz))
-
     @cached_property
     def decoded(self) -> "DecodedCells":
         """Every stored cell decoded and summed once, on first use."""
-        keys = self.sparse_keys
-        if keys is None:
-            # Keys share their (position, value) tuples: there are at most
-            # L*T distinct pairs, so each stored key costs one small tuple.
-            shared: dict[tuple[int, int], tuple[int, int]] = {}
-            keys = {
-                idx: tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
-                for idx in self._decoded_indices()
-            }
+        handed = self.sparse_keys or {}
+        # Unranked keys share their (position, value) tuples: there are at
+        # most L*T distinct pairs, so each stored key costs one small tuple.
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
+        keys = {
+            idx: handed[idx] if idx in handed
+            else tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
+            for idx in sorted(self.key_support() | set(self.pz))
+        }
         common, scale = common_scale(
             {
                 mass.denominator
@@ -654,8 +646,8 @@ class DecodedCells:
     and the exact sums that the property checks and error metrics read.
 
     keys maps every key index stored in a table or in pz to its sparse key,
-    in index order: the scheme's sparse_keys as a construction handed them
-    over, or else each key unranked once.
+    in index order: the tuple in the scheme's sparse_keys where it holds
+    the index, else the key unranked once.
     messages[m-1][i] is the message that the i-th cell of table m, in
     cells() order, decodes to (0 when the key is zero at that token).
     columns[m-1][x-1] is table m's mass on token x, and captured[m-1][x-1]

@@ -94,7 +94,7 @@ def anchored_pairs(keyset: KeySet, k: int) -> list[tuple[int, tuple[int, ...]]]:
     """(index, entries at the last k positions) of every anchored key that
     construction A lists on a sorted view with those k anchors."""
     anchors = range(keyset.length - k, keyset.length)
-    anchored = _anchored_tails(keyset, anchors, range(keyset.length), KeyListing(keyset.t))
+    anchored = _anchored_tails(keyset, anchors, range(keyset.length), KeyListing(keyset))
     return [(idx, tail) for tail, members in anchored for idx in members]
 
 

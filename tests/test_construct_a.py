@@ -117,7 +117,7 @@ def test_structural_keys_validation() -> None:
     ]
     for support, length, match in cases:
         terms = [(support, F(1, 10)), ((1, 2), F(1, 5)), ((2, 3), F(1, 5))]
-        listing = KeyListing(2)
+        listing = KeyListing(keyset)
         with pytest.raises(ParameterError, match=match):
             decomposition = THotDecomposition(tuple(THotTerm(s, w) for s, w in terms), length)
             build_pm1(decomposition, keyset, listing)
@@ -280,12 +280,31 @@ def test_build_pm2_refuses_an_order_that_is_not_a_permutation(order) -> None:
     # keys that are not members, ranked without the validating search.
     # build_pm1 takes the same check on construct_b's order.
     keyset = ReducedKeySet(3, 3)
-    listing = KeyListing(3)
+    listing = KeyListing(keyset)
     with pytest.raises(ParameterError, match="order"):
         build_pm2((F(0), F(0), F(1, 10)), keyset, listing, order)
     with pytest.raises(ParameterError, match="order"):
         build_pm1(THotDecomposition((THotTerm((0, 1, 2), F(1)),), 3), keyset, listing, order)
     assert listing.keys == {}
+
+
+def test_part_builders_refuse_a_listing_of_another_key_set() -> None:
+    # A listing made for a shorter key set reached past its shared pairs
+    # (IndexError); one shared across key sets reused the first set's
+    # indices for keys of the second.
+    short, long = ReducedKeySet(4, 2), ReducedKeySet(5, 2)
+    decomposition = THotDecomposition((THotTerm((0, 1, 2), F(1, 3)),), 4)
+    with pytest.raises(ParameterError, match="listing of"):
+        build_pm1(decomposition, ReducedKeySet(4, 3), KeyListing(short))
+    # Key sets compare by value, so a listing made for an equal one is taken.
+    listing = KeyListing(ReducedKeySet(4, 2))
+    terms = (THotTerm((0, 2), F(1, 2)), THotTerm((1, 3), F(1, 2)))
+    build_pm1(THotDecomposition(terms, 4), short, listing)
+    listed = dict(listing.keys)
+    assert len(listed) == 4
+    with pytest.raises(ParameterError, match="listing of"):
+        build_pm2((F(0), F(0), F(0), F(0), F(1, 10)), long, listing)
+    assert listing.keys == listed
 
 
 def test_build_pm1_golden() -> None:
@@ -644,7 +663,7 @@ RANK_COUNT_CASES = {
 def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     """Both constructions build in px's own token order and hand their keys
     to the scheme: construct, check, report and export unrank no key, each
-    support key is ranked at most once, and no key goes through the
+    distinct listed key is ranked exactly once, and no key goes through the
     validating sparse_index.  A loaded scheme unranks each key once."""
     # The package attribute keymark.construct_a is the function, not the module.
     module = importlib.import_module("keymark.construct_a")
@@ -688,7 +707,9 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     assert calls["sparse_key"] == 0
     assert calls["sparse_index"] == 0
     assert len(scheme.key_support()) <= calls["listed"] + 1
-    assert 0 < calls["unchecked_index"] <= len(scheme.key_support())
+    # Every listed key goes through KeyListing.add: one rank per distinct
+    # key, and the all-zero key is handed over without one.
+    assert calls["unchecked_index"] == len(scheme.sparse_keys) - 1
     loaded = deserialize_scheme(serialize_scheme(scheme))
     check_report_export(loaded)
     assert calls["sparse_key"] == len(loaded.key_support() | set(loaded.pz))

@@ -241,7 +241,7 @@ def test_cyclic_part1_matches_the_t_factorial_spread() -> None:
             decomp = decompose_t_hot(ext.px_prime, t)
             keyset = ReducedKeySet(decomp.length, t)
             order = px.sort_perm + tuple(range(px.n, decomp.length))
-            listing = KeyListing(t)
+            listing = KeyListing(keyset)
             cyclic = build_pm1(decomp, keyset, listing, order)
             full = build_pm1(restore_supports(px, decomp), keyset, listing)
             assert part1_sums(cyclic, listing.keys) == part1_sums(full, listing.keys)

@@ -3,7 +3,9 @@
 A built scheme's decoded view takes those keys instead of unranking each
 support key, so each handed key must be the reduced key set's own key at
 its index, and the view must equal, field by field, the one that a loaded
-copy of the scheme builds by unranking.
+copy of the scheme builds by unranking.  A handed map may lack support
+keys, hold other indices or list them in any order: the view unranks the
+keys it lacks.
 """
 
 import dataclasses
@@ -22,7 +24,6 @@ from test_output_digests import ALPHA, INSTANCES, T
 from keymark.construct_a import KeyListing, _anchored_tails, _structural_pairs, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import ReducedKeySet, TokenDistribution
-from keymark.errors import ValidationError
 from keymark.serialize import deserialize_scheme, serialize_scheme
 from keymark.split import split_px
 from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
@@ -49,10 +50,16 @@ def builds(px: TokenDistribution, alpha: F, t: int):
     }
 
 
+def assert_same_view(scheme, loaded) -> None:
+    built, unranked = scheme.decoded, loaded.decoded
+    for field in dataclasses.fields(built):
+        assert getattr(built, field.name) == getattr(unranked, field.name), field.name
+
+
 def assert_handed_keys(scheme) -> None:
     keys = scheme.sparse_keys
     assert keys is not None
-    assert list(keys) == sorted(scheme.key_support() | set(scheme.pz))
+    assert scheme.key_support() | set(scheme.pz) <= set(keys)
     for idx, pairs in keys.items():
         assert pairs == scheme.keyset.sparse_key(idx)
     # Each distinct (position, value) pair is one shared tuple.
@@ -61,10 +68,9 @@ def assert_handed_keys(scheme) -> None:
     loaded = deserialize_scheme(json.loads(json.dumps(serialize_scheme(scheme))))
     assert loaded.sparse_keys is None
     assert (loaded.tables, loaded.pz) == (scheme.tables, scheme.pz)
-    built, unranked = scheme.decoded, loaded.decoded
-    assert built.keys is keys
-    for field in dataclasses.fields(built):
-        assert getattr(built, field.name) == getattr(unranked, field.name), field.name
+    for idx, pairs in scheme.decoded.keys.items():
+        assert pairs is keys[idx]
+    assert_same_view(scheme, loaded)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -115,7 +121,7 @@ def test_unchecked_rank_of_anchored_keys(length: int, t: int, anchors: list[int]
     family in that order, among the keys nonzero at all anchors, and all of
     them at T-K = 1."""
     keyset = ReducedKeySet(length, t)
-    listing = KeyListing(t)
+    listing = KeyListing(keyset)
     order = list(range(length))
     random.Random(10 * length + t).shuffle(order)
     anchored = _anchored_tails(keyset, anchors, order, listing)
@@ -159,7 +165,7 @@ def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
         for _ in range(8):
             support = sorted(rng.sample(range(length), t))
             reached_pseudo += max(support) >= n
-            listing = KeyListing(t)
+            listing = KeyListing(keyset)
             pairs = _structural_pairs(keyset, support, listing)
             assert len({idx for idx, _ in pairs}) == len(pairs) == math.factorial(t)
             assert listing.keys == dict(pairs)
@@ -170,19 +176,35 @@ def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
     assert reached_pseudo > 0 if pseudo else reached_pseudo == 0
 
 
-def test_handed_map_must_list_exactly_the_support() -> None:
+def test_handed_map_may_lack_extra_or_reorder_keys(monkeypatch) -> None:
+    """A map that lacks support keys, holds extra indices or runs in reverse
+    gives the loaded scheme's view, and the view unranks each key it lacks
+    exactly once."""
     scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
+    loaded = deserialize_scheme(serialize_scheme(scheme))
+    loaded.decoded  # its unranks are not counted below
     keys = dict(scheme.sparse_keys)
-    stored = set(keys)
-    extra = next(idx for idx in itertools.count(1) if idx not in stored)
-    wrong = {
-        "one extra key": dict(sorted({**keys, extra: scheme.keyset.sparse_key(extra)}.items())),
-        "one missing key": dict(itertools.islice(keys.items(), 1, None)),
-        "out of order": dict(reversed(keys.items())),
+    support = scheme.key_support() | set(scheme.pz)
+    kept = dict(itertools.islice(keys.items(), 0, None, 2))
+    extra = itertools.islice((idx for idx in itertools.count(1) if idx not in keys), 3)
+    handed = {
+        "missing keys": (kept, support - set(kept)),
+        "extra keys": ({**keys, **{idx: scheme.keyset.sparse_key(idx) for idx in extra}}, set()),
+        "reverse order": (dict(reversed(keys.items())), set()),
     }
-    for name, sparse_keys in wrong.items():
-        with pytest.raises(ValidationError, match="sparse keys"):
-            dataclasses.replace(scheme, sparse_keys=sparse_keys)
+    assert handed["missing keys"][1]
+    unranked = []
+    sparse_key = ReducedKeySet.sparse_key
+
+    def counted(self, idx):
+        unranked.append(idx)
+        return sparse_key(self, idx)
+
+    monkeypatch.setattr(ReducedKeySet, "sparse_key", counted)
+    for name, (sparse_keys, missing) in handed.items():
+        unranked.clear()
+        assert_same_view(dataclasses.replace(scheme, sparse_keys=sparse_keys), loaded)
+        assert sorted(unranked) == sorted(missing), name
     # The map takes no part in == or repr.
     plain = dataclasses.replace(scheme, sparse_keys=None)
     assert plain == scheme and repr(plain) == repr(scheme)
