@@ -11,11 +11,14 @@ division is correctly rounded, hence monotone, and equals float() of the
 same prefix as a Fraction; the last entry is clamped to 1.0 so no draw can
 fall off the end.
 
-A miss-rate estimate only asks whether a draw lands on a cell that does
-not decode to the message.  Cells in enumeration order fall into maximal
-runs of equal miss status, and a draw lands in the run given by how many
-run-end CDF entries lie at or below it, so the search runs over one entry
-per run rather than one per cell.
+An estimate counts draws per cell rather than finding each draw's cell.
+The draws are sorted once, and a cell's count is the number of draws below
+its CDF entry less the number below the entry before it: one search per
+cell into the sorted draws, not one per draw into the table.  A draw equal
+to an entry belongs to the next cell, as with an inverse-CDF search.  The
+false-alarm estimate sorts the key draws, carries each token draw along
+with its key draw, and tests each key's block of token draws against the
+CDF interval of every token the key marks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .core import TokenDistribution, WatermarkScheme, exact_int
 from .errors import ParameterError
@@ -64,15 +67,28 @@ class TrialReport:
         return cls(m, trials, hits, estimate, stderr, exact, z)
 
 
+def _scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as integers over the LCM of their denominators, and that LCM."""
+    ratios = [value.as_integer_ratio() for value in values]
+    common, scale = common_scale(denominator for _, denominator in ratios)
+    return [numerator * scale[denominator] for numerator, denominator in ratios], common
+
+
 def _cdf(masses: list[Fraction]) -> np.ndarray:
     import numpy as np
 
-    ratios = [mass.as_integer_ratio() for mass in masses]
-    common, scale = common_scale(denominator for _, denominator in ratios)
-    scaled = accumulate(numerator * scale[denominator] for numerator, denominator in ratios)
-    prefix = [running / common for running in scaled]
+    scaled, common = _scaled(masses)
+    prefix = [running / common for running in accumulate(scaled)]
     prefix[-1] = 1.0
     return np.asarray(prefix)
+
+
+def _cell_counts(draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Sort the draws in place; count those in each cell [cdf[i-1], cdf[i])."""
+    import numpy as np
+
+    draws.sort()
+    return np.diff(draws.searchsorted(cdf, side="left"), prepend=0)
 
 
 def _table_support(scheme: WatermarkScheme, m: int):
@@ -88,20 +104,25 @@ def _table_support(scheme: WatermarkScheme, m: int):
 
 
 def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
-    """Keys of pz in order, both CDFs, and each key's nonzero positions as a
-    (keys, widest key) array padded with -1, which no token index matches.
+    """Keys of pz in order and the CDFs of qx and pz."""
+    key_indices = sorted(scheme.pz)
+    pz_masses = [scheme.pz[idx] for idx in key_indices]
+    return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses)
+
+
+def _marked_tokens(scheme: WatermarkScheme, key_indices: list[int], n: int) -> np.ndarray:
+    """Each key's nonzero positions as a (keys, widest key) array, padded
+    with n, which also stands in for every position past the vocabulary.
     Reduced keys have T nonzero entries; explicit keys may have more."""
     import numpy as np
 
-    key_indices = sorted(scheme.pz)
-    pz_masses = [scheme.pz[idx] for idx in key_indices]
     keys = [scheme.decoded.keys[idx] for idx in key_indices]
     lengths = np.fromiter(map(len, keys), np.int64, len(keys))
     flat = np.fromiter((pos for pairs in keys for pos, _ in pairs), np.int64, int(lengths.sum()))
-    positions = np.full((len(keys), int(lengths.max())), -1, dtype=np.int64)
+    positions = np.full((len(keys), int(lengths.max())), n, dtype=np.int64)
     # A boolean mask assigns in row-major order: each row's first entries.
-    positions[np.arange(positions.shape[1]) < lengths[:, None]] = flat
-    return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses), positions
+    positions[np.arange(positions.shape[1]) < lengths[:, None]] = np.minimum(flat, n)
+    return positions
 
 
 def _draw_inputs(
@@ -129,7 +150,7 @@ def sample(
     qx = _draw_inputs(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
-        key_indices, qx_cdf, pz_cdf, _ = _marginals(scheme, qx)
+        key_indices, qx_cdf, pz_cdf = _marginals(scheme, qx)
         x = int(np.searchsorted(qx_cdf, rng.random(), side="right")) + 1
         key = key_indices[int(np.searchsorted(pz_cdf, rng.random(), side="right"))]
         return x, key
@@ -156,20 +177,33 @@ def monte_carlo(
     qx = _draw_inputs(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
-        key_indices, qx_cdf, pz_cdf, positions = _marginals(scheme, qx)
-        xs = np.searchsorted(qx_cdf, rng.random(trials), side="right")
-        ks = np.searchsorted(pz_cdf, rng.random(trials), side="right")
+        key_indices, qx_cdf, pz_cdf = _marginals(scheme, qx)
+        marks = _marked_tokens(scheme, key_indices, qx.n)
+        # Token x (0-based) covers [lower[x], upper[x]); index n covers nothing.
+        lower = np.append(0.0, qx_cdf)
+        upper = np.append(qx_cdf, 0.0)
+        tokens = rng.random(trials)
+        keys = rng.random(trials)
+        by_key = keys.argsort()
+        counts = _cell_counts(keys, pz_cdf)
+        # The token draws in key order, written over the key draws: with
+        # mode="clip", take() fills out without a buffer of its own.
+        tokens = tokens.take(by_key, out=keys, mode="clip")
+        del by_key  # the loop then holds at most two arrays of draws
+        hits = 0
         # A key's nonzero positions are distinct, so at most one column matches.
-        hits = sum(int((column[ks] == xs).sum()) for column in positions.T)
-        exact = sum(
-            (q * marked for q, marked in zip(qx.probs, false_alarm_by_token(scheme))),
-            Fraction(0),
-        )
+        for column in marks.T:
+            inside = tokens >= np.repeat(lower[column], counts)
+            inside &= tokens < np.repeat(upper[column], counts)
+            hits += int(np.count_nonzero(inside))
+        q, q_common = _scaled(qx.probs)
+        marked, marked_common = _scaled(false_alarm_by_token(scheme))
+        exact = Fraction(sum(a * b for a, b in zip(q, marked)), q_common * marked_common)
         return TrialReport.from_counts(0, trials, hits, exact)
     _, masses, decoded = _table_support(scheme, m)
-    missed = decoded != m
-    # Index of the last cell of each maximal run of equal miss status.
-    ends = np.flatnonzero(np.append(missed[1:] != missed[:-1], True))
-    runs = np.searchsorted(_cdf(masses)[ends], rng.random(trials), side="right")
-    hits = int(np.count_nonzero(missed[ends][runs]))
+    # The CDF before the draws: made while they are alive, its allocations
+    # land above them on the heap, which then cannot shrink when they go.
+    cdf = _cdf(masses)
+    counts = _cell_counts(rng.random(trials), cdf)
+    hits = int(counts[decoded != m].sum())
     return TrialReport.from_counts(m, trials, hits, miss_detection(scheme, m))

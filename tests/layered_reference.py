@@ -14,9 +14,10 @@ keymark.metrics did before they summed integers over one common
 denominator.
 
 The Monte Carlo references build each inverse-CDF table from a running
-Fraction sum converted to float cell by cell, and search every cell, as
-keymark.sim did before it took integer prefix sums and searched one entry
-per run of like cells.  No production code imports this module.
+Fraction sum converted to float cell by cell, and search the table once per
+draw, as keymark.sim did before it took integer prefix sums and counted
+each cell's draws from sorted draws.  No production code imports this
+module.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from goldens import COMBINED_A
 from layered_reference import reference_cdf, reference_hits
+from test_output_digests import one_heavy, shuffled
 from keymark.construct_a import construct_a
 from keymark.construct_b import construct_b
 from keymark.core import (
@@ -316,16 +318,34 @@ def explicit_schemes(draw) -> WatermarkScheme:
     return WatermarkScheme.assemble(F(1, 2), px, ExplicitKeySet(keys, t), tables)
 
 
+@st.composite
+def queries_with_zero_mass(draw, n: int) -> TokenDistribution:
+    """A qx on n tokens with weights 0..3: one token has positive weight
+    and, for n >= 2, another has none."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    positive = draw(st.integers(0, n - 1))
+    weights[positive] = max(weights[positive], 1)
+    if n > 1:
+        weights[(positive + draw(st.integers(1, n - 1))) % n] = 0
+    total = sum(weights)
+    return TokenDistribution.from_fractions([F(w, total) for w in weights])
+
+
 @settings(max_examples=60, deadline=None)
-@given(scheme=explicit_schemes(), seed=st.integers(0, 2**64))
-def test_monte_carlo_matches_per_cell_reference(scheme, seed) -> None:
+@given(scheme=explicit_schemes(), seed=st.integers(0, 2**64), data=st.data())
+def test_monte_carlo_matches_per_cell_reference(scheme, seed, data) -> None:
     # Integer prefixes give the Fraction-prefix CDF bit for bit, and the
-    # run-level search counts the draws that the per-cell search does.
+    # counts from sorted draws give the hits of the per-cell search.  A
+    # zero-mass token of qx has an empty interval, which no draw falls in.
     for table in scheme.tables:
         masses = [mass for _, _, mass in table.cells()]
         assert np.array_equal(_cdf(masses), reference_cdf(masses))
     for m in range(scheme.t + 1):
         assert monte_carlo(scheme, m, 2000, seed).hits == reference_hits(scheme, m, 2000, seed)
+    qx = data.draw(queries_with_zero_mass(scheme.n))
+    assert monte_carlo(scheme, 0, 2000, seed, qx).hits == reference_hits(
+        scheme, 0, 2000, seed, qx=qx
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -375,6 +395,10 @@ def tie_scheme() -> WatermarkScheme:
         # 0.5 ends token 1's px mass, so the token is token 2, which key 2
         # marks.
         (0.5, 0, 3, (2, 2)),
+        # 0.0 lies in the first cell of every table: the hit cell (key 1,
+        # token 1), and under m = 0 token 1 and key 1, which marks it.
+        (0.0, 1, 0, (1, 1)),
+        (0.0, 0, 3, (1, 1)),
     ],
 )
 def test_a_draw_equal_to_a_cdf_entry_belongs_to_the_next_cell(
@@ -384,6 +408,25 @@ def test_a_draw_equal_to_a_cdf_entry_belongs_to_the_next_cell(
     scheme = tie_scheme()
     assert monte_carlo(scheme, m, 3, 0).hits == hits
     assert sample(scheme, m, 0) == pair
+
+
+def test_one_estimate_peaks_at_three_draw_arrays() -> None:
+    # On a heavy-40-shaped scheme, m = 0 holds its token draws, its key
+    # draws and their sort order at once, and m >= 1 only its draws.  The
+    # token draws go into the key draws' buffer in key order; a take()
+    # without mode="clip" there would add a fourth array.
+    scheme = construct_a(shuffled(one_heavy(40), 7), F(1, 2), 3)
+    trials = 10**5
+    for m in (0, 1):
+        # The first estimate builds the scheme's cached views untraced.
+        monte_carlo(scheme, m, 10, 0)
+        tracemalloc.start()
+        try:
+            monte_carlo(scheme, m, trials, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * trials + 256 * 1024, (m, peak)
 
 
 # Builds, checks, saves, exports and certifies without a draw, through the
