@@ -14,9 +14,11 @@ and metrics compare.  The view takes each key that the construction listed
 in sparse form from it and unranks the others, so a built scheme unranks
 none and a loaded one each support key once.  The walk takes those
 sums as Python ints over one common denominator D, the LCM of the distinct
-cell and pz denominators: each mass adds numerator * (D // denominator),
-and only the finished sums become Fractions, so no per-cell Fraction
-addition is made.
+cell, pz and px denominators and those of alpha and alpha/T: each mass adds
+numerator * (D // denominator).  The view keeps the sums as ints, and the
+checks compare them with px, alpha and alpha/T scaled by D, so no per-cell
+Fraction addition and no Fraction comparison is made; a Fraction is made
+only for a value that is reported.
 
 >>> ks = enumerate_reduced_keyset(3, 2)
 >>> len(ks)
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParameterError, ValidationError
-from .rationals import common_scale, exact_sum, parse_mass
+from .rationals import common_numerators, common_scale, exact_sum, parse_mass
 
 __all__ = [
     "KeyVector",
@@ -173,7 +175,10 @@ class TokenDistribution:
 
     @cached_property
     def sort_perm(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.n), key=self.probs.__getitem__))
+        # Sorted on the numerators over the entries' common denominator: the
+        # same stable order as on the Fractions, without a Fraction compare.
+        scaled, _ = common_numerators(self.probs)
+        return tuple(sorted(range(self.n), key=scaled.__getitem__))
 
     @property
     def sorted_probs(self) -> tuple[Fraction, ...]:
@@ -586,6 +591,8 @@ class WatermarkScheme:
                 for mass in row.values()
             }
             | {mass.denominator for mass in self.pz.values()}
+            | {p.denominator for p in self.px.probs}
+            | {self.alpha.denominator, Fraction(self.alpha, self.t).denominator}
         )
         n, t = self.n, self.t
         messages = [array("I") for _ in range(t)]
@@ -625,18 +632,14 @@ class WatermarkScheme:
         return DecodedCells(
             keys=keys,
             messages=tuple(messages),
-            columns=tuple(tuple(Fraction(v, common) for v in column) for column in columns),
-            captured=tuple(tuple(Fraction(v, common) for v in hit) for hit in captured),
-            marked=tuple(Fraction(v, common) for v in marked),
-            totals=tuple(Fraction(sum(column), common) for column in columns),
-            missed=tuple(
-                Fraction(sum(column) - sum(hit), common) for column, hit in zip(columns, captured)
-            ),
+            denominator=common,
+            columns=tuple(map(tuple, columns)),
+            captured=tuple(map(tuple, captured)),
+            marked=tuple(marked),
+            totals=tuple(map(sum, columns)),
+            missed=tuple(sum(column) - sum(hit) for column, hit in zip(columns, captured)),
             negatives=tuple(negatives),
-            row_mismatches=tuple(
-                (idx, m, Fraction(ref, common), Fraction(actual, common))
-                for idx, m, ref, actual in mismatches
-            ),
+            row_mismatches=tuple(mismatches),
         )
 
 
@@ -650,32 +653,36 @@ class DecodedCells:
     the index, else the key unranked once.
     messages[m-1][i] is the message that the i-th cell of table m, in
     cells() order, decodes to (0 when the key is zero at that token).
-    columns[m-1][x-1] is table m's mass on token x, and captured[m-1][x-1]
-    the part of it on cells that decode to m.  marked[x-1] is the pz mass
-    on keys that are nonzero at token x.  totals[m-1] is table m's mass and
-    missed[m-1] the part of it on cells that do not decode to m.
-    negatives[m-1] is table m's first negative cell in cells() order, as
-    (key, token, mass), or None.  row_mismatches lists each
+
+    Every sum is an int, the numerator of an exact mass over denominator,
+    the LCM D of the scheme's distinct cell, pz and px denominators and
+    those of alpha and alpha/T, so px(x)*D, alpha*D and alpha*D/T are ints
+    too and a check compares ints.  columns[m-1][x-1] is table m's mass on
+    token x, and captured[m-1][x-1] the part of it on cells that decode to
+    m.  marked[x-1] is the pz mass on keys that are nonzero at token x.
+    totals[m-1] is table m's mass and missed[m-1] the part of it on cells
+    that do not decode to m.  row_mismatches lists each
     (key, m, reference, actual) where table m's row sum differs from table
     1's, by key and then m, over every key stored in any table; a key
-    missing from a table has row sum 0 there.
+    missing from a table has row sum 0 there.  negatives[m-1] is table m's
+    first negative cell in cells() order, as (key, token, mass) with the
+    stored Fraction mass, or None.
 
-    Every sum is taken as an int over the LCM of the scheme's distinct cell
-    and pz denominators and converted to a Fraction once, at the end.  The
-    walk goes key by key and compares a key's row sums as it takes them, so
-    the view grows with the number of row-sum mismatches, not with the
+    The walk goes key by key and compares a key's row sums as it takes them,
+    so the view grows with the number of row-sum mismatches, not with the
     number of keys.
     """
 
     keys: Mapping[int, SparseKey]
     messages: tuple[array, ...]
-    columns: tuple[tuple[Fraction, ...], ...]
-    captured: tuple[tuple[Fraction, ...], ...]
-    marked: tuple[Fraction, ...]
-    totals: tuple[Fraction, ...]
-    missed: tuple[Fraction, ...]
+    denominator: int
+    columns: tuple[tuple[int, ...], ...]
+    captured: tuple[tuple[int, ...], ...]
+    marked: tuple[int, ...]
+    totals: tuple[int, ...]
+    missed: tuple[int, ...]
     negatives: tuple[tuple[int, int, Fraction] | None, ...]
-    row_mismatches: tuple[tuple[int, int, Fraction, Fraction], ...]
+    row_mismatches: tuple[tuple[int, int, int, int], ...]
 
 
 @dataclass(frozen=True)

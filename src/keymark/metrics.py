@@ -1,14 +1,18 @@
 """Exact structural verification and detection-error metrics.
 
-check_scheme evaluates five properties with rational arithmetic and reports
-the first counterexample per property instead of raising.  It reads only
+check_scheme evaluates five properties exactly and reports the first
+counterexample per property instead of raising.  It reads only
 WatermarkScheme.decoded, whose one walk over the tables takes every exact
 sum it compares, lists the row-sum mismatches and finds each table's first
-negative cell; no check reads the tables itself.  The error quantities come
-from the same walk: the miss rate for m is table m's mass on cells that do
-not decode to m, and the worst false alarm is the largest per-token
+negative cell; no check reads the tables itself.  The sums are integer
+numerators over the view's common denominator D, and the checks compare
+them with px(x)*D, alpha*D and alpha*D/T, which are integers too; a
+Fraction is made only for a reported counterexample.  The error quantities
+come from the same walk: the miss rate for m is table m's mass on cells
+that do not decode to m, and the worst false alarm is the largest per-token
 key-marginal mass on nonzero entries (the supremum over token distributions
-of the false-alarm rate is attained at a single token).
+of the false-alarm rate is attained at a single token), taken on the
+integers before it becomes a Fraction.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Iterator
 
 from .core import DecodedCells, ErrorReport, TokenDistribution, WatermarkScheme, check_instance
 from .errors import ParameterError
+from .rationals import exact_sum
 
 __all__ = [
     "PropertyCheck",
@@ -89,16 +94,28 @@ def check_scheme(scheme: WatermarkScheme) -> PropertyReport:
     (5) all stored masses are positive and each table sums to 1.
     """
     view = scheme.decoded
-    cap = Fraction(scheme.alpha, scheme.t)
-    floors = [min(cap, p) for p in scheme.px.probs]
+    common = view.denominator
+    px = [_scaled(p, common) for p in scheme.px.probs]
+    alpha = _scaled(scheme.alpha, common)
+    cap = alpha // scheme.t  # exact: alpha/T's denominator divides D
+    floors = [min(cap, p) for p in px]
     failures = (
-        _column_failures(view.columns, scheme.px.probs, operator.ne),
+        _column_failures(view.columns, px, operator.ne, common),
         _row_sum_failures(view),
-        _column_failures(view.captured, floors, operator.lt),
-        ((f"x={x}", scheme.alpha, a) for x, a in enumerate(view.marked, 1) if a > scheme.alpha),
+        _column_failures(view.captured, floors, operator.lt, common),
+        (
+            (f"x={x}", scheme.alpha, Fraction(a, common))
+            for x, a in enumerate(view.marked, 1)
+            if a > alpha
+        ),
         _mass_failures(view),
     )
     return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))
+
+
+def _scaled(value: Fraction, common: int) -> int:
+    """value * common, for a common multiple of value's denominator."""
+    return value.numerator * (common // value.denominator)
 
 
 def _first_failure(name: str, failures: Iterator[Failure]) -> PropertyCheck:
@@ -106,17 +123,19 @@ def _first_failure(name: str, failures: Iterator[Failure]) -> PropertyCheck:
     return next((PropertyCheck(name, False, *f) for f in failures), PropertyCheck(name, True))
 
 
-def _column_failures(sums, bounds, fails: Callable[..., bool]) -> Iterator[Failure]:
-    """By table m, then token x: each (location, bound, sum) where fails(sum, bound)."""
+def _column_failures(sums, bounds, fails: Callable[..., bool], common: int) -> Iterator[Failure]:
+    """By table m, then token x: each (location, bound, sum) where fails(sum,
+    bound), on numerators over common; the two reported become Fractions."""
     for m, row in enumerate(sums, start=1):
         for x, (actual, bound) in enumerate(zip(row, bounds), start=1):
             if fails(actual, bound):
-                yield f"m={m}, x={x}", bound, actual
+                yield f"m={m}, x={x}", Fraction(bound, common), Fraction(actual, common)
 
 
 def _row_sum_failures(view: DecodedCells) -> Iterator[Failure]:
+    common = view.denominator
     for idx, m, reference, actual in view.row_mismatches:
-        yield f"key={idx}, m={m}", reference, actual
+        yield f"key={idx}, m={m}", Fraction(reference, common), Fraction(actual, common)
 
 
 def _mass_failures(view: DecodedCells) -> Iterator[Failure]:
@@ -124,8 +143,8 @@ def _mass_failures(view: DecodedCells) -> Iterator[Failure]:
         if negative is not None:
             idx, token, mass = negative
             yield f"m={m}, key={idx}, x={token}", Fraction(0), mass
-        if total != 1:
-            yield f"m={m} total", Fraction(1), total
+        if total != view.denominator:
+            yield f"m={m} total", Fraction(1), Fraction(total, view.denominator)
 
 
 def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
@@ -134,24 +153,27 @@ def miss_detection(scheme: WatermarkScheme, m: int) -> Fraction:
         raise ParameterError(
             f"message {m} outside [1:{scheme.t}] (use worst_false_alarm for m=0)"
         )
-    return scheme.decoded.missed[m - 1]
+    view = scheme.decoded
+    return Fraction(view.missed[m - 1], view.denominator)
 
 
 def false_alarm_by_token(scheme: WatermarkScheme) -> list[Fraction]:
     """Per token x (0-based), the key-marginal mass decoding x to a nonzero message."""
-    return list(scheme.decoded.marked)
+    view = scheme.decoded
+    return [Fraction(v, view.denominator) for v in view.marked]
 
 
 def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
     """max over tokens of the key-marginal mass decoding that token nonzero."""
-    return max(scheme.decoded.marked)
+    view = scheme.decoded
+    return Fraction(max(view.marked), view.denominator)
 
 
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:
     """Smallest achievable worst-case miss rate: 1 - sum_x min(alpha/T, px(x))."""
     alpha, t = check_instance(px, alpha, t)
     cap = Fraction(alpha, t)
-    return 1 - sum((min(cap, p) for p in px.probs), Fraction(0))
+    return 1 - exact_sum(min(cap, p) for p in px.probs)
 
 
 def error_report(scheme: WatermarkScheme) -> ErrorReport:

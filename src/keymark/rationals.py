@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import ParameterError
 
-__all__ = ["parse_mass", "mass_to_string", "common_scale", "exact_sum"]
+__all__ = ["parse_mass", "mass_to_string", "common_scale", "common_numerators", "exact_sum"]
 
 
 def parse_mass(text: str) -> Fraction:
@@ -49,6 +49,17 @@ def common_scale(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
     distinct = set(denominators)
     common = math.lcm(*distinct)
     return common, {d: common // d for d in distinct}
+
+
+def common_numerators(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """The values as integers over the LCM D of their denominators, and D.
+
+    >>> common_numerators([Fraction(1, 6), Fraction(1, 10), 2])
+    ([5, 3, 60], 30)
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    common, scale = common_scale(denominator for _, denominator in ratios)
+    return [numerator * scale[denominator] for numerator, denominator in ratios], common
 
 
 def exact_sum(values: Iterable[Fraction | int]) -> Fraction:

@@ -27,12 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .core import TokenDistribution, WatermarkScheme, exact_int
 from .errors import ParameterError
-from .metrics import false_alarm_by_token, miss_detection
-from .rationals import common_scale
+from .metrics import miss_detection
+from .rationals import common_numerators
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,17 +67,10 @@ class TrialReport:
         return cls(m, trials, hits, estimate, stderr, exact, z)
 
 
-def _scaled(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The values as integers over the LCM of their denominators, and that LCM."""
-    ratios = [value.as_integer_ratio() for value in values]
-    common, scale = common_scale(denominator for _, denominator in ratios)
-    return [numerator * scale[denominator] for numerator, denominator in ratios], common
-
-
 def _cdf(masses: list[Fraction]) -> np.ndarray:
     import numpy as np
 
-    scaled, common = _scaled(masses)
+    scaled, common = common_numerators(masses)
     prefix = [running / common for running in accumulate(scaled)]
     prefix[-1] = 1.0
     return np.asarray(prefix)
@@ -196,9 +189,9 @@ def monte_carlo(
             inside = tokens >= np.repeat(lower[column], counts)
             inside &= tokens < np.repeat(upper[column], counts)
             hits += int(np.count_nonzero(inside))
-        q, q_common = _scaled(qx.probs)
-        marked, marked_common = _scaled(false_alarm_by_token(scheme))
-        exact = Fraction(sum(a * b for a, b in zip(q, marked)), q_common * marked_common)
+        q, q_common = common_numerators(qx.probs)
+        view = scheme.decoded
+        exact = Fraction(sum(a * b for a, b in zip(q, view.marked)), q_common * view.denominator)
         return TrialReport.from_counts(0, trials, hits, exact)
     _, masses, decoded = _table_support(scheme, m)
     # The CDF before the draws: made while they are alive, its allocations

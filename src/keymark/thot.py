@@ -19,6 +19,7 @@ from typing import Sequence
 
 from .core import exact_int, exact_rational
 from .errors import InvariantError, ParameterError
+from .rationals import common_numerators
 
 __all__ = ["THotTerm", "THotDecomposition", "is_t_hot_representable", "decompose_t_hot"]
 
@@ -67,7 +68,8 @@ def _check_inputs(a: Sequence[Fraction], t: int) -> tuple[list[Fraction], int]:
 def is_t_hot_representable(a: Sequence[Fraction], t: int) -> bool:
     """True iff t * max(a) <= sum(a)."""
     entries, t = _check_inputs(a, t)
-    return t * max(entries) <= sum(entries)
+    scaled, _ = common_numerators(entries)
+    return t * max(scaled) <= sum(scaled)
 
 
 def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
@@ -84,62 +86,72 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     the set {i : v(i)=0 or T*v(i)=sum(v)} gains a member every round, so the
     loop runs at most L times.
 
-    The indices are kept sorted by (-v(i), i), so the support is the first T
-    of them and the outer minimum is sum(v) - T * (the (T+1)-th largest).  A
-    round lowers its T support entries by the same weight, which keeps their
-    relative order, and reinserts them by binary search; the sum is a running
-    value.  Every invariant is checked on what changed: only support entries
-    can go negative, the largest entry is the first in order, zeros only grow
-    (from the support) and the boundary entries T*v(i)=sum(v) are a prefix of
-    the order with at most T members.  A round costs O(T log L) exact
-    operations plus O(L) list moves for the order, so after the initial sort
-    the at most L rounds take O(L T log L) exact operations.
+    The vector is scaled once to integers: with D the LCM of the entry
+    denominators and unit = T*D, residual(i) = v(i)*unit and level =
+    sum(residual)/T = sum(v)*D, an int, so T*v(i) <= sum(v) reads
+    residual(i) <= level and a round's weight in units is
+    min(residual(last of supp), level - residual((T+1)-th largest)).  Only
+    the emitted term weights, weight/unit, are Fractions.
+
+    The indices are kept sorted by (-residual(i), i), so the support is the
+    first T of them.  A round lowers its T support entries by the same
+    weight, which keeps their relative order, and reinserts them by binary
+    search; the level falls by the weight.  Every invariant is checked on
+    what changed: only support entries can go negative, the largest entry is
+    the first in order, zeros only grow (from the support) and the boundary
+    entries residual(i) = level are a prefix of the order with at most T
+    members.  A round costs O(T log L) integer comparisons plus O(L) list
+    moves for the order, so after the initial sort the at most L rounds take
+    O(L T log L) integer operations, on integers no larger than sum(v)*unit.
     """
-    residual, t = _check_inputs(a, t)
-    length = len(residual)
-    total = sum(residual)
-    if t * max(residual) > total:
+    entries, t = _check_inputs(a, t)
+    length = len(entries)
+    scaled, common = common_numerators(entries)
+    unit = t * common
+    residual = [t * v for v in scaled]
+    level = sum(scaled)
+    if max(residual) > level:
         raise ParameterError(f"vector is not {t}-hot representable")
 
     # rank[i] = (-residual[i], i), kept current, so a probe only reads it.
     rank = [(-v, i) for i, v in enumerate(residual)]
 
     def boundary() -> list[int]:
-        return list(takewhile(lambda i: t * residual[i] == total, order))
+        return list(takewhile(lambda i: residual[i] == level, order))
 
     order = sorted(range(length), key=rank.__getitem__)
     terms: list[THotTerm] = []
     frozen = boundary()
     for _ in range(length + 1):
-        if total == 0:
+        if level == 0:
             break
         support = order[:t]
-        inner = t * residual[support[-1]]
-        outer = total - t * residual[order[t]] if t < length else inner
-        weight = Fraction(min(inner, outer), t)
+        inner = residual[support[-1]]
+        outer = level - residual[order[t]] if t < length else inner
+        weight = min(inner, outer)
         if weight <= 0:
             raise InvariantError("greedy step produced a non-positive weight")
-        terms.append(THotTerm(tuple(sorted(support)), weight))
+        terms.append(THotTerm(tuple(sorted(support)), Fraction(weight, unit)))
         del order[:t]
         for j in support:
             residual[j] -= weight
             rank[j] = (-residual[j], j)
             insort(order, j, key=rank.__getitem__)
-        total -= t * weight
+        level -= weight
         if any(residual[j] < 0 for j in support):
             raise InvariantError("residual went negative")
-        if t * residual[order[0]] > total:
+        if residual[order[0]] > level:
             raise InvariantError("residual lost representability")
-        if total == 0:
+        if level == 0:
             continue
-        # The saturated set is {zeros} + boundary, disjoint while the total is
+        # The saturated set is {zeros} + boundary, disjoint while the level is
         # nonzero.  Zeros stay zero (a zero in the support would have given a
         # zero weight), so the set grows strictly exactly when the old
         # boundary stays saturated and new zeros plus the new boundary
         # outnumber the old boundary.
         grown = boundary()
         new_zeros = sum(1 for j in support if residual[j] == 0)
-        kept = all(residual[i] == 0 or t * residual[i] == total for i in frozen)
+        kept = all(residual[i] == 0 or residual[i] == level for i in frozen)
         if not kept or new_zeros + len(grown) <= len(frozen):
             raise InvariantError("saturated index set failed to grow")
         frozen = grown

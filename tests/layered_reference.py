@@ -8,10 +8,14 @@ and part 3 pays px3(x)/R shares of delta_j * (T - j) to the anchored keys
 whose last j coordinates avoid the message.  The tests compare the two cell
 for cell.
 
-The decoded-view sums and the row-sum and mass checks below take every sum
-one Fraction addition per cell, as WatermarkScheme.decoded and
-keymark.metrics did before they summed integers over one common
-denominator.
+The decoded-view sums and the five property checks below take every sum
+one Fraction addition per cell and compare Fractions, as
+WatermarkScheme.decoded and keymark.metrics did before they summed and
+compared integers over one common denominator; they call no keymark.metrics
+code but its public report types.
+
+reference_decompose_t_hot is the greedy T-hot decomposition on Fractions,
+as keymark.thot ran it before it scaled the vector to integers once.
 
 The Monte Carlo references build each inverse-CDF table from a running
 Fraction sum converted to float cell by cell, and search the table once per
@@ -23,8 +27,10 @@ module.
 from __future__ import annotations
 
 import operator
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Sequence
 
 import numpy as np
@@ -37,14 +43,12 @@ from keymark.core import (
     WatermarkScheme,
     add_mass,
     decode,
+    exact_int,
+    exact_rational,
 )
 from keymark.errors import InvariantError, ParameterError
-from keymark.metrics import (
-    PROPERTY_NAMES,
-    PropertyReport,
-    _column_failures,
-    _first_failure,
-)
+from keymark.metrics import PROPERTY_NAMES, PropertyCheck, PropertyReport
+from keymark.thot import THotDecomposition, THotTerm
 
 
 @dataclass(frozen=True)
@@ -218,19 +222,32 @@ def reference_mass_failures(scheme: WatermarkScheme):
             yield f"m={table.m} total", Fraction(1), total
 
 
+def reference_column_failures(sums, bounds, fails):
+    """By table m, then token x: each (location, bound, sum) where fails(sum, bound)."""
+    for m, row in enumerate(sums, start=1):
+        for x, (actual, bound) in enumerate(zip(row, bounds), start=1):
+            if fails(actual, bound):
+                yield f"m={m}, x={x}", bound, actual
+
+
 def reference_check_scheme(scheme: WatermarkScheme) -> PropertyReport:
-    """keymark.metrics.check_scheme on the per-cell Fraction sums above."""
+    """keymark.metrics.check_scheme on the per-cell Fraction sums above,
+    compared as Fractions."""
     columns, captured, marked = reference_decoded_sums(scheme)
     cap = Fraction(scheme.alpha, scheme.t)
     floors = [min(cap, p) for p in scheme.px.probs]
     failures = (
-        _column_failures(columns, scheme.px.probs, operator.ne),
+        reference_column_failures(columns, scheme.px.probs, operator.ne),
         reference_row_sum_failures(scheme),
-        _column_failures(captured, floors, operator.lt),
+        reference_column_failures(captured, floors, operator.lt),
         ((f"x={x}", scheme.alpha, a) for x, a in enumerate(marked, 1) if a > scheme.alpha),
         reference_mass_failures(scheme),
     )
-    return PropertyReport(tuple(map(_first_failure, PROPERTY_NAMES, failures)))
+    checks = []
+    for name, found in zip(PROPERTY_NAMES, failures):
+        first = next(found, None)
+        checks.append(PropertyCheck(name, False, *first) if first else PropertyCheck(name, True))
+    return PropertyReport(tuple(checks))
 
 
 def reference_cdf(masses: Sequence[Fraction]) -> np.ndarray:
@@ -262,3 +279,95 @@ def reference_hits(
     picks = np.searchsorted(cell_cdf, rng.random(trials), side="right")
     missed = [decode(token, scheme.keyset.key(idx)) != m for idx, token, _ in cells]
     return sum(missed[pick] for pick in picks)
+
+
+def reference_inputs(a: Sequence[Fraction], t: int) -> tuple[list[Fraction], int]:
+    """The entries as Fractions and t as an int; a float or bool entry, a
+    negative entry, or a t outside [1:len(a)] raises ParameterError."""
+    entries = [exact_rational(v, "entry") for v in a]
+    if not entries:
+        raise ParameterError("empty vector")
+    t = exact_int(t, "t")
+    if not 1 <= t <= len(entries):
+        raise ParameterError(f"t={t} outside [1:{len(entries)}]")
+    if any(v < 0 for v in entries):
+        raise ParameterError("negative entry in vector")
+    return entries, t
+
+
+def reference_decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
+    """Greedy decomposition of a representable vector into T-hot terms.
+
+    Each round targets the T largest residual entries (ties to the lowest
+    index) and uses the largest weight under which the residual stays
+    non-negative and representable:
+
+        weight = (1/T) * min( min_{j in supp} T*v(j),
+                              min_{j not in supp} (sum(v) - T*v(j)) )
+
+    For a representable nonzero residual the weight is provably positive, and
+    the set {i : v(i)=0 or T*v(i)=sum(v)} gains a member every round, so the
+    loop runs at most L times.
+
+    The indices are kept sorted by (-v(i), i), so the support is the first T
+    of them and the outer minimum is sum(v) - T * (the (T+1)-th largest).  A
+    round lowers its T support entries by the same weight, which keeps their
+    relative order, and reinserts them by binary search; the sum is a running
+    value.  Every invariant is checked on what changed: only support entries
+    can go negative, the largest entry is the first in order, zeros only grow
+    (from the support) and the boundary entries T*v(i)=sum(v) are a prefix of
+    the order with at most T members.  A round costs O(T log L) exact
+    operations plus O(L) list moves for the order, so after the initial sort
+    the at most L rounds take O(L T log L) exact operations.
+    """
+    residual, t = reference_inputs(a, t)
+    length = len(residual)
+    total = sum(residual)
+    if t * max(residual) > total:
+        raise ParameterError(f"vector is not {t}-hot representable")
+
+    # rank[i] = (-residual[i], i), kept current, so a probe only reads it.
+    rank = [(-v, i) for i, v in enumerate(residual)]
+
+    def boundary() -> list[int]:
+        return list(takewhile(lambda i: t * residual[i] == total, order))
+
+    order = sorted(range(length), key=rank.__getitem__)
+    terms: list[THotTerm] = []
+    frozen = boundary()
+    for _ in range(length + 1):
+        if total == 0:
+            break
+        support = order[:t]
+        inner = t * residual[support[-1]]
+        outer = total - t * residual[order[t]] if t < length else inner
+        weight = Fraction(min(inner, outer), t)
+        if weight <= 0:
+            raise InvariantError("greedy step produced a non-positive weight")
+        terms.append(THotTerm(tuple(sorted(support)), weight))
+        del order[:t]
+        for j in support:
+            residual[j] -= weight
+            rank[j] = (-residual[j], j)
+            insort(order, j, key=rank.__getitem__)
+        total -= t * weight
+        if any(residual[j] < 0 for j in support):
+            raise InvariantError("residual went negative")
+        if t * residual[order[0]] > total:
+            raise InvariantError("residual lost representability")
+        if total == 0:
+            continue
+        # The saturated set is {zeros} + boundary, disjoint while the total is
+        # nonzero.  Zeros stay zero (a zero in the support would have given a
+        # zero weight), so the set grows strictly exactly when the old
+        # boundary stays saturated and new zeros plus the new boundary
+        # outnumber the old boundary.
+        grown = boundary()
+        new_zeros = sum(1 for j in support if residual[j] == 0)
+        kept = all(residual[i] == 0 or t * residual[i] == total for i in frozen)
+        if not kept or new_zeros + len(grown) <= len(frozen):
+            raise InvariantError("saturated index set failed to grow")
+        frozen = grown
+    else:
+        raise InvariantError(f"decomposition did not terminate in {length} rounds")
+    return THotDecomposition(tuple(terms), length)

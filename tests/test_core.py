@@ -289,6 +289,22 @@ def test_token_distribution_sort_is_stable() -> None:
     assert px.sort_perm == (1, 3, 0, 2)
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.sampled_from([1, 2, 3, 7, 43, 1806, 997, 10**6, 3**40])),
+        min_size=1,
+        max_size=12,
+    ).filter(lambda ws: any(w for w, _ in ws))
+)
+def test_token_distribution_sort_perm_matches_fraction_sort(weights) -> None:
+    # Tied entries, and denominators whose LCM is far wider than any one.
+    masses = [Fraction(w, d) for w, d in weights]
+    total = sum(masses)
+    px = TokenDistribution.from_fractions(m / total for m in masses)
+    assert px.sort_perm == tuple(sorted(range(px.n), key=px.probs.__getitem__))
+
+
 def test_token_distribution_validation() -> None:
     with pytest.raises(ValidationError):
         TokenDistribution.from_strings(["0.5", "0.4"])

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layered_reference import reference_decompose_t_hot
+from test_metrics import PRIMES
 from keymark.core import TokenDistribution
 from keymark.errors import ParameterError
 from keymark.split import split_px
@@ -194,6 +196,46 @@ def test_matches_quadratic_reference(case) -> None:
             decompose_t_hot(values, t)
         return
     assert decompose_t_hot(values, t) == reference_decompose(values, t)
+
+
+@st.composite
+def wide_vectors(draw):
+    """Vectors over pairwise-coprime denominators, with ties and zeros:
+    either sums of T-hot terms or entries from a small pool, and either
+    possibly with its largest entry lifted to the boundary T*v == sum(v);
+    t is 1, len(a) or any value in between."""
+    length = draw(st.integers(min_value=1, max_value=14))
+    t = draw(st.sampled_from([1, length, draw(st.integers(min_value=1, max_value=length))]))
+    masses = st.builds(F, st.integers(min_value=1, max_value=60), st.sampled_from(PRIMES))
+    if draw(st.booleans()):
+        values = [F(0)] * length
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            weight = draw(masses)
+            for i in draw(st.permutations(range(length)))[:t]:
+                values[i] += weight
+    else:
+        pool = [F(0), *draw(st.lists(masses, min_size=1, max_size=3))]
+        values = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    if t > 1 and draw(st.booleans()):
+        top = max(range(length), key=values.__getitem__)
+        values[top] = F(sum(values) - values[top], t - 1)
+    return values, t
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_vectors())
+def test_matches_fraction_greedy_term_for_term(case) -> None:
+    values, t = case
+    try:
+        expected = reference_decompose_t_hot(values, t)
+    except ParameterError as refused:
+        assert not is_t_hot_representable(values, t)
+        with pytest.raises(ParameterError) as raised:
+            decompose_t_hot(values, t)
+        assert str(raised.value) == str(refused)
+        return
+    assert is_t_hot_representable(values, t)
+    assert decompose_t_hot(values, t) == expected
 
 
 def test_reconstructs_zipf_px1_at_4096_tokens() -> None:
