@@ -156,10 +156,11 @@ class TokenDistribution:
         object.__setattr__(self, "probs", probs)
         if not probs:
             raise ValidationError("empty distribution")
-        if any(p < 0 for p in probs):
+        scaled, common = common_numerators(probs)
+        if any(v < 0 for v in scaled):
             raise ValidationError("negative probability entry")
-        if sum(probs) != 1:
-            raise ValidationError(f"probabilities sum to {sum(probs)}, not 1")
+        if sum(scaled) != common:
+            raise ValidationError(f"probabilities sum to {Fraction(sum(scaled), common)}, not 1")
 
     @classmethod
     def from_fractions(cls, probs: Iterable[Fraction]) -> "TokenDistribution":

@@ -14,15 +14,16 @@ Constraint rows are sparse {column: coefficient} maps filled from each
 key's nonzero (position, value) pairs; the exact simplex, the dual check
 and the LP text export all read them in that form.
 
-Relabelling messages and key values together by any sigma in S_T maps
-column (m, x, k) to (sigma m, x, sigma o k), z_k to z_(sigma o k), fixes t,
-and maps rows the same way.  When the key set is closed under it, the LP
-is invariant, so it has an optimum constant on each column orbit (Bödi,
-Herr & Joswig 2013).  solve() runs the simplex on the orbit quotient (one
-variable per column orbit, one collapsed row per row orbit) and lifts the
-solution back; an LP without that symmetry is its own quotient, with one
-orbit per column and per row.  solve() accepts an optimum only once its
-dual passes check_dual on the full LP with the optimum as its value.
+solve() first tries a certificate that needs no simplex (McConnell,
+Mehlhorn, Näher & Schweitzer, "Certifying algorithms", 2011): construction
+A's cells and key marginal on the columns of their keys in the problem's
+own key list as the primal, and the bound 1 - sum min(alpha/T, px) as the
+dual.  It is taken only when every key of the construction is listed, the
+primal meets every row of the problem as given, and check_dual accepts the
+dual at the primal's value, each checked on ints over a common
+denominator.  Any other LP, such as a bijective one or one edited after
+build_primal, runs the simplex on the full LP, whose optimum is returned
+only once its dual passes check_dual with the optimum as its value.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .construct_a import construct_a
 from .core import (
     ExplicitKeySet,
     KeySet,
@@ -40,10 +42,11 @@ from .core import (
     check_instance,
     check_listing,
     exact_int,
+    exact_rational,
 )
-from .errors import ParameterError, SolverError
-from .rationals import mass_to_string
-from .simplex import SimplexResult, simplex_solve
+from .errors import CapacityError, ParameterError, SolverError, ValidationError
+from .rationals import common_numerators, common_scale, mass_to_string
+from .simplex import simplex_solve
 
 __all__ = [
     "VARIABLE_CAP",
@@ -66,10 +69,9 @@ class LpProblem:
     """min objective . v  s.t.  ineq . v <= ineq_rhs,  eq . v = eq_rhs,  v >= 0.
 
     Each constraint row maps a column index to its nonzero coefficient, in
-    increasing column order; nkeys is the size of the key set.  When t >= 2
-    and the key set is closed under relabelling messages, key_images holds
-    the index of every key's image under the transposition (1 2) and under
-    the cycle (1 2 ... t), which generate S_t; otherwise it is None.
+    increasing column order; nkeys is the size of the key set, and keys
+    holds each key's sparse form, by key index, as build_primal listed it.
+    solve() places construction A's keys on columns through keys.
     """
 
     n: int
@@ -82,7 +84,7 @@ class LpProblem:
     ineq_rhs: tuple[Fraction, ...]
     eq: tuple[Mapping[int, Fraction], ...]
     eq_rhs: tuple[Fraction, ...]
-    key_images: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    keys: tuple[SparseKey, ...] = ()
 
     @property
     def nvars(self) -> int:
@@ -111,11 +113,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """values and dual index the columns and rows of the full LP, lifted
-    from the orbit quotient that the simplex ran.  solved_variables and
-    solved_rows give the size of that quotient.  pivots is the total; the
-    phase counts and degenerate (ratio 0) pivots are the simplex telemetry
-    of SimplexResult."""
+    """values and dual index the columns and rows of the LP.  solved_variables
+    and solved_rows give the size of the LP that the simplex ran, the full
+    one.  pivots is the total; the phase counts and degenerate (ratio 0)
+    pivots are the simplex telemetry of SimplexResult.  When the closed-form
+    certificate proves the optimum, no simplex runs, and the solved sizes
+    and every pivot count are 0."""
 
     status: str
     objective: Fraction
@@ -168,7 +171,7 @@ def build_primal(
     # remaining columns in increasing order.
     miss = [dict.fromkeys(range(pm(m, 1, 0), pm(m + 1, 1, 0)), one) for m in range(1, t + 1)]
     cap: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    keys = [keyset.sparse_key(k) for k in range(nz)]
+    keys = tuple(keyset.sparse_key(k) for k in range(nz))
     for k, pairs in enumerate(keys):
         for pos, value in pairs:
             del miss[value - 1][pm(value, pos + 1, k)]
@@ -202,129 +205,25 @@ def build_primal(
         ineq_rhs=ineq_rhs,
         eq=tuple(eq),
         eq_rhs=eq_rhs,
-        key_images=_key_images(keyset, keys) if t >= 2 else None,
+        keys=keys,
     )
-
-
-def _generators(t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(1 2) and (1 2 ... t) as lookup tables on key values; 0 stays 0."""
-    return (0, 2, 1, *range(3, t + 1)), (0, *range(2, t + 1), 1)
-
-
-def _key_images(
-    keyset: KeySet, keys: Sequence[SparseKey]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Index of each key's image under each generator, or None as soon as
-    one image is missing from the key set."""
-    try:
-        return tuple(
-            tuple(keyset.sparse_index((pos, g[v]) for pos, v in pairs) for pairs in keys)
-            for g in _generators(keyset.t)
-        )
-    except KeyError:
-        return None
-
-
-def _orbits(count: int, perms: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """The orbit of each of count points under the group that perms
-    generate, and the points of each orbit; orbits are numbered by their
-    smallest point, which comes first in its list.  With no perms every
-    orbit is a singleton."""
-    label = [-1] * count
-    members: list[list[int]] = []
-    for start in range(len(label)):
-        if label[start] < 0:
-            label[start] = len(members)
-            orbit = [start]
-            for point in orbit:
-                for perm in perms:
-                    image = perm[point]
-                    if label[image] < 0:
-                        label[image] = len(members)
-                        orbit.append(image)
-            members.append(orbit)
-    return label, members
-
-
-def _symmetry(problem: LpProblem) -> list[tuple[list[int], list[int], list[int]]] | None:
-    """Images of every column, inequality row and equality row under each
-    generator, or None unless the problem is invariant under both: the
-    objective and right-hand sides are constant on orbits, and each row's
-    image is the row its columns map to."""
-    if problem.key_images is None:
-        return None
-    n, t, nz = problem.n, problem.t, problem.nkeys
-    messages = range(1, t + 1)
-    maps = []
-    for g, img in zip(_generators(t), problem.key_images):
-        if sorted(img) != list(range(nz)):
-            return None
-        cols = [((g[m] - 1) * n + x) * nz + i for m in messages for x in range(n) for i in img]
-        cols += [t * n * nz + i for i in img]
-        cols.append(t * n * nz + nz)
-        ineq = [g[m] - 1 for m in messages] + list(range(t, t + n))
-        eq = [(g[m] - 1) * n + x for m in messages for x in range(n)]
-        eq += [t * n + (g[m] - 1) * nz + i for m in messages for i in img]
-        if any(problem.objective[cols[j]] != c for j, c in enumerate(problem.objective)):
-            return None
-        for rows, rhs, images in (
-            (problem.ineq, problem.ineq_rhs, ineq),
-            (problem.eq, problem.eq_rhs, eq),
-        ):
-            for row, b, image in zip(rows, rhs, images):
-                if rhs[image] != b or rows[image] != {cols[j]: a for j, a in row.items()}:
-                    return None
-        maps.append((cols, ineq, eq))
-    return maps
-
-
-def _solve_quotient(
-    problem: LpProblem, maps: list[tuple[list[int], list[int], list[int]]]
-) -> tuple[SimplexResult, tuple[Fraction, ...], "DualCertificate | None", int, int]:
-    """Simplex on the orbit quotient: variable O stands for the common value
-    of the columns in orbit O, so a row or the objective gives O the sum of
-    its coefficients on O.  The rows of one orbit collapse to the same row,
-    and one is kept.  The lifted dual spreads y_R evenly over the |R| rows
-    of orbit R, which makes each full reduced cost the quotient one divided
-    by the size of the column orbit, and keeps the value.  With no maps the
-    quotient is the full LP."""
-    col_orbit, col_members = _orbits(problem.nvars, [cols for cols, _, _ in maps])
-    objective = [sum((problem.objective[j] for j in orbit), Fraction(0)) for orbit in col_members]
-
-    def collapse(rows, rhs, images):
-        row_orbit, row_members = _orbits(len(rows), images)
-        collapsed = []
-        for orbit in row_members:
-            row: dict[int, Fraction] = {}
-            for j, a in rows[orbit[0]].items():
-                row[col_orbit[j]] = row.get(col_orbit[j], 0) + a
-            collapsed.append({o: a for o, a in row.items() if a})
-        sizes = [len(row_members[o]) for o in row_orbit]
-        return collapsed, [rhs[orbit[0]] for orbit in row_members], row_orbit, sizes
-
-    ineq, ineq_rhs, ineq_orbit, ineq_sizes = collapse(
-        problem.ineq, problem.ineq_rhs, [ineq for _, ineq, _ in maps]
-    )
-    eq, eq_rhs, eq_orbit, eq_sizes = collapse(problem.eq, problem.eq_rhs, [eq for _, _, eq in maps])
-    result = simplex_solve(objective, ineq, ineq_rhs, eq, eq_rhs)
-    values: tuple[Fraction, ...] = ()
-    dual = None
-    if result.status == "optimal":
-        values = tuple(result.values[o] for o in col_orbit)
-        dual = DualCertificate(
-            tuple(result.dual_ineq[o] / size for o, size in zip(ineq_orbit, ineq_sizes)),
-            tuple(result.dual_eq[o] / size for o, size in zip(eq_orbit, eq_sizes)),
-        )
-    return result, values, dual, len(objective), len(ineq) + len(eq)
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Run the simplex on the orbit quotient under relabelling messages, or
-    on the full LP, its own quotient, when the problem is not invariant.  An
-    optimum is returned only once its dual passes check_dual on the full LP
-    with the simplex optimum as its value; otherwise SolverError is raised."""
-    result, values, dual, variables, rows = _solve_quotient(problem, _symmetry(problem) or [])
-    if dual is not None:
+    """The closed-form certificate when it checks (see the module
+    docstring), else the simplex on the full LP.  A simplex optimum is
+    returned only once its dual passes check_dual with the optimum as its
+    value; otherwise SolverError is raised."""
+    certified = _closed_form(problem)
+    if certified is not None:
+        value, values, dual = certified
+        return LpSolution("optimal", value, values, dual, 0, 0, 0, 0, 0, 0)
+    result = simplex_solve(
+        problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
+    )
+    dual = None
+    if result.status == "optimal":
+        dual = DualCertificate(result.dual_ineq, result.dual_eq)
         feasible, value = check_dual(problem, dual)
         if not feasible or value != result.objective:
             raise SolverError(
@@ -335,10 +234,10 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution(
         status=result.status,
         objective=result.objective,
-        values=values,
+        values=result.values,
         dual=dual,
-        solved_variables=variables,
-        solved_rows=rows,
+        solved_variables=problem.nvars,
+        solved_rows=len(problem.ineq) + len(problem.eq),
         pivots=result.pivots,
         phase1_pivots=result.phase1_pivots,
         phase2_pivots=result.phase2_pivots,
@@ -346,28 +245,122 @@ def solve(problem: LpProblem) -> LpSolution:
     )
 
 
+def _closed_form(
+    problem: LpProblem,
+) -> tuple[Fraction, tuple[Fraction, ...], DualCertificate] | None:
+    """(optimum, values, dual) from construction A and the closed-form
+    dual, or None unless the construction's keys are all listed, its
+    primal meets every row exactly and check_dual accepts the dual at the
+    primal's value."""
+    n, t, nz = problem.n, problem.t, problem.nkeys
+    shape = (len(problem.keys), problem.nvars, len(problem.ineq), len(problem.eq))
+    if shape != (nz, t * n * nz + nz + 1, t + n, t * n + t * nz):
+        return None
+    try:
+        scheme = construct_a(TokenDistribution(problem.px), problem.alpha, t)
+    except (CapacityError, ParameterError, ValidationError):
+        return None
+    column = {pairs: k for k, pairs in enumerate(problem.keys)}
+    view = scheme.decoded
+    if any(pairs not in column for pairs in view.keys.values()):
+        return None
+    # The primal as ints over the view's denominator; t is the largest
+    # off-decode mass of a message, which the view has summed.
+    common = view.denominator
+    values = [0] * problem.nvars
+    for table in scheme.tables:
+        for idx, x, mass in table.cells():
+            j = ((table.m - 1) * n + x - 1) * nz + column[view.keys[idx]]
+            values[j] = mass.numerator * (common // mass.denominator)
+    for idx, mass in scheme.pz.items():
+        values[t * n * nz + column[view.keys[idx]]] = mass.numerator * (common // mass.denominator)
+    values[-1] = max(view.missed)
+    if min(values) < 0:
+        return None
+    data_common, scale = _data_scale(problem)
+    slack = [
+        b.numerator * scale[b.denominator] * common - _scaled_dot(row, values, scale)
+        for row, b in zip((*problem.ineq, *problem.eq), (*problem.ineq_rhs, *problem.eq_rhs))
+    ]
+    if min(slack[: len(problem.ineq)]) < 0 or any(slack[len(problem.ineq) :]):
+        return None
+    objective = {j: d for j, d in enumerate(problem.objective) if d}
+    value = Fraction(_scaled_dot(objective, values, scale), data_common * common)
+    dual = _closed_form_dual(problem)
+    if check_dual(problem, dual) != (True, value):
+        return None
+    zero = Fraction(0)
+    return value, tuple(Fraction(v, common) if v else zero for v in values), dual
+
+
+def _closed_form_dual(problem: LpProblem) -> DualCertificate:
+    """The bound 1 - sum_x min(alpha/T, px(x)) as an LP dual on the
+    problem's own key list.  With x heavy when px(x) > alpha/T: y(miss_m)
+    = 1/T, y(cap_x) = 1/T and z(col_{m,x}) = -1/T for heavy x,
+    z(bal_{m,k}) = 1/T when key k puts m on a heavy token, 0 elsewhere."""
+    n, t, nz = problem.n, problem.t, problem.nkeys
+    share, zero = Fraction(1, t), Fraction(0)
+    heavy = [p * t > problem.alpha for p in problem.px]
+    y = (share,) * t + tuple(share if h else zero for h in heavy)
+    z = [-share if h else zero for _ in range(t) for h in heavy] + [zero] * (t * nz)
+    for k, pairs in enumerate(problem.keys):
+        for pos, m in pairs:
+            if heavy[pos]:
+                z[t * n + (m - 1) * nz + k] = share
+    return DualCertificate(y, tuple(z))
+
+
+def _data_scale(problem: LpProblem) -> tuple[int, dict[int, int]]:
+    """The LCM D of every coefficient, objective and right-hand-side
+    denominator of the problem, and the map d -> D // d.  Each number must
+    be an int or a Fraction; a float or a bool raises ParameterError."""
+    groups = [row.values() for row in (*problem.ineq, *problem.eq)]
+    groups += [problem.objective, problem.ineq_rhs, problem.eq_rhs]
+    for kind in {type(v) for group in groups for v in group} - {Fraction, int}:
+        raise ParameterError(f"LP coefficient must be an int or a Fraction, got {kind.__name__}")
+    return common_scale({v.denominator for group in groups for v in group})
+
+
+def _scaled_dot(row: Mapping[int, Fraction], ints: Sequence[int], scale: Mapping[int, int]) -> int:
+    """sum of row[j] * ints[j] * D over the row's columns with ints[j] != 0,
+    D the LCM behind scale."""
+    total = 0
+    for j, a in row.items():
+        v = ints[j]
+        if v:
+            total += a.numerator * scale[a.denominator] * v
+    return total
+
+
 def check_dual(problem: LpProblem, cert: DualCertificate) -> tuple[bool, Fraction]:
-    """Exact dual feasibility (-A'y - E'z <= d, y >= 0) and value -y.b - z.c."""
+    """Exact dual feasibility (-A'y - E'z <= d, y >= 0) and value -y.b - z.c.
+
+    Every entry must be an int or a Fraction; a float or a bool raises
+    ParameterError.  A'y + E'z and the value are taken as ints over one
+    common denominator, the product of the duals' and the problem's."""
     if len(cert.y) != len(problem.ineq):
         raise ParameterError(
             f"y has {len(cert.y)} entries, expected {len(problem.ineq)}"
         )
     if len(cert.z) != len(problem.eq):
         raise ParameterError(f"z has {len(cert.z)} entries, expected {len(problem.eq)}")
-    feasible = all(v >= 0 for v in cert.y)
-    if feasible:
-        # A'y + E'z, accumulated over each row's nonzeros once.
-        weighted = [Fraction(0)] * problem.nvars
-        for rows, duals in ((problem.ineq, cert.y), (problem.eq, cert.z)):
-            for row, dual in zip(rows, duals):
-                if dual:
-                    for j, coeff in row.items():
-                        weighted[j] += coeff * dual
-        feasible = all(-w <= d for w, d in zip(weighted, problem.objective))
-    value = -sum(
-        (y * b for y, b in zip(cert.y, problem.ineq_rhs)), Fraction(0)
-    ) - sum((z * c for z, c in zip(cert.z, problem.eq_rhs)), Fraction(0))
-    return feasible, value
+    duals, dual_common = common_numerators(
+        [exact_rational(v, "dual entry") for v in (*cert.y, *cert.z)]
+    )
+    data_common, scale = _data_scale(problem)
+    # A'y + E'z and y.b + z.c, over each nonzero dual's row once.
+    weighted = [0] * problem.nvars
+    bound = 0
+    for row, b, u in zip((*problem.ineq, *problem.eq), (*problem.ineq_rhs, *problem.eq_rhs), duals):
+        if u:
+            for j, a in row.items():
+                weighted[j] += a.numerator * scale[a.denominator] * u
+            bound += b.numerator * scale[b.denominator] * u
+    feasible = min(duals[: len(cert.y)], default=0) >= 0 and all(
+        -w <= d.numerator * scale[d.denominator] * dual_common
+        for w, d in zip(weighted, problem.objective)
+    )
+    return feasible, Fraction(-bound, dual_common * data_common)
 
 
 BASE_BIJECTIVE_3_2: tuple[KeyVector, ...] = ((1, 2, 0), (0, 1, 2), (2, 0, 1), (0, 0, 0))

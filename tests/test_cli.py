@@ -175,8 +175,10 @@ def test_lp_reduced_matches_formula(capsys) -> None:
     assert code == 0
     assert payload["status"] == "optimal"
     assert payload["keys"] == 7 and payload["variables"] == 50
-    # The simplex ran on the S_2-orbit quotient of the 50-column LP.
-    assert (payload["solved_variables"], payload["solved_rows"]) == (26, 14)
+    # Construction A and the closed-form dual certify the 50-column LP, so
+    # no simplex runs.
+    assert (payload["solved_variables"], payload["solved_rows"]) == (0, 0)
+    assert payload["phase1_pivots"] == payload["phase2_pivots"] == payload["degenerate_pivots"] == 0
     assert payload["lp_optimal"] == "0.455"
     assert payload["lp_minus_formula"] == "0"
 
@@ -514,9 +516,15 @@ def test_lp_rejects_a_tampered_dual_certificate(capsys, monkeypatch) -> None:
         y = (result.dual_ineq[0] + 1, *result.dual_ineq[1:])
         return dataclasses.replace(result, dual_ineq=y)
 
-    real_simplex = lp.simplex_solve
+    def tampered_closed_form(problem):
+        dual = real_closed_form(problem)
+        return dataclasses.replace(dual, y=(dual.y[0] + 1, *dual.y[1:]))
+
+    real_simplex, real_closed_form = lp.simplex_solve, lp._closed_form_dual
     monkeypatch.setattr(lp, "simplex_solve", tampered)
-    # The bijective key set runs the full LP, the reduced one its quotient.
+    monkeypatch.setattr(lp, "_closed_form_dual", tampered_closed_form)
+    # The bijective key set runs the simplex; the reduced one falls back to
+    # it once the closed-form dual fails its check.
     for keyset in ("bijective", "reduced"):
         for argv in (["lp", *SKEWED], ["lp", *SKEWED, "--json"]):
             assert main([*argv, "--keyset", keyset]) == 1

@@ -306,12 +306,18 @@ def test_token_distribution_sort_perm_matches_fraction_sort(weights) -> None:
 
 
 def test_token_distribution_validation() -> None:
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^probabilities sum to 9/10, not 1$"):
         TokenDistribution.from_strings(["0.5", "0.4"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^negative probability entry$"):
         TokenDistribution.from_strings(["-0.5", "1.5"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^empty distribution$"):
         TokenDistribution.from_strings([])
+    # Unrelated denominators: the total is exact over their common one.
+    sylvester = [Fraction(1, d) for d in (2, 3, 7, 43, 1806)]
+    assert TokenDistribution.from_fractions(sylvester).n == 5
+    excess = Fraction(1, 3**40 * 1806)
+    with pytest.raises(ValidationError, match=f"^probabilities sum to {1 + excess}, not 1$"):
+        TokenDistribution.from_fractions([*sylvester[:-1], sylvester[-1] + excess])
 
 
 @settings(max_examples=50)

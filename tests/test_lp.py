@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import keymark.lp as lp_module
-from keymark.core import ExplicitKeySet, TokenDistribution, enumerate_reduced_keyset
+from keymark.core import (
+    ExplicitKeySet,
+    JointTable,
+    TokenDistribution,
+    WatermarkScheme,
+    enumerate_reduced_keyset,
+)
 from keymark.errors import CapacityError, ParameterError, SolverError
 from keymark.lp import (
     DualCertificate,
@@ -95,6 +101,22 @@ def densify(row, nvars):
     for j, coeff in row.items():
         dense[j] = coeff
     return dense
+
+
+def full_simplex(problem):
+    return simplex_solve(problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs)
+
+
+def closed_form_counts(solution):
+    """The solved sizes and pivot counts, all 0 when no simplex ran."""
+    return (
+        solution.solved_variables,
+        solution.solved_rows,
+        solution.pivots,
+        solution.phase1_pivots,
+        solution.phase2_pivots,
+        solution.degenerate_pivots,
+    )
 
 
 SMALL_SHAPES = [(n, t) for n in range(1, 5) for t in range(1, min(n, 3) + 1)]
@@ -208,14 +230,20 @@ LP_CERT_SET = (
 
 @pytest.mark.parametrize("texts, alpha, kind", LP_CERT_SET)
 def test_solver_telemetry_adds_up_on_lp_cert(texts, alpha, kind) -> None:
+    # The reduced LPs are certified in closed form, with every count 0; the
+    # simplex telemetry is then read from simplex_solve on the same full LP.
     px = TokenDistribution.from_strings(texts)
     keyset = enumerate_reduced_keyset(px.n, 2) if kind == "reduced" else bijective_keyset(px.n, 2)
     problem = build_primal(px, alpha, 2, keyset)
-    solution = solve(problem)
+    solution = telemetry = solve(problem)
     assert solution.status == "optimal"
-    assert solution.pivots == solution.phase1_pivots + solution.phase2_pivots
-    assert solution.phase1_pivots > 0 and solution.phase2_pivots > 0
-    assert 0 <= solution.degenerate_pivots <= solution.pivots
+    if kind == "reduced":
+        assert closed_form_counts(solution) == (0,) * 6
+        telemetry = full_simplex(problem)
+        assert telemetry.objective == solution.objective
+    assert telemetry.pivots == telemetry.phase1_pivots + telemetry.phase2_pivots
+    assert telemetry.phase1_pivots > 0 and telemetry.phase2_pivots > 0
+    assert 0 <= telemetry.degenerate_pivots <= telemetry.pivots
     assert check_dual(problem, solution.dual) == (True, solution.objective)
 
 
@@ -240,16 +268,16 @@ def test_lp_infeasible_column_target() -> None:
     rhs = list(problem.eq_rhs)
     rhs[0] = F(2)
     broken = dataclasses.replace(problem, eq_rhs=tuple(rhs))
-    # The changed right-hand side breaks the relabelling symmetry, so the
-    # full LP is solved.
+    # Construction A's primal misses the changed row, so the simplex runs
+    # the full LP.
     solution = solve(broken)
     assert solution.status == "infeasible"
     assert solution.solved_variables == broken.nvars
 
 
 def assert_optimal_for_full_lp(problem, solution) -> None:
-    """The lifted values satisfy A.v <= b, E.v = c and v >= 0 exactly and
-    reach the optimum, and the lifted dual certifies it."""
+    """The values satisfy A.v <= b, E.v = c and v >= 0 exactly and reach
+    the optimum, and the dual certifies it."""
     v = solution.values
     assert len(v) == problem.nvars and all(x >= 0 for x in v)
     for row, b in zip(problem.ineq, problem.ineq_rhs):
@@ -270,7 +298,22 @@ def ramp(n: int) -> TokenDistribution:
     return TokenDistribution.from_fractions([F(i, n * (n + 1) // 2) for i in range(1, n + 1)])
 
 
-QUOTIENT_CASES = [
+def assert_closed_form_matches_simplex(problem) -> None:
+    """solve() certifies the LP with no pivot, and its optimum equals the
+    simplex optimum of the full LP and the closed form."""
+    solution = solve(problem)
+    assert solution.status == "optimal"
+    assert closed_form_counts(solution) == (0,) * 6
+    result = full_simplex(problem)
+    assert result.status == "optimal" and result.pivots > 0
+    px = TokenDistribution.from_fractions(problem.px)
+    assert solution.objective == result.objective == optimal_value(px, problem.alpha, problem.t)
+    assert_optimal_for_full_lp(problem, solution)
+
+
+# Every reduced shape n <= 5, T <= 3 on px proportional to 1..n, the
+# lp-cert LPs, and the reduced set listed in reverse at every shape n <= 4.
+REDUCED_CASES = [
     (ramp(n), F(1, 2), t, "reduced") for n, t in SMALL_SHAPES if t >= 2
 ] + [
     (TokenDistribution.from_strings(texts), alpha, 2, kind)
@@ -279,47 +322,64 @@ QUOTIENT_CASES = [
 ] + [
     (TokenDistribution.from_strings(["0.1", "0.2", "0.3", "0.4"]), F(3, 5), 3, "listed"),
     (PX_SKEWED, ALPHA_SKEWED, 2, "listed"),
+] + [
+    (ramp(n), F(1, 2), t, "reduced") for n, t in [(n, 1) for n in range(1, 6)] + [(5, 2), (5, 3)]
+] + [
+    (ramp(n), F(1, 3), t, "listed") for n, t in SMALL_SHAPES
 ]
 
 
-@pytest.mark.parametrize("px, alpha, t, kind", QUOTIENT_CASES)
+@pytest.mark.parametrize("px, alpha, t, kind", REDUCED_CASES)
 def test_quotient_agrees_with_full_lp(px, alpha, t, kind) -> None:
     keyset = enumerate_reduced_keyset(px.n, t) if kind == "reduced" else reduced_listed(px.n, t)
     problem = build_primal(px, alpha, t, keyset)
-    assert problem.key_images is not None
-    quotient = solve(problem)
-    full = solve(dataclasses.replace(problem, key_images=None))
-    assert quotient.status == full.status == "optimal"
-    assert quotient.solved_variables < full.solved_variables == problem.nvars
-    assert quotient.solved_rows < full.solved_rows
-    assert quotient.objective == full.objective == optimal_value(px, alpha, t)
-    assert_optimal_for_full_lp(problem, quotient)
+    assert_closed_form_matches_simplex(problem)
 
 
-def test_key_images_follow_the_generators() -> None:
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 20]), min_size=1, max_size=4).filter(any),
+    t=st.integers(1, 3),
+    alpha=st.one_of(
+        st.fractions(min_value=0, max_value=F(1, 50), max_denominator=1000),
+        st.fractions(min_value=F(49, 50), max_value=F(999, 1000), max_denominator=1000),
+        st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100),
+    ),
+)
+@example(weights=[0, 1, 0], t=2, alpha=F(0))
+@example(weights=[1, 0, 0, 20], t=3, alpha=F(999, 1000))
+def test_closed_form_matches_simplex_on_drawn_instances(weights, t, alpha) -> None:
+    # Zero-mass tokens, and alpha near 0 and near 1.
+    t = min(t, len(weights))
+    px = TokenDistribution.from_fractions([F(w, sum(weights)) for w in weights])
+    assert_closed_form_matches_simplex(build_primal(px, alpha, t, enumerate_reduced_keyset(px.n, t)))
+
+
+def test_problem_keys_follow_the_key_set() -> None:
     keyset = enumerate_reduced_keyset(4, 3)
     problem = build_primal(TokenDistribution.from_fractions([F(1, 4)] * 4), F(1, 2), 3, keyset)
-    swap, cycle = problem.key_images
-    for k, key in enumerate(keyset):
-        assert keyset.key(swap[k]) == tuple((0, 2, 1, 3)[v] for v in key)
-        assert keyset.key(cycle[k]) == tuple((0, 2, 3, 1)[v] for v in key)
-    # One missing image, or T = 1, leaves the problem without the symmetry.
+    assert problem.keys == tuple(keyset.sparse_key(k) for k in range(keyset.size))
+    listed = reduced_listed(3, 2)
+    problem = build_primal(PX_SKEWED, F(1, 2), 2, listed)
+    assert problem.keys == tuple(
+        tuple((pos, v) for pos, v in enumerate(key) if v) for key in listed
+    )
+    # A key set without one of construction A's keys runs the simplex.
     keys = list(enumerate_reduced_keyset(3, 2))
     keys.remove((0, 2, 1))
-    assert build_primal(PX_SKEWED, F(1, 2), 2, ExplicitKeySet(keys, 2)).key_images is None
-    px = TokenDistribution.from_strings(["0.25", "0.75"])
-    assert build_primal(px, F(1, 2), 1, enumerate_reduced_keyset(2, 1)).key_images is None
+    problem = build_primal(PX_SKEWED, F(1, 2), 2, ExplicitKeySet(keys, 2))
+    solution = solve(problem)
+    assert solution.solved_variables == problem.nvars and solution.pivots > 0
+    assert solution.objective == full_simplex(problem).objective
 
 
 @pytest.mark.parametrize(("n", "t"), [(3, 2), (3, 3)])
 def test_unclosed_key_sets_solve_the_full_lp(n: int, t: int) -> None:
+    # Construction A's keys are not all bijective ones, so the simplex runs.
     px = PX_SKEWED if t == 2 else TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
     problem = build_primal(px, ALPHA_SKEWED, t, bijective_keyset(n, t))
-    assert problem.key_images is None
     solution = solve(problem)
-    result = simplex_solve(
-        problem.objective, problem.ineq, problem.ineq_rhs, problem.eq, problem.eq_rhs
-    )
+    result = full_simplex(problem)
     assert (solution.solved_variables, solution.solved_rows) == (
         problem.nvars,
         len(problem.ineq) + len(problem.eq),
@@ -337,17 +397,59 @@ def test_unclosed_key_sets_solve_the_full_lp(n: int, t: int) -> None:
     )
 
 
-def test_wrong_quotient_dual_is_rejected(monkeypatch) -> None:
-    real = lp_module.simplex_solve
+def test_edited_problem_runs_the_simplex() -> None:
+    # A looser cap on the heavy token leaves construction A's primal
+    # feasible, but the closed-form dual's value no longer matches it.
+    problem = full_problem()
+    rhs = list(problem.ineq_rhs)
+    rhs[-1] = F(1)
+    edited = dataclasses.replace(problem, ineq_rhs=tuple(rhs))
+    solution = solve(edited)
+    result = full_simplex(edited)
+    assert solution.solved_variables == edited.nvars and solution.pivots == result.pivots > 0
+    assert solution.objective == result.objective < solve(problem).objective
+    assert check_dual(edited, solution.dual) == (True, solution.objective)
 
-    def tampered(*lp):
-        result = real(*lp)
-        y = (result.dual_ineq[0] + 1, *result.dual_ineq[1:])
-        return dataclasses.replace(result, dual_ineq=y)
 
-    monkeypatch.setattr(lp_module, "simplex_solve", tampered)
-    with pytest.raises(SolverError, match="dual certificate rejected"):
-        solve(full_problem())
+def test_closed_form_refuses_negative_masses(monkeypatch) -> None:
+    # Moving 1/200 around four cells of message 1 that do not decode to 1
+    # keeps every row of the LP and the value, but leaves two masses < 0.
+    real = lp_module.construct_a
+
+    def shifted(px, alpha, t):
+        scheme = real(px, alpha, t)
+        rows = {k: dict(row) for k, row in scheme.tables[0].rows.items()}
+        other = scheme.keyset.sparse_index(((0, 2), (2, 1)))
+        for key, token, sign in ((0, 1, 1), (0, 2, -1), (other, 1, -1), (other, 2, 1)):
+            rows[key][token] = rows[key].get(token, 0) + sign * F(1, 200)
+        tables = (JointTable(1, rows), *scheme.tables[1:])
+        return WatermarkScheme.assemble(alpha, px, scheme.keyset, tables, {}, scheme.sparse_keys)
+
+    monkeypatch.setattr(lp_module, "construct_a", shifted)
+    solution = solve(full_problem())
+    assert solution.objective == F(91, 200) and solution.pivots > 0
+
+
+def test_tampered_duals_are_rejected(monkeypatch) -> None:
+    real_simplex, real_dual = lp_module.simplex_solve, lp_module._closed_form_dual
+
+    def tampered_dual(problem):
+        dual = real_dual(problem)
+        return dataclasses.replace(dual, y=(dual.y[0] + 1, *dual.y[1:]))
+
+    def tampered_simplex(*lp):
+        result = real_simplex(*lp)
+        return dataclasses.replace(result, dual_ineq=(result.dual_ineq[0] + 1, *result.dual_ineq[1:]))
+
+    # A tampered closed-form dual is not taken: the simplex runs instead.
+    monkeypatch.setattr(lp_module, "_closed_form_dual", tampered_dual)
+    solution = solve(full_problem())
+    assert solution.objective == F(91, 200) and solution.pivots > 0
+    # With the simplex's dual tampered too, no certificate is left.
+    monkeypatch.setattr(lp_module, "simplex_solve", tampered_simplex)
+    for problem in (full_problem(), bijective_problem()):
+        with pytest.raises(SolverError, match="dual certificate rejected"):
+            solve(problem)
 
 
 def test_reduced_certificate_six_tokens_three_messages() -> None:
@@ -355,8 +457,18 @@ def test_reduced_certificate_six_tokens_three_messages() -> None:
     problem = build_primal(px, F(1, 2), 3, enumerate_reduced_keyset(6, 3))
     solution = solve(problem)
     assert problem.nvars == 2300
-    assert (solution.solved_variables, solution.solved_rows) == (388, 74)
+    assert closed_form_counts(solution) == (0,) * 6
     assert solution.objective == optimal_value(px, F(1, 2), 3)
+    assert_optimal_for_full_lp(problem, solution)
+
+
+def test_reduced_certificate_eight_tokens_four_messages() -> None:
+    px = ramp(8)
+    problem = build_primal(px, F(1, 2), 4, enumerate_reduced_keyset(8, 4))
+    solution = solve(problem)
+    assert problem.nvars == 55_474
+    assert closed_form_counts(solution) == (0,) * 6
+    assert solution.objective == optimal_value(px, F(1, 2), 4) == F(2, 9)
     assert_optimal_for_full_lp(problem, solution)
 
 
@@ -376,6 +488,24 @@ def test_check_dual_dimension_mismatch() -> None:
         check_dual(problem, DualCertificate((F(0),), (F(0),) * 14))
     with pytest.raises(ParameterError):
         check_dual(problem, DualCertificate((F(0),) * 5, (F(0),) * 13))
+
+
+def test_check_dual_rejects_floats_and_bools() -> None:
+    px = TokenDistribution.from_strings(["0.2", "0.3", "0.5"])
+    problem = build_primal(px, F(3, 4), 2, enumerate_reduced_keyset(3, 2))
+    dual = solve(problem).dual
+    rounded = DualCertificate(tuple(map(float, dual.y)), tuple(map(float, dual.z)))
+    with pytest.raises(ParameterError, match="dual entry must be an int or a Fraction, got float"):
+        check_dual(problem, rounded)
+    flagged = DualCertificate((True, *dual.y[1:]), dual.z)
+    with pytest.raises(ParameterError, match="got bool"):
+        check_dual(problem, flagged)
+    assert check_dual(problem, dual) == (True, F(1, 8))
+    # A float in the problem itself is refused the same way.
+    edited = dataclasses.replace(problem, ineq_rhs=(*problem.ineq_rhs[:-1], 0.75))
+    for call in (lambda: check_dual(edited, dual), lambda: solve(edited)):
+        with pytest.raises(ParameterError, match="LP coefficient must be an int or a Fraction, got float"):
+            call()
 
 
 def test_check_dual_rejects_negative_y() -> None:
