@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .construct_a import construct_a
 from .core import (
@@ -279,15 +279,14 @@ def _closed_form(
         return None
     data_common, scale = _data_scale(problem)
     slack = [
-        b.numerator * scale[b.denominator] * common - _scaled_dot(row, values, scale)
+        b.numerator * scale[b.denominator] * common - _scaled_dot(row.items(), values, scale)
         for row, b in zip((*problem.ineq, *problem.eq), (*problem.ineq_rhs, *problem.eq_rhs))
     ]
     if min(slack[: len(problem.ineq)]) < 0 or any(slack[len(problem.ineq) :]):
         return None
-    objective = {j: d for j, d in enumerate(problem.objective) if d}
-    value = Fraction(_scaled_dot(objective, values, scale), data_common * common)
+    value = Fraction(_scaled_dot(enumerate(problem.objective), values, scale), data_common * common)
     dual = _closed_form_dual(problem)
-    if check_dual(problem, dual) != (True, value):
+    if _check_scaled_dual(problem, dual, data_common, scale) != (True, value):
         return None
     zero = Fraction(0)
     return value, tuple(Fraction(v, common) if v else zero for v in values), dual
@@ -321,11 +320,12 @@ def _data_scale(problem: LpProblem) -> tuple[int, dict[int, int]]:
     return common_scale({v.denominator for group in groups for v in group})
 
 
-def _scaled_dot(row: Mapping[int, Fraction], ints: Sequence[int], scale: Mapping[int, int]) -> int:
-    """sum of row[j] * ints[j] * D over the row's columns with ints[j] != 0,
-    D the LCM behind scale."""
+def _scaled_dot(
+    entries: Iterable[tuple[int, Fraction]], ints: Sequence[int], scale: Mapping[int, int]
+) -> int:
+    """sum of a * ints[j] * D over the (j, a) with ints[j] != 0, D behind scale."""
     total = 0
-    for j, a in row.items():
+    for j, a in entries:
         v = ints[j]
         if v:
             total += a.numerator * scale[a.denominator] * v
@@ -339,23 +339,26 @@ def check_dual(problem: LpProblem, cert: DualCertificate) -> tuple[bool, Fractio
     ParameterError.  A'y + E'z and the value are taken as ints over one
     common denominator, the product of the duals' and the problem's."""
     if len(cert.y) != len(problem.ineq):
-        raise ParameterError(
-            f"y has {len(cert.y)} entries, expected {len(problem.ineq)}"
-        )
+        raise ParameterError(f"y has {len(cert.y)} entries, expected {len(problem.ineq)}")
     if len(cert.z) != len(problem.eq):
         raise ParameterError(f"z has {len(cert.z)} entries, expected {len(problem.eq)}")
+    return _check_scaled_dual(problem, cert, *_data_scale(problem))
+
+
+def _check_scaled_dual(
+    problem: LpProblem, cert: DualCertificate, data_common: int, scale: Mapping[int, int]
+) -> tuple[bool, Fraction]:
+    """check_dual with the problem's _data_scale already taken."""
     duals, dual_common = common_numerators(
         [exact_rational(v, "dual entry") for v in (*cert.y, *cert.z)]
     )
-    data_common, scale = _data_scale(problem)
-    # A'y + E'z and y.b + z.c, over each nonzero dual's row once.
+    # A'y + E'z, over each nonzero dual's row once, and y.b + z.c.
     weighted = [0] * problem.nvars
-    bound = 0
-    for row, b, u in zip((*problem.ineq, *problem.eq), (*problem.ineq_rhs, *problem.eq_rhs), duals):
+    for row, u in zip((*problem.ineq, *problem.eq), duals):
         if u:
             for j, a in row.items():
                 weighted[j] += a.numerator * scale[a.denominator] * u
-            bound += b.numerator * scale[b.denominator] * u
+    bound = _scaled_dot(enumerate((*problem.ineq_rhs, *problem.eq_rhs)), duals, scale)
     feasible = min(duals[: len(cert.y)], default=0) >= 0 and all(
         -w <= d.numerator * scale[d.denominator] * dual_common
         for w, d in zip(weighted, problem.objective)

@@ -331,6 +331,8 @@ REDUCED_CASES = [
 
 @pytest.mark.parametrize("px, alpha, t, kind", REDUCED_CASES)
 def test_quotient_agrees_with_full_lp(px, alpha, t, kind) -> None:
+    """solve() certifies the reduced LP in closed form, with the optimum of
+    the simplex on the full LP."""
     keyset = enumerate_reduced_keyset(px.n, t) if kind == "reduced" else reduced_listed(px.n, t)
     problem = build_primal(px, alpha, t, keyset)
     assert_closed_form_matches_simplex(problem)
