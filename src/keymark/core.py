@@ -14,7 +14,7 @@ and metrics compare.  The view takes each key that the construction listed
 in sparse form from it and unranks the others, so a built scheme unranks
 none and a loaded one each support key once.  The walk takes those
 sums as Python ints over one common denominator D, the LCM of the distinct
-cell, pz and px denominators and those of alpha and alpha/T: each mass adds
+cell and px denominators and those of alpha and alpha/T: each mass adds
 numerator * (D // denominator).  The view keeps the sums as ints, and the
 checks compare them with px, alpha and alpha/T scaled by D, so no per-cell
 Fraction addition and no Fraction comparison is made; a Fraction is made
@@ -492,38 +492,37 @@ def merge_tables(m: int, *parts: JointTable) -> JointTable:
 
 @dataclass(frozen=True)
 class WatermarkScheme:
-    """A complete scheme: key set, one joint table per message, key marginal.
+    """A complete scheme: key set and one joint table per message.
 
     Keys may be longer than the token count (pseudo-token constructions use
     length n + extension), but table cells only ever reference real tokens
-    1..n, and construction rejects any other token.  pz is defined as the
-    row sums of the m=1 table.
+    1..n, and construction rejects any other token.  n, t and the key
+    marginal pz are derived, not stored: px's size, the table count and
+    the m=1 table's row sums.
 
-    sparse_keys is set only by the constructions: index -> sparse key of
-    each key they listed, in any order.  The decoded view takes a support
-    key from it where it holds the index and unranks the key otherwise, so
-    a built scheme is checked, reported and exported without unranking a
-    key, and a loaded one unranks each support key once.  It takes no part
-    in == or repr.
+    sparse_keys is set only by assemble, for the constructions: index ->
+    sparse key of each key they listed, in any order.  The decoded view
+    takes a support key from it where it holds the index and unranks the
+    key otherwise, so a built scheme is checked, reported and exported
+    without unranking a key, and a loaded one unranks each support key
+    once.  It is no init field, so dataclasses.replace() drops it, and it
+    takes no part in == or repr.
     """
 
-    n: int
-    t: int
     alpha: Fraction
     px: TokenDistribution
     keyset: KeySet
     tables: tuple[JointTable, ...]
-    pz: Mapping[int, Fraction]
     provenance: Mapping[str, object] = field(default_factory=dict)
-    sparse_keys: Mapping[int, SparseKey] | None = field(default=None, compare=False, repr=False)
+    sparse_keys: Mapping[int, SparseKey] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        if self.n != self.px.n:
-            raise ValidationError(f"n={self.n} but px has {self.px.n} entries")
         if not 0 <= self.alpha < 1:
             raise ValidationError(f"alpha={self.alpha} outside [0,1)")
-        if len(self.tables) != self.t:
-            raise ValidationError(f"expected {self.t} tables, got {len(self.tables)}")
+        if not self.tables:
+            raise ValidationError("at least one message table required")
         for m, table in enumerate(self.tables, start=1):
             if table.m != m:
                 raise ValidationError(f"table at slot {m} is labeled m={table.m}")
@@ -531,8 +530,6 @@ class WatermarkScheme:
             for token in (min(map(min, rows), default=1), max(map(max, rows), default=1)):
                 if not 1 <= token <= self.n:
                     raise ValidationError(f"table m={m}: token {token} outside [1:{self.n}]")
-        if exact_sum(self.pz.values()) != 1:
-            raise ValidationError("key marginal does not sum to 1")
 
     @classmethod
     def assemble(
@@ -544,22 +541,24 @@ class WatermarkScheme:
         provenance: Mapping[str, object] | None = None,
         sparse_keys: Mapping[int, SparseKey] | None = None,
     ) -> "WatermarkScheme":
-        """Build a scheme, deriving pz from the m=1 table's row sums."""
-        tables = tuple(tables)
-        if not tables:
-            raise ParameterError("at least one message table required")
-        pz = {k: _row_total(row) for k, row in tables[0].rows.items()}
-        return cls(
-            n=px.n,
-            t=len(tables),
-            alpha=exact_rational(alpha, "alpha"),
-            px=px,
-            keyset=keyset,
-            tables=tables,
-            pz=pz,
-            provenance=dict(provenance or {}),
-            sparse_keys=sparse_keys,
+        """Build a scheme, with the sparse keys a construction listed."""
+        scheme = cls(
+            exact_rational(alpha, "alpha"), px, keyset, tuple(tables), dict(provenance or {})
         )
+        object.__setattr__(scheme, "sparse_keys", sparse_keys)
+        return scheme
+
+    @property
+    def n(self) -> int:
+        return self.px.n
+
+    @property
+    def t(self) -> int:
+        return len(self.tables)
+
+    @cached_property
+    def pz(self) -> dict[int, Fraction]:
+        return {k: _row_total(row) for k, row in self.tables[0].rows.items()}
 
     def table(self, m: int) -> JointTable:
         if not 1 <= m <= self.t:
@@ -582,7 +581,7 @@ class WatermarkScheme:
         keys = {
             idx: handed[idx] if idx in handed
             else tuple(shared.setdefault(pair, pair) for pair in self.keyset.sparse_key(idx))
-            for idx in sorted(self.key_support() | set(self.pz))
+            for idx in sorted(self.key_support())
         }
         common, scale = common_scale(
             {
@@ -591,7 +590,6 @@ class WatermarkScheme:
                 for row in table.rows.values()
                 for mass in row.values()
             }
-            | {mass.denominator for mass in self.pz.values()}
             | {p.denominator for p in self.px.probs}
             | {self.alpha.denominator, Fraction(self.alpha, self.t).denominator}
         )
@@ -600,8 +598,10 @@ class WatermarkScheme:
         columns, captured = [[0] * n for _ in range(t)], [[0] * n for _ in range(t)]
         negatives: list[tuple[int, int, Fraction] | None] = [None] * t
         mismatches: list[tuple[int, int, int, int]] = []
+        marked = [0] * n
         # Key by key, in index order, which is each table's cells() order:
         # a key's row sums are compared as they are taken, and none is kept.
+        # Its table-1 row sum is its pz mass.
         for idx, pairs in keys.items():
             for m, table in enumerate(self.tables, start=1):
                 row_total = 0
@@ -621,15 +621,11 @@ class WatermarkScheme:
                             negatives[m - 1] = (idx, token, mass)
                 if m == 1:
                     reference = row_total
+                    for pos, _ in pairs:
+                        if pos < n:
+                            marked[pos] += row_total
                 elif row_total != reference:
                     mismatches.append((idx, m, reference, row_total))
-        marked = [0] * n
-        for idx, mass in self.pz.items():
-            numerator, denominator = mass.as_integer_ratio()
-            scaled = numerator * scale[denominator]
-            for pos, _ in keys[idx]:
-                if pos < n:
-                    marked[pos] += scaled
         return DecodedCells(
             keys=keys,
             messages=tuple(messages),
@@ -649,15 +645,15 @@ class DecodedCells:
     """A scheme's support keys in sparse form, each cell's decoded message,
     and the exact sums that the property checks and error metrics read.
 
-    keys maps every key index stored in a table or in pz to its sparse key,
-    in index order: the tuple in the scheme's sparse_keys where it holds
-    the index, else the key unranked once.
+    keys maps every key index stored in a table to its sparse key, in
+    index order: the tuple in the scheme's sparse_keys where it holds the
+    index, else the key unranked once.
     messages[m-1][i] is the message that the i-th cell of table m, in
     cells() order, decodes to (0 when the key is zero at that token).
 
     Every sum is an int, the numerator of an exact mass over denominator,
-    the LCM D of the scheme's distinct cell, pz and px denominators and
-    those of alpha and alpha/T, so px(x)*D, alpha*D and alpha*D/T are ints
+    the LCM D of the scheme's distinct cell and px denominators and those
+    of alpha and alpha/T, so px(x)*D, alpha*D and alpha*D/T are ints
     too and a check compares ints.  columns[m-1][x-1] is table m's mass on
     token x, and captured[m-1][x-1] the part of it on cells that decode to
     m.  marked[x-1] is the pz mass on keys that are nonzero at token x.

@@ -213,8 +213,10 @@ def solve(problem: LpProblem) -> LpSolution:
     """The closed-form certificate when it checks (see the module
     docstring), else the simplex on the full LP.  A simplex optimum is
     returned only once its dual passes check_dual with the optimum as its
-    value; otherwise SolverError is raised."""
-    certified = _closed_form(problem)
+    value; otherwise SolverError is raised.  On either route, a float or
+    bool coefficient raises ParameterError before anything is solved."""
+    data_common, scale = _data_scale(problem)
+    certified = _closed_form(problem, data_common, scale)
     if certified is not None:
         value, values, dual = certified
         return LpSolution("optimal", value, values, dual, 0, 0, 0, 0, 0, 0)
@@ -224,7 +226,7 @@ def solve(problem: LpProblem) -> LpSolution:
     dual = None
     if result.status == "optimal":
         dual = DualCertificate(result.dual_ineq, result.dual_eq)
-        feasible, value = check_dual(problem, dual)
+        feasible, value = _check_scaled_dual(problem, dual, data_common, scale)
         if not feasible or value != result.objective:
             raise SolverError(
                 f"dual certificate rejected: feasible={feasible}, value "
@@ -246,12 +248,12 @@ def solve(problem: LpProblem) -> LpSolution:
 
 
 def _closed_form(
-    problem: LpProblem,
+    problem: LpProblem, data_common: int, scale: Mapping[int, int]
 ) -> tuple[Fraction, tuple[Fraction, ...], DualCertificate] | None:
     """(optimum, values, dual) from construction A and the closed-form
     dual, or None unless the construction's keys are all listed, its
     primal meets every row exactly and check_dual accepts the dual at the
-    primal's value."""
+    primal's value; data_common and scale are the problem's _data_scale."""
     n, t, nz = problem.n, problem.t, problem.nkeys
     shape = (len(problem.keys), problem.nvars, len(problem.ineq), len(problem.eq))
     if shape != (nz, t * n * nz + nz + 1, t + n, t * n + t * nz):
@@ -277,7 +279,6 @@ def _closed_form(
     values[-1] = max(view.missed)
     if min(values) < 0:
         return None
-    data_common, scale = _data_scale(problem)
     slack = [
         b.numerator * scale[b.denominator] * common - _scaled_dot(row.items(), values, scale)
         for row, b in zip((*problem.ineq, *problem.eq), (*problem.ineq_rhs, *problem.eq_rhs))

@@ -3,8 +3,7 @@
 The document is a plain dict (JSON-ready).  Masses serialize through
 mass_to_string, so the canonical form is an exact decimal when the
 denominator allows one and "p/q" otherwise.  The key marginal pz is not
-stored; it is recomputed on load from the row sums of the m=1 table, which
-the scheme invariants define it to be.
+stored: a scheme derives it from the row sums of the m=1 table.
 
 A scheme holds far fewer distinct masses than cells, so each distinct mass
 is formatted once on save, and each distinct mass text is parsed and

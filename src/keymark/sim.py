@@ -99,6 +99,8 @@ def _table_support(scheme: WatermarkScheme, m: int):
 def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     """Keys of pz in order and the CDFs of qx and pz."""
     key_indices = sorted(scheme.pz)
+    if not key_indices:
+        raise ParameterError("table m=1 is empty, so pz has no key to draw")
     pz_masses = [scheme.pz[idx] for idx in key_indices]
     return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses)
 

@@ -113,6 +113,32 @@ def test_verify_reports_failures_past_an_invalid_error_report(capsys, tmp_path) 
     assert "error report unavailable" in out
 
 
+def test_verify_reports_a_tampered_key_marginal(capsys, tmp_path) -> None:
+    # The key marginal is table 1's row sums, so a tampered table-1 cell is
+    # reported like one in any other table: the full property report, exit 1.
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["tables"]["1"][0][2] = "0.5"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "column-sum: FAIL at m=1" in out
+    assert "row-sum: FAIL" in out
+    assert "mass: FAIL at m=1 total" in out
+
+
+def test_simulate_false_alarm_on_an_empty_table_one_exits_2(capsys, tmp_path) -> None:
+    # An empty table 1 loads (verify reports it), but leaves no key to draw.
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["tables"]["1"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--m", "0", "--trials", "10"]) == 2
+    assert "table m=1 is empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -23,7 +23,7 @@ from test_construct_a import assert_window_family
 from test_output_digests import ALPHA, INSTANCES, T
 from keymark.construct_a import KeyListing, _anchored_tails, _structural_pairs, construct_a
 from keymark.construct_b import construct_b, extend_px
-from keymark.core import ReducedKeySet, TokenDistribution
+from keymark.core import JointTable, ReducedKeySet, TokenDistribution, WatermarkScheme
 from keymark.serialize import deserialize_scheme, serialize_scheme
 from keymark.split import split_px
 from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
@@ -59,7 +59,7 @@ def assert_same_view(scheme, loaded) -> None:
 def assert_handed_keys(scheme) -> None:
     keys = scheme.sparse_keys
     assert keys is not None
-    assert scheme.key_support() | set(scheme.pz) <= set(keys)
+    assert scheme.key_support() <= set(keys)
     for idx, pairs in keys.items():
         assert pairs == scheme.keyset.sparse_key(idx)
     # Each distinct (position, value) pair is one shared tuple.
@@ -176,23 +176,8 @@ def test_unchecked_rank_of_structural_keys(n: int, pseudo: int) -> None:
     assert reached_pseudo > 0 if pseudo else reached_pseudo == 0
 
 
-def test_handed_map_may_lack_extra_or_reorder_keys(monkeypatch) -> None:
-    """A map that lacks support keys, holds extra indices or runs in reverse
-    gives the loaded scheme's view, and the view unranks each key it lacks
-    exactly once."""
-    scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
-    loaded = deserialize_scheme(serialize_scheme(scheme))
-    loaded.decoded  # its unranks are not counted below
-    keys = dict(scheme.sparse_keys)
-    support = scheme.key_support() | set(scheme.pz)
-    kept = dict(itertools.islice(keys.items(), 0, None, 2))
-    extra = itertools.islice((idx for idx in itertools.count(1) if idx not in keys), 3)
-    handed = {
-        "missing keys": (kept, support - set(kept)),
-        "extra keys": ({**keys, **{idx: scheme.keyset.sparse_key(idx) for idx in extra}}, set()),
-        "reverse order": (dict(reversed(keys.items())), set()),
-    }
-    assert handed["missing keys"][1]
+def counted_unranks(monkeypatch) -> list[int]:
+    """The indices ReducedKeySet.sparse_key unranks from here on."""
     unranked = []
     sparse_key = ReducedKeySet.sparse_key
 
@@ -201,11 +186,59 @@ def test_handed_map_may_lack_extra_or_reorder_keys(monkeypatch) -> None:
         return sparse_key(self, idx)
 
     monkeypatch.setattr(ReducedKeySet, "sparse_key", counted)
+    return unranked
+
+
+def test_handed_map_may_lack_extra_or_reorder_keys(monkeypatch) -> None:
+    """A map that lacks support keys, holds extra indices or runs in reverse,
+    handed through assemble, gives the loaded scheme's view, and the view
+    unranks each key it lacks exactly once."""
+    scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
+    loaded = deserialize_scheme(serialize_scheme(scheme))
+    loaded.decoded  # its unranks are not counted below
+    keys = dict(scheme.sparse_keys)
+    support = scheme.key_support()
+    kept = dict(itertools.islice(keys.items(), 0, None, 2))
+    extra = itertools.islice((idx for idx in itertools.count(1) if idx not in keys), 3)
+    handed = {
+        "missing keys": (kept, support - set(kept)),
+        "extra keys": ({**keys, **{idx: scheme.keyset.sparse_key(idx) for idx in extra}}, set()),
+        "reverse order": (dict(reversed(keys.items())), set()),
+    }
+    assert handed["missing keys"][1]
+    unranked = counted_unranks(monkeypatch)
     for name, (sparse_keys, missing) in handed.items():
         unranked.clear()
-        assert_same_view(dataclasses.replace(scheme, sparse_keys=sparse_keys), loaded)
+        rebuilt = WatermarkScheme.assemble(
+            scheme.alpha, scheme.px, scheme.keyset, scheme.tables, scheme.provenance, sparse_keys
+        )
+        assert_same_view(rebuilt, loaded)
         assert sorted(unranked) == sorted(missing), name
-    # The map takes no part in == or repr.
-    plain = dataclasses.replace(scheme, sparse_keys=None)
+    # The map takes no part in == or repr; replace() drops it.
+    plain = dataclasses.replace(scheme)
+    assert plain.sparse_keys is None
     assert plain == scheme and repr(plain) == repr(scheme)
     assert "sparse_keys" not in repr(scheme)
+
+
+def test_replaced_scheme_unranks_its_keys(monkeypatch) -> None:
+    """dataclasses.replace builds a scheme with no handed keys: with new
+    tables it gives the loaded scheme's view and unranks every support key
+    once, so a replaced table can never be read through stale keys."""
+    scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
+    loaded = deserialize_scheme(serialize_scheme(scheme))
+    loaded.decoded
+    unranked = counted_unranks(monkeypatch)
+    tables = tuple(JointTable(table.m, table.rows) for table in scheme.tables)
+    replaced = dataclasses.replace(scheme, tables=tables)
+    assert replaced.sparse_keys is None
+    assert_same_view(replaced, loaded)
+    assert sorted(unranked) == sorted(scheme.key_support())
+
+
+def test_replace_cannot_hand_keys() -> None:
+    scheme = construct_a(INSTANCES["one-heavy-12"][0], ALPHA, T)
+    with pytest.raises(ValueError, match="sparse_keys"):
+        dataclasses.replace(scheme, sparse_keys=scheme.sparse_keys)
+    with pytest.raises(TypeError):
+        WatermarkScheme(scheme.alpha, scheme.px, scheme.keyset, scheme.tables, {}, scheme.sparse_keys)

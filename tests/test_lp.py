@@ -503,11 +503,17 @@ def test_check_dual_rejects_floats_and_bools() -> None:
     with pytest.raises(ParameterError, match="got bool"):
         check_dual(problem, flagged)
     assert check_dual(problem, dual) == (True, F(1, 8))
-    # A float in the problem itself is refused the same way.
-    edited = dataclasses.replace(problem, ineq_rhs=(*problem.ineq_rhs[:-1], 0.75))
-    for call in (lambda: check_dual(edited, dual), lambda: solve(edited)):
-        with pytest.raises(ParameterError, match="LP coefficient must be an int or a Fraction, got float"):
-            call()
+    # A float in the problem itself is refused the same way, by solve on
+    # either route: the reduced LP's closed form and the bijective LP's
+    # simplex.  A direct simplex_solve call raises SolverError instead.
+    for lp in (problem, bijective_problem()):
+        edited = dataclasses.replace(lp, ineq_rhs=(*lp.ineq_rhs[:-1], 0.75))
+        zero = DualCertificate((0,) * len(lp.ineq), (0,) * len(lp.eq))
+        for call in (lambda: check_dual(edited, zero), lambda: solve(edited)):
+            with pytest.raises(ParameterError, match="LP coefficient must be an int or a Fraction, got float"):
+                call()
+        with pytest.raises(SolverError, match="float"):
+            simplex_solve(edited.objective, edited.ineq, edited.ineq_rhs, edited.eq, edited.eq_rhs)
 
 
 def test_check_dual_rejects_negative_y() -> None:

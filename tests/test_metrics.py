@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -37,7 +38,7 @@ from keymark.metrics import (
     worst_false_alarm,
 )
 from keymark.rationals import mass_to_string
-from keymark.serialize import export_csv
+from keymark.serialize import deserialize_scheme, export_csv, serialize_scheme
 from keymark.sim import _table_support, monte_carlo
 
 PX_A = TokenDistribution.from_strings(["0.05", "0.1", "0.25", "0.6"])
@@ -207,6 +208,27 @@ def test_miss_detection_rejects_bad_message() -> None:
 
 def test_worst_false_alarm_golden() -> None:
     assert worst_false_alarm(golden_scheme()) == F(9, 10)
+
+
+def test_key_marginal_is_table_one_however_rebuilt() -> None:
+    """pz is no input: every way of rebuilding the golden scheme reads the
+    key marginal off table 1, so each passes its checks and reports the
+    worst false alarm 9/10, and no rebuild can hand it another marginal."""
+    scheme = golden_scheme()
+    rebuilt = {
+        "built": scheme,
+        "init": WatermarkScheme(scheme.alpha, scheme.px, scheme.keyset, scheme.tables),
+        "assemble": WatermarkScheme.assemble(scheme.alpha, scheme.px, scheme.keyset, list(scheme.tables)),
+        "replace": dataclasses.replace(scheme, provenance={}),
+        "loaded": deserialize_scheme(serialize_scheme(scheme)),
+    }
+    for name, copy in rebuilt.items():
+        assert copy.pz == {idx: copy.tables[0].row_sum(idx) for idx in copy.tables[0].rows}, name
+        assert check_scheme(copy).ok, name
+        assert worst_false_alarm(copy) == F(9, 10), name
+    for field in ("pz", "n", "t"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(scheme, **{field: {0: F(1)}})
 
 
 def test_worst_false_alarm_instance_b() -> None:
@@ -424,8 +446,8 @@ PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p**0.5) +
 def hand_built_schemes(draw) -> WatermarkScheme:
     """Schemes that break every property in turn: prime denominators up to
     997, negative cells, keys missing from some tables, empty tables, and a
-    key set with pseudo positions past n (as construct_b's), which pz keys
-    may use."""
+    key set with pseudo positions past n (as construct_b's), which support
+    keys may use.  pz is table 1's row sums, of whatever total mass."""
     n = draw(st.integers(2, 5))
     t = draw(st.integers(1, min(3, n)))
     keyset = enumerate_reduced_keyset(n + draw(st.integers(0, 2)), t)
@@ -453,11 +475,8 @@ def hand_built_schemes(draw) -> WatermarkScheme:
                 for idx in draw(st.lists(st.sampled_from(support), unique=True))
             }
         tables.append(JointTable(m, rows))
-    pz = draw(st.dictionaries(st.one_of(st.sampled_from(support), key_indices), masses, max_size=6))
-    last = draw(key_indices)
-    pz[last] = 1 - sum((mass for idx, mass in pz.items() if idx != last), F(0))
     alpha = F(draw(st.integers(0, 9)), 10)
-    return WatermarkScheme(n, t, alpha, px, keyset, tuple(tables), pz)
+    return WatermarkScheme(alpha, px, keyset, tuple(tables))
 
 
 @seed(12)

@@ -47,6 +47,20 @@ def single_cell_scheme() -> WatermarkScheme:
     return WatermarkScheme.assemble(F(1, 2), TokenDistribution.from_strings(["1"]), keyset, [table])
 
 
+def test_empty_key_marginal_is_a_parameter_error() -> None:
+    # An empty table 1 leaves pz with no key, as an empty table m leaves
+    # message m with no cell: nothing can be drawn.
+    keyset = ExplicitKeySet([(0, 0), (1, 2)], t=2)
+    tables = [JointTable(1, {}), JointTable(2, {1: {1: F(1, 2), 2: F(1, 2)}})]
+    px = TokenDistribution.from_strings(["0.5", "0.5"])
+    scheme = WatermarkScheme.assemble(F(1, 2), px, keyset, tables)
+    for draw in (lambda m: sample(scheme, m, 0), lambda m: monte_carlo(scheme, m, 10, 0)):
+        for m in (0, 1):
+            with pytest.raises(ParameterError, match="table m=1 is empty"):
+                draw(m)
+        draw(2)
+
+
 def test_sample_is_seed_reproducible() -> None:
     scheme = scheme_a()
     for m in (0, 1, 2, 3):
