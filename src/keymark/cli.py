@@ -28,10 +28,10 @@ from .errors import (
     ValidationError,
 )
 from .lp import bijective_keyset, build_primal, export_lp_text, solve
-from .metrics import check_scheme, error_report, optimal_value
+from .metrics import PropertyReport, check_scheme, error_report, optimal_value
 from .rationals import mass_to_string, parse_mass
 from .serialize import export_csv, load_scheme, save_scheme, serialize_scheme
-from .sim import monte_carlo
+from .sim import check_draw, monte_carlo
 from .thot import THotDecomposition, THotTerm
 
 __all__ = ["main", "RunConfig"]
@@ -207,18 +207,8 @@ def cmd_construct(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    scheme = load_scheme(config.get("scheme"))
-    report = check_scheme(scheme)
-    try:
-        summary, lines = _scheme_summary(scheme)
-    except ValidationError as exc:
-        # A scheme that fails its checks can carry error rates outside
-        # [0, 1]; the failing properties are the result, not the report.
-        if report.ok:
-            raise
-        summary, lines = {"report_error": str(exc)}, [f"error report unavailable: {exc}"]
-    payload = {
+def _property_payload(report: PropertyReport) -> dict:
+    return {
         "properties": [
             {
                 "name": c.name,
@@ -230,9 +220,21 @@ def cmd_verify(config: RunConfig) -> int:
             for c in report.checks
         ],
         "ok": report.ok,
-        **summary,
     }
-    _emit(payload, config.as_json, [report.describe(), *lines])
+
+
+def cmd_verify(config: RunConfig) -> int:
+    scheme = load_scheme(config.get("scheme"))
+    report = check_scheme(scheme)
+    try:
+        summary, lines = _scheme_summary(scheme)
+    except ValidationError as exc:
+        # A scheme that fails its checks can carry error rates outside
+        # [0, 1]; the failing properties are the result, not the report.
+        if report.ok:
+            raise
+        summary, lines = {"report_error": str(exc)}, [f"error report unavailable: {exc}"]
+    _emit({**_property_payload(report), **summary}, config.as_json, [report.describe(), *lines])
     return 0 if report.ok else 1
 
 
@@ -298,12 +300,19 @@ def cmd_lp(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     scheme = load_scheme(config.get("scheme"))
-    report = monte_carlo(
-        scheme,
-        _parse_int(config.get("m", 1), "m"),
-        _parse_int(config.get("trials", 100_000), "trials"),
-        _parse_int(config.get("seed", 0), "seed"),
-    )
+    m = _parse_int(config.get("m", 1), "m")
+    trials = _parse_int(config.get("trials", 100_000), "trials")
+    seed = _parse_int(config.get("seed", 0), "seed")
+    # A draw the scheme cannot serve is a usage error (exit 2) first.  A
+    # scheme that fails its checks then gets verify's property lines and
+    # exit 1: its estimate would sample masses renormalised to 1, while its
+    # exact value reads the raw ones.
+    check_draw(scheme, m, seed, trials=trials)
+    properties = check_scheme(scheme)
+    if not properties.ok:
+        _emit(_property_payload(properties), config.as_json, [properties.describe()])
+        return 1
+    report = monte_carlo(scheme, m, trials, seed)
     payload = {
         "m": report.m,
         "trials": report.trials,

@@ -27,7 +27,9 @@ ranks each distinct key once, without the validating search, and the
 scheme takes its record as sparse_keys, so it is checked, reported and
 exported without unranking a key.  The combined tables have column sums
 equal to px, identical row sums across messages, and decode-to-m column
-sums exactly min(alpha/T, px(x)).  All arithmetic is exact.
+sums exactly min(alpha/T, px(x)).  All arithmetic is exact.  Both
+constructions end in assemble_checked, whose mass check reads the decoded
+view's integer totals, the view that check_scheme then reuses.
 """
 
 from __future__ import annotations
@@ -362,13 +364,35 @@ def restore_token_order(px: TokenDistribution, values: Sequence) -> tuple:
 
 def restore_supports(px: TokenDistribution, decomp: THotDecomposition) -> THotDecomposition:
     """Map each term's support from the sorted token view to px's own order;
-    positions from px.n on (the extension slots of a longer key) stay put."""
+    positions from px.n on (the extension slots of a longer key) stay put.
+    That moves the positions [0:length) among themselves, so the checked
+    supports stay increasing inside [0:length) and skip the per-term checks."""
+    if decomp.length < px.n:
+        raise ParameterError(f"decomposition length {decomp.length} < token count {px.n}")
     where = px.sort_perm + tuple(range(px.n, decomp.length))
     terms = tuple(
         THotTerm(tuple(sorted(where[i] for i in term.support)), term.weight)
         for term in decomp.terms
     )
-    return THotDecomposition(terms, decomp.length)
+    return THotDecomposition.unchecked(terms, decomp.length)
+
+
+def assemble_checked(
+    alpha: Fraction, px: TokenDistribution, keyset: KeySet, tables: Sequence[JointTable],
+    provenance: dict[str, object], listing: KeyListing,
+) -> WatermarkScheme:
+    """The constructions' scheme, with the keys listing recorded.
+
+    InvariantError unless every table's mass is 1, read from the decoded
+    view's integer totals; the view is cached, so check_scheme reuses it
+    and the pipeline walks the cells once.
+    """
+    scheme = WatermarkScheme.assemble(alpha, px, keyset, tables, provenance, listing.hand_over())
+    view = scheme.decoded
+    for m, total in enumerate(view.totals, start=1):
+        if total != view.denominator:
+            raise InvariantError(f"table m={m} has mass {Fraction(total, view.denominator)}")
+    return scheme
 
 
 def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
@@ -386,9 +410,6 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
     # Each message's parts are let go once merged, so the parts of only one
     # message sit next to the merged tables and the listed keys.
     tables = [merge_tables(m, pm1.pop(0), pm2.pop(0), pm3.pop(0)) for m in range(1, t + 1)]
-    for table in tables:
-        if table.total_mass() != 1:
-            raise InvariantError(f"table m={table.m} has mass {table.total_mass()}")
     provenance = {
         "method": "direct",
         "K": split.K,
@@ -397,4 +418,4 @@ def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkSche
         "imbalance": mass_to_string(ledger.total),
         "overshoot": mass_to_string(sum(split.px3, Fraction(0))),
     }
-    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance, listing.hand_over())
+    return assemble_checked(alpha, px, keyset, tables, provenance, listing)

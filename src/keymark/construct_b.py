@@ -7,6 +7,11 @@ shifts of 1..T over its support in the sorted view's order (not T! keys) on
 keys of length N+n, and every key's pseudo-column mass is folded back onto
 real tokens with weights r(x)/R.  Fold-back never lands on a cell decoding to
 the embedded message, so decode-to-m column sums still equal min(alpha/T, px(x)).
+The weights total 1, one exact check, so each folded row keeps its part-1
+row sum.  With no pseudo token there is nothing to fold: each table keeps
+part 1's rows as they are and adds the all-zero key's row of leftover r.
+The mass check, every table summing to 1, reads the decoded view's integer
+totals, which check_scheme then reuses.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     JointTable,
@@ -24,9 +30,9 @@ from .core import (
     check_instance,
 )
 from .errors import InvariantError, ParameterError
-from .rationals import mass_to_string
+from .rationals import exact_sum, mass_to_string
 from .split import cap_vector
-from .construct_a import KeyListing, build_pm1, restore_token_order
+from .construct_a import KeyListing, assemble_checked, build_pm1, restore_token_order
 from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
 
 __all__ = ["Extension", "extend_px", "construct_b"]
@@ -102,31 +108,24 @@ def construct_b(
     listing = KeyListing(keyset)
     prime_tables = build_pm1(decomposition, keyset, listing, px.sort_perm + tuple(range(px.n, length)))
 
-    n = px.n
     leftover = restore_token_order(px, ext.r)
-    # Pseudo-token mass folds back only onto tokens with leftover r(x) > 0.
-    shares = [(x, r / ext.R) for x, r in enumerate(leftover, start=1) if r > 0]
-    tables: list[JointTable] = []
-    for table in prime_tables:
-        rows: dict[int, dict[int, Fraction]] = {}
-        for key_index, token, mass in table.cells():
-            if token <= n:
-                add_mass(rows, key_index, token, mass)
-            else:
-                for x, share in shares:
-                    add_mass(rows, key_index, x, mass * share)
-        if ext.n == 0:
-            for x in range(1, n + 1):
-                add_mass(rows, keyset.zero_index, x, leftover[x - 1])
-        folded = JointTable(table.m, rows)
-        if folded.total_mass() != 1:
-            raise InvariantError(f"table m={table.m} has mass {folded.total_mass()}")
-        for key_index in folded.key_support():
-            if folded.row_sum(key_index) != table.row_sum(key_index) + (
-                ext.R if key_index == keyset.zero_index and ext.n == 0 else 0
-            ):
-                raise InvariantError(f"fold-back changed row sum of key {key_index}")
-        tables.append(folded)
+    if ext.n == 0:
+        # Nothing to fold: each table takes part 1's rows as they are (part 1
+        # never lists the all-zero key) after that key's row of leftover
+        # mass.  Its index is 0, so the rows stay in order.
+        zero_row = {x: r for x, r in enumerate(leftover, start=1) if r}
+        tables = []
+        for table in prime_tables:
+            rows = {keyset.zero_index: dict(zero_row), **table.rows} if zero_row else table.rows
+            tables.append(JointTable.unchecked(table.m, rows))
+    else:
+        # Pseudo-token mass folds back onto the tokens with leftover r(x) > 0
+        # in shares r(x)/R.  The shares total 1, so each folded row keeps its
+        # part-1 row sum: one exact check covers every row of every table.
+        shares = [(x, r / ext.R) for x, r in enumerate(leftover, start=1) if r > 0]
+        if exact_sum(share for _, share in shares) != 1:
+            raise InvariantError("fold-back shares do not total 1")
+        tables = [_fold_back(table, px.n, shares) for table in prime_tables]
 
     provenance = {
         "method": "extended",
@@ -134,4 +133,16 @@ def construct_b(
         "leftover": mass_to_string(ext.R),
         "forced": force_pseudo,
     }
-    return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance, listing.hand_over())
+    return assemble_checked(alpha, px, keyset, tables, provenance, listing)
+
+
+def _fold_back(table: JointTable, n: int, shares: Sequence[tuple[int, Fraction]]) -> JointTable:
+    """table with each cell on a token above n spread over (x, share) pairs."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for key_index, token, mass in table.cells():
+        if token <= n:
+            add_mass(rows, key_index, token, mass)
+        else:
+            for x, share in shares:
+                add_mass(rows, key_index, x, mass * share)
+    return JointTable(table.m, rows)

@@ -430,6 +430,17 @@ class JointTable:
             ordered[key_index] = dict(sorted(row.items())) if len(row) > 1 else dict(row)
         object.__setattr__(self, "rows", ordered)
 
+    @classmethod
+    def unchecked(cls, m: int, rows: dict[int, dict[int, Fraction]]) -> "JointTable":
+        """The table without __post_init__'s copy and checks: rows must be in
+        a table's form by construction (ordered by key index, each row by
+        token, no zero mass, such as another table's rows), and the caller
+        hands them over and makes no other use of them."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "m", m)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     def cell(self, key_index: int, token: int) -> Fraction:
         return self.rows.get(key_index, {}).get(token, Fraction(0))
 
@@ -480,13 +491,30 @@ def add_mass(rows: dict[int, dict[int, Fraction]], key_index: int, token: int, m
 
 
 def merge_tables(m: int, *parts: JointTable) -> JointTable:
-    """Cellwise sum of partial tables for the same message."""
+    """Cellwise sum of partial tables for the same message.
+
+    A key that no earlier part holds takes the part's row object as it is; a
+    row is copied only before a second part adds to it, so no part's rows
+    change, and an empty row is skipped.  JointTable then makes the merged
+    table's one ordered copy, so the result aliases no part's row.
+    """
     rows: dict[int, dict[int, Fraction]] = {}
+    copied: set[int] = set()
     for part in parts:
         if part.m != m:
             raise ParameterError(f"cannot merge table for m={part.m} into m={m}")
-        for key_index, token, mass in part.cells():
-            add_mass(rows, key_index, token, mass)
+        for key_index, row in part.rows.items():
+            if not row:
+                continue
+            if key_index not in rows:
+                rows[key_index] = row
+                copied.discard(key_index)
+                continue
+            if key_index not in copied:
+                rows[key_index] = dict(rows[key_index])
+                copied.add(key_index)
+            for token, mass in row.items():
+                add_mass(rows, key_index, token, mass)
     return JointTable(m, rows)
 
 

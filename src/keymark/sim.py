@@ -37,7 +37,7 @@ from .rationals import common_numerators
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["TrialReport", "sample", "monte_carlo"]
+__all__ = ["TrialReport", "check_draw", "sample", "monte_carlo"]
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,7 @@ def _table_support(scheme: WatermarkScheme, m: int):
     """Support cells of table m in enumeration order plus per-cell decodes."""
     import numpy as np
 
-    table = scheme.table(m)
-    cells = list(table.cells())
-    if not cells:
-        raise ParameterError(f"table m={m} is empty")
+    cells = list(scheme.table(m).cells())
     masses = [mass for _, _, mass in cells]
     return cells, masses, np.asarray(scheme.decoded.messages[m - 1])
 
@@ -99,8 +96,6 @@ def _table_support(scheme: WatermarkScheme, m: int):
 def _marginals(scheme: WatermarkScheme, qx: TokenDistribution):
     """Keys of pz in order and the CDFs of qx and pz."""
     key_indices = sorted(scheme.pz)
-    if not key_indices:
-        raise ParameterError("table m=1 is empty, so pz has no key to draw")
     pz_masses = [scheme.pz[idx] for idx in key_indices]
     return key_indices, _cdf(list(qx.probs)), _cdf(pz_masses)
 
@@ -120,10 +115,21 @@ def _marked_tokens(scheme: WatermarkScheme, key_indices: list[int], n: int) -> n
     return positions
 
 
-def _draw_inputs(
-    scheme: WatermarkScheme, m: int, seed: int, qx: TokenDistribution | None
+def check_draw(
+    scheme: WatermarkScheme,
+    m: int,
+    seed: int,
+    qx: TokenDistribution | None = None,
+    trials: int = 1,
 ) -> TokenDistribution:
-    """Check the message, seed and query distribution; return qx, px by default."""
+    """Refuse a draw that the scheme cannot serve, whether or not it passes
+    its checks: ParameterError for fewer than 1 trial, a message outside
+    [0:T], a negative seed, a qx over another vocabulary, or an empty table
+    to draw from (table 1, whose row sums are pz, for m=0).  Returns qx, px
+    by default."""
+    exact_int(trials, "trials")
+    if trials < 1:
+        raise ParameterError(f"trials={trials} must be at least 1")
     exact_int(m, "m")
     exact_int(seed, "seed")
     if not 0 <= m <= scheme.t:
@@ -133,6 +139,10 @@ def _draw_inputs(
     qx = scheme.px if qx is None else qx
     if qx.n != scheme.n:
         raise ParameterError(f"qx has {qx.n} tokens, the scheme has n={scheme.n}")
+    if m == 0 and not scheme.tables[0].rows:
+        raise ParameterError("table m=1 is empty, so pz has no key to draw")
+    if m and not any(scheme.table(m).rows.values()):
+        raise ParameterError(f"table m={m} is empty")
     return qx
 
 
@@ -142,7 +152,7 @@ def sample(
     """One draw of (token, key index); m=0 draws the pair independently."""
     import numpy as np
 
-    qx = _draw_inputs(scheme, m, seed, qx)
+    qx = check_draw(scheme, m, seed, qx)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
         key_indices, qx_cdf, pz_cdf = _marginals(scheme, qx)
@@ -166,10 +176,7 @@ def monte_carlo(
     (default px) when m=0, against the exact value."""
     import numpy as np
 
-    exact_int(trials, "trials")
-    if trials < 1:
-        raise ParameterError(f"trials={trials} must be at least 1")
-    qx = _draw_inputs(scheme, m, seed, qx)
+    qx = check_draw(scheme, m, seed, qx, trials)
     rng = np.random.Generator(np.random.Philox(seed))
     if m == 0:
         key_indices, qx_cdf, pz_cdf = _marginals(scheme, qx)

@@ -43,6 +43,16 @@ class THotDecomposition:
             if exact_rational(term.weight, "term weight") <= 0:
                 raise ParameterError(f"term {k} has non-positive weight {term.weight}")
 
+    @classmethod
+    def unchecked(cls, terms: tuple[THotTerm, ...], length: int) -> "THotDecomposition":
+        """The decomposition without __post_init__'s per-term checks: terms
+        must be valid by construction, such as decompose_t_hot's own output
+        (int supports from range, increasing, positive weights)."""
+        decomp = object.__new__(cls)
+        object.__setattr__(decomp, "terms", terms)
+        object.__setattr__(decomp, "length", length)
+        return decomp
+
     def reconstruct(self) -> tuple[Fraction, ...]:
         total = [Fraction(0)] * self.length
         for term in self.terms:
@@ -157,4 +167,4 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
         frozen = grown
     else:
         raise InvariantError(f"decomposition did not terminate in {length} rounds")
-    return THotDecomposition(tuple(terms), length)
+    return THotDecomposition.unchecked(tuple(terms), length)

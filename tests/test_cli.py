@@ -127,6 +127,28 @@ def test_verify_reports_a_tampered_key_marginal(capsys, tmp_path) -> None:
     assert "mass: FAIL at m=1 total" in out
 
 
+@pytest.mark.parametrize("m", ["0", "1"])
+def test_simulate_refuses_a_scheme_that_fails_its_checks(capsys, tmp_path, m) -> None:
+    # Without the check, --m 0 estimated the masses renormalised to 1 next to
+    # an "exact" value of the raw ones, z far outside any bound, and exited 0.
+    path = write_scheme(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["tables"]["1"][0][2] = "0.5"
+    path.write_text(json.dumps(doc))
+    _, verified = run(capsys, "verify", str(path))
+    code, out = run(capsys, "simulate", str(path), "--m", m, "--trials", "100")
+    assert code == 1
+    # verify's five property lines, and nothing after them.
+    assert out.splitlines() == verified.splitlines()[:5]
+    assert "mass: FAIL at m=1 total" in out
+    code, payload = run_json(capsys, "simulate", str(path), "--m", m)
+    assert code == 1
+    assert not payload["ok"] and "estimate" not in payload
+    assert [p["name"] for p in payload["properties"] if not p["passed"]] == [
+        "column-sum", "row-sum", "mass"
+    ]
+
+
 def test_simulate_false_alarm_on_an_empty_table_one_exits_2(capsys, tmp_path) -> None:
     # An empty table 1 loads (verify reports it), but leaves no key to draw.
     path = write_scheme(capsys, tmp_path)

@@ -41,6 +41,7 @@ from keymark.core import (
     add_mass,
     decode,
     enumerate_reduced_keyset,
+    merge_tables,
 )
 from keymark.errors import CapacityError, InvariantError, ParameterError
 from keymark.metrics import check_scheme, error_report
@@ -608,6 +609,22 @@ def test_construct_a_refuses_overshoot_off_the_anchors(monkeypatch) -> None:
     moved = dataclasses.replace(split, px3=split.px3[::-1])
     monkeypatch.setattr(module, "split_px", lambda *args: moved)
     with pytest.raises(InvariantError, match="px3 is positive off the anchors"):
+        construct_a(PX_A, ALPHA_A, 3)
+
+
+def test_construct_a_refuses_a_table_whose_mass_is_not_one(monkeypatch) -> None:
+    # The mass guard reads the decoded view's integer totals: one extra
+    # part-3 cell in table 1 leaves that table's mass above 1.
+    module = importlib.import_module("keymark.construct_a")
+    real = module.build_pm3
+
+    def build_pm3(*args):
+        tables = real(*args)
+        tables[0] = merge_tables(1, tables[0], JointTable(1, {0: {1: F(1, 1000)}}))
+        return tables
+
+    monkeypatch.setattr(module, "build_pm3", build_pm3)
+    with pytest.raises(InvariantError, match=r"table m=1 has mass 1001/1000"):
         construct_a(PX_A, ALPHA_A, 3)
 
 

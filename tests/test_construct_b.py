@@ -1,14 +1,24 @@
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldens import FOLDED_B, INSTANCE_B_TERMS, PRE_FOLD_B, table_as_cells
 from keymark.construct_a import KeyListing, build_pm1, construct_a, restore_supports
 from keymark.construct_b import construct_b, extend_px
-from keymark.core import ReducedKeySet, TokenDistribution, decode, enumerate_reduced_keyset
-from keymark.errors import ParameterError
+from keymark.core import (
+    JointTable,
+    ReducedKeySet,
+    TokenDistribution,
+    decode,
+    enumerate_reduced_keyset,
+    merge_tables,
+)
+from keymark.errors import InvariantError, ParameterError
 from keymark.metrics import check_scheme, error_report, optimal_value
 from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
 
@@ -206,6 +216,70 @@ def test_construct_b_random_instances() -> None:
         force = rng.random() < 0.5
         scheme = construct_b(px, alpha, t, force_pseudo=force)
         assert_scheme_properties(scheme)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 9), min_size=2, max_size=6).filter(any),
+    t=st.integers(1, 4),
+    alpha=st.integers(1, 99).map(lambda v: F(v, 100)),
+    force=st.booleans(),
+)
+def test_fold_back_keeps_every_part1_row_sum(weights, t, alpha, force) -> None:
+    """Each folded key's row sum is its part-1 row sum, because the fold-back
+    shares total 1; with no pseudo token the all-zero key gets R."""
+    px = TokenDistribution.from_fractions(F(w, sum(weights)) for w in weights)
+    t = min(t, px.n)
+    module = importlib.import_module("keymark.construct_b")
+    part1: dict[int, dict[int, F]] = {}
+
+    def build_pm1_spy(*args, **kwargs):
+        tables = build_pm1(*args, **kwargs)
+        for table in tables:
+            part1[table.m] = {idx: table.row_sum(idx) for idx in table.rows}
+        return tables
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "build_pm1", build_pm1_spy)
+        scheme = construct_b(px, alpha, t, force_pseudo=force)
+    ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force)
+    zero = scheme.keyset.zero_index
+    for table in scheme.tables:
+        expected = dict(part1[table.m])
+        assert zero not in expected
+        if ext.n == 0 and ext.R:
+            expected[zero] = ext.R
+        assert {idx: table.row_sum(idx) for idx in table.rows} == expected
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_construct_b_refuses_a_table_whose_mass_is_not_one(force, monkeypatch) -> None:
+    # The mass guard reads the decoded view's integer totals: one extra
+    # part-1 cell in table 1 leaves that table's mass above 1, with or
+    # without pseudo tokens to fold back.
+    module = importlib.import_module("keymark.construct_b")
+
+    def build_pm1_extra(*args):
+        tables = build_pm1(*args)
+        tables[0] = merge_tables(1, tables[0], JointTable(1, {1: {1: F(1, 1000)}}))
+        return tables
+
+    monkeypatch.setattr(module, "build_pm1", build_pm1_extra)
+    with pytest.raises(InvariantError, match=r"table m=1 has mass 1001/1000"):
+        construct_b(PX_B, F(4, 5), 2, force_pseudo=force)
+
+
+def test_construct_b_refuses_fold_back_shares_that_do_not_total_one(monkeypatch) -> None:
+    # Doubling the leftover r doubles every share r(x)/R, whose total must be 1.
+    module = importlib.import_module("keymark.construct_b")
+    real = module.restore_token_order
+    monkeypatch.setattr(
+        module, "restore_token_order", lambda px, values: tuple(2 * v for v in real(px, values))
+    )
+    with pytest.raises(InvariantError, match="fold-back shares do not total 1"):
+        construct_b(PX_B, F(4, 5), 2, force_pseudo=True)
+    with pytest.raises(InvariantError, match="table m=1 has mass 6/5"):
+        construct_b(PX_B, F(4, 5), 2)
 
 
 def part1_sums(tables, keys) -> tuple[dict, dict]:

@@ -405,6 +405,30 @@ def test_merge_tables() -> None:
         merge_tables(1, part1)
 
 
+def test_merge_tables_leaves_shared_rows_of_its_parts_unchanged() -> None:
+    # Key 0 is in both parts and its token-1 cell cancels; key 7 cancels
+    # away entirely, and the part that holds it next must not be written to
+    # when the part after that adds to it.
+    parts = [
+        JointTable(1, {0: {1: Fraction(1, 4), 2: Fraction(1, 8)}, 3: {2: Fraction(1, 2)}}),
+        JointTable(1, {0: {1: Fraction(-1, 4)}, 5: {1: Fraction(1, 8)}}),
+        JointTable(1, {7: {1: Fraction(1, 3)}}),
+        JointTable(1, {7: {1: Fraction(-1, 3)}}),
+        JointTable(1, {7: {2: Fraction(1, 5)}}),
+        JointTable(1, {7: {2: Fraction(1, 5)}, 9: {}}),
+    ]
+    before = [{k: dict(row) for k, row in part.rows.items()} for part in parts]
+    merged = merge_tables(1, *parts)
+    assert [part.rows for part in parts] == before
+    assert merged.rows == {
+        0: {2: Fraction(1, 8)},
+        3: {2: Fraction(1, 2)},
+        5: {1: Fraction(1, 8)},
+        7: {2: Fraction(2, 5)},
+    }
+    assert all(row is not part.rows.get(k) for part in parts for k, row in merged.rows.items())
+
+
 @pytest.mark.parametrize("bad", [0, 3])
 def test_scheme_rejects_tokens_outside_range(bad: int) -> None:
     # Unchecked, a cell on token 0 counts as token 2 in the column sums, and
