@@ -7,7 +7,7 @@ key, so its size is L!/(L-T)! + 1.  Key sets are never materialized; they are
 index<->key bijections in lexicographic order on the entry tuples, which puts
 the all-zero key at index 0.  A key's working form is its sparse key, the
 (position, value) pairs of its nonzero entries: reduced keys rank and unrank
-from their T nonzero positions in O(T) steps, whatever L is.  A scheme
+from their T nonzero positions in O(T) exact steps, whatever L is.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
 metrics, sampler and exporter all read, with the exact sums that the checks
 and metrics compare.  The view takes each key that the construction listed
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ParameterError, ValidationError
-from .rationals import common_numerators, common_scale, exact_sum, parse_mass
+from .rationals import common_numerators, common_scale, parse_mass
 
 __all__ = [
     "KeyVector",
@@ -257,10 +257,11 @@ class ReducedKeySet(KeySet):
     Order is lexicographic on entry tuples.  The all-zero key is index 0; a
     placement key's index is 1 plus its lexicographic rank among placements.
     Rank and unrank count the completions of each candidate prefix, visiting
-    only the T nonzero positions: O(T) perm calls to rank and O(T log L) to
-    unrank, so no key vector is ever needed.  key() and index() convert
-    between those sparse keys and full vectors.  Nothing is listed, so the
-    set has no size limit; only operations that list keys check one.
+    only the T nonzero positions: O(T) perm calls each way (unrank tests
+    exactly around a float guess, and bisects only past 1000-bit ranks), so
+    no key vector is ever needed.  key() and index() convert between those
+    sparse keys and full vectors.  Nothing is listed, so the set has no size
+    limit; only operations that list keys check one.
     """
 
     kind = "reduced"
@@ -305,29 +306,41 @@ class ReducedKeySet(KeySet):
             raise ParameterError(f"key index {index} outside [0:{self.size - 1}]")
         if index == 0:
             return ()
-        rank = index - 1
+        perm, rank = math.perm, index - 1
         pairs: list[tuple[int, int]] = []
         unused = list(range(1, self.t + 1))
-        pos = 0
-        while unused:
-            u = len(unused)
-            # The perm(L-pos-1, u) completions with a zero at pos precede
-            # every other key with this prefix.  That count falls as pos
-            # grows, so the next nonzero position is the first one whose
-            # zero-block no longer exceeds the rank; at pos = L-u it is 0.
-            lo, hi = pos, self.length - u
+        top = self.length - 1
+        for u in range(self.t, 0, -1):
+            # The perm(m, u) keys with a zero at position L-1-m come first,
+            # so the next nonzero position leaves m after it: the largest m
+            # in [lo, hi] = [u-1, top] with perm(m, u) <= rank, as
+            # perm(u-1, u) = 0.  rank < perm(top+1, u), so m <= top anyway.
+            lo, hi = u - 1, top
+            if u <= 2:
+                lo = hi = rank if u == 1 else (math.isqrt(4 * rank + 1) + 1) // 2
+            elif hi - lo > 3 and rank.bit_length() < 1000:
+                # perm(m, u) is just under (m - (u-1)/2)^u: the float guess,
+                # put in (lo, hi] by compares (cheaper than min and max here),
+                # only picks where exact tests start; bisection ends a miss,
+                # and it settles a bracket of 4 positions in as few probes.
+                probe = int(rank ** (1 / u) + (u - 1) / 2)
+                probe = lo + 1 if probe <= lo else probe if probe < hi else hi
+                for _ in range(3):
+                    if lo < probe <= hi:
+                        if perm(probe, u) <= rank:
+                            lo, probe = probe, probe + 1
+                        else:
+                            hi = probe = probe - 1
             while lo < hi:
-                mid = (lo + hi) // 2
-                if math.perm(self.length - mid - 1, u) <= rank:
-                    hi = mid
+                mid = (lo + hi + 1) // 2
+                if perm(mid, u) <= rank:
+                    lo = mid
                 else:
-                    lo = mid + 1
-            pos = lo
-            remaining = self.length - pos - 1
-            rank -= math.perm(remaining, u)
-            chosen, rank = divmod(rank, math.perm(remaining, u - 1))
-            pairs.append((pos, unused.pop(chosen)))
-            pos += 1
+                    hi = mid - 1
+            block = perm(lo, u - 1)
+            chosen, rank = divmod(rank - block * (lo - u + 1), block)
+            pairs.append((self.length - 1 - lo, unused.pop(chosen)))
+            top = lo - 1
         return tuple(pairs)
 
     def sparse_index(self, pairs: Iterable[tuple[int, int]]) -> int:
@@ -449,12 +462,6 @@ class JointTable:
         for key_index, row in self.rows.items():
             for token, mass in row.items():
                 yield key_index, token, mass
-
-    def row_sum(self, key_index: int) -> Fraction:
-        return _row_total(self.rows.get(key_index, {}))
-
-    def total_mass(self) -> Fraction:
-        return exact_sum(mass for row in self.rows.values() for mass in row.values())
 
     def key_support(self) -> set[int]:
         return set(self.rows)

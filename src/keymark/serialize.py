@@ -8,7 +8,9 @@ stored: a scheme derives it from the row sums of the m=1 table.
 A scheme holds far fewer distinct masses than cells, so each distinct mass
 is formatted once on save, and each distinct mass text is parsed and
 checked once on load, its cells sharing the one Fraction.  A bad mass is a
-ValidationError that names the first place it occurs.
+ValidationError that names the first place it occurs.  Cells are saved by
+key, then token: a table read in that order is adopted without a copy or
+sort, and one in any other order is sorted, each cell checked either way.
 """
 
 from __future__ import annotations
@@ -160,6 +162,7 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
             raise ValidationError(f"tables: missing table for m={m}")
         _check_kind(cells, list, f"tables: table m={m}")
         rows: dict[int, dict[int, Fraction]] = {}
+        ordered, last_key, last_token, row = True, -1, 0, {}  # in save order?
         # A cell's place is formatted only when it is needed: on a failure,
         # or on the first parse of a mass text.
         for position, cell in enumerate(cells):
@@ -181,11 +184,16 @@ def deserialize_scheme(doc: Mapping[str, Any]) -> WatermarkScheme:
                     mass = masses[mass_text] = _positive_mass(mass_text, f"tables.{m}[{position}]")
             else:
                 mass = _positive_mass(mass_text, f"tables.{m}[{position}]")
-            row = rows.setdefault(key_index, {})
+            if key_index != last_key:
+                ordered &= key_index > last_key
+                last_key, last_token = key_index, 0
+                row = rows.setdefault(key_index, {})
+            ordered &= token > last_token
+            last_token = token
             if token in row:
                 raise ValidationError(f"tables.{m}[{position}]: duplicate cell for token {token}")
             row[token] = mass
-        tables.append(JointTable(m, rows))
+        tables.append(JointTable.unchecked(m, rows) if ordered else JointTable(m, rows))
     provenance = _check_kind(doc.get("provenance", {}), dict, "document: 'provenance'")
     return WatermarkScheme.assemble(alpha, px, keyset, tables, provenance=provenance)
 

@@ -17,6 +17,10 @@ code but its public report types.
 reference_decompose_t_hot is the greedy T-hot decomposition on Fractions,
 as keymark.thot ran it before it scaled the vector to integers once.
 
+reference_sparse_key is the reduced key set's unrank as it was before it
+solved for each nonzero position: a bisection of math.perm probes over the
+positions at each of the T levels, O(T log L) probes per key.
+
 The Monte Carlo references build each inverse-CDF table from a running
 Fraction sum converted to float cell by cell, and search the table once per
 draw, as keymark.sim did before it took integer prefix sums and counted
@@ -26,6 +30,7 @@ module.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import insort
 from dataclasses import dataclass
@@ -39,6 +44,8 @@ from keymark.construct_a import KeyListing, _anchored_tails, anchored_cell_count
 from keymark.core import (
     JointTable,
     KeySet,
+    ReducedKeySet,
+    SparseKey,
     TokenDistribution,
     WatermarkScheme,
     add_mass,
@@ -135,7 +142,7 @@ def build_pm2_layered(
     per_key: dict[int, tuple[Fraction, ...]] = {}
     total = Fraction(0)
     for idx, _ in anchored:
-        sums = [table.row_sum(idx) for table in tables]
+        sums = [row_sum(table, idx) for table in tables]
         gaps = tuple(max(sums) - s for s in sums)
         if any(gaps):
             per_key[idx] = gaps
@@ -181,6 +188,16 @@ def column_sum(table: JointTable, token: int) -> Fraction:
     return sum((row[token] for row in table.rows.values() if token in row), Fraction(0))
 
 
+def row_sum(table: JointTable, key_index: int) -> Fraction:
+    """Table mass on one key, one Fraction addition per cell."""
+    return sum(table.rows.get(key_index, {}).values(), Fraction(0))
+
+
+def table_mass(table: JointTable) -> Fraction:
+    """Table mass over every cell, one Fraction addition per cell."""
+    return sum((mass for _, _, mass in table.cells()), Fraction(0))
+
+
 def reference_decoded_sums(
     scheme: WatermarkScheme,
 ) -> tuple[list[tuple[Fraction, ...]], list[tuple[Fraction, ...]], tuple[Fraction, ...]]:
@@ -205,9 +222,9 @@ def reference_decoded_sums(
 
 def reference_row_sum_failures(scheme: WatermarkScheme):
     for idx in sorted(scheme.key_support()):
-        reference = scheme.tables[0].row_sum(idx)
+        reference = row_sum(scheme.tables[0], idx)
         for table in scheme.tables[1:]:
-            actual = table.row_sum(idx)
+            actual = row_sum(table, idx)
             if actual != reference:
                 yield f"key={idx}, m={table.m}", reference, actual
 
@@ -371,3 +388,35 @@ def reference_decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecompositio
     else:
         raise InvariantError(f"decomposition did not terminate in {length} rounds")
     return THotDecomposition(tuple(terms), length)
+
+
+def reference_sparse_key(keyset: ReducedKeySet, index: int) -> SparseKey:
+    """ReducedKeySet.sparse_key by bisection over positions at each level."""
+    if not 0 <= index < keyset.size:
+        raise ParameterError(f"key index {index} outside [0:{keyset.size - 1}]")
+    if index == 0:
+        return ()
+    rank = index - 1
+    pairs: list[tuple[int, int]] = []
+    unused = list(range(1, keyset.t + 1))
+    pos = 0
+    while unused:
+        u = len(unused)
+        # The perm(L-pos-1, u) completions with a zero at pos precede
+        # every other key with this prefix.  That count falls as pos
+        # grows, so the next nonzero position is the first one whose
+        # zero-block no longer exceeds the rank; at pos = L-u it is 0.
+        lo, hi = pos, keyset.length - u
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if math.perm(keyset.length - mid - 1, u) <= rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        pos = lo
+        remaining = keyset.length - pos - 1
+        rank -= math.perm(remaining, u)
+        chosen, rank = divmod(rank, math.perm(remaining, u - 1))
+        pairs.append((pos, unused.pop(chosen)))
+        pos += 1
+    return tuple(pairs)

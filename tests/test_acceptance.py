@@ -21,7 +21,7 @@ from goldens import (
     PRE_FOLD_B,
     table_as_cells,
 )
-from layered_reference import anchored_indices, step_decomposition
+from layered_reference import anchored_indices, row_sum, step_decomposition
 from keymark.construct_a import build_pm1, build_pm2, construct_a
 from keymark.construct_b import construct_b, extend_px
 from keymark.core import TokenDistribution, enumerate_reduced_keyset
@@ -236,8 +236,8 @@ def test_criterion_7_imbalance_identities() -> None:
                 for m in range(1, t + 1):
                     measured = sum(
                         (
-                            max(tb.row_sum(idx) for tb in tables)
-                            - tables[m - 1].row_sum(idx)
+                            max(row_sum(tb, idx) for tb in tables)
+                            - row_sum(tables[m - 1], idx)
                             for idx in anchored_indices(keyset, split.K)
                         ),
                         F(0),

@@ -17,7 +17,9 @@ from layered_reference import (
     build_pm2_layered,
     build_pm3_layered,
     column_sum,
+    row_sum,
     step_decomposition,
+    table_mass,
 )
 from test_output_digests import one_heavy, shuffled
 from keymark.construct_a import (
@@ -61,10 +63,10 @@ def assert_scheme_properties(scheme: WatermarkScheme) -> None:
     """
     cap = F(scheme.alpha, scheme.t)
     ks = scheme.keyset
-    reference_rows = {k: scheme.tables[0].row_sum(k) for k in scheme.key_support()}
+    reference_rows = {k: row_sum(scheme.tables[0], k) for k in scheme.key_support()}
     for m in range(1, scheme.t + 1):
         table = scheme.table(m)
-        assert table.total_mass() == 1
+        assert table_mass(table) == 1
         columns = [F(0)] * scheme.n
         captured = [F(0)] * scheme.n
         for idx, token, mass in table.cells():
@@ -76,7 +78,7 @@ def assert_scheme_properties(scheme: WatermarkScheme) -> None:
             assert columns[x - 1] == scheme.px.probs[x - 1]
             assert captured[x - 1] == min(cap, scheme.px.probs[x - 1])
         for key_index in scheme.key_support():
-            assert table.row_sum(key_index) == reference_rows[key_index]
+            assert row_sum(table, key_index) == reference_rows[key_index]
     for x in range(1, scheme.n + 1):
         alarm = sum(
             (mass for idx, mass in reference_rows.items() if ks.key(idx)[x - 1] != 0),
@@ -347,7 +349,7 @@ def test_build_pm2_imbalance_totals_match_tables() -> None:
     for m in range(1, 4):
         measured = sum(
             (
-                max(tables[i].row_sum(idx) for i in range(3)) - tables[m - 1].row_sum(idx)
+                max(row_sum(tables[i], idx) for i in range(3)) - row_sum(tables[m - 1], idx)
                 for idx in anchored_indices(keyset, 2)
             ),
             F(0),
@@ -358,7 +360,7 @@ def test_build_pm2_imbalance_totals_match_tables() -> None:
 def test_build_pm2_empty_tail() -> None:
     keyset = enumerate_reduced_keyset(3, 2)
     tables, ledger = build_pm2((F(0), F(0), F(0)), keyset)
-    assert all(t.total_mass() == 0 for t in tables)
+    assert all(table_mass(t) == 0 for t in tables)
     assert ledger.total == 0
     assert ledger.classes == ()
 
@@ -377,7 +379,7 @@ def test_build_pm3_golden_cells() -> None:
     # zeta_4 = 1 decodes token 4 to m, so part 3 avoids the key entirely.
     assert (0, 2, 3, 1) not in t1
     for m in (1, 2, 3):
-        assert tables[m - 1].total_mass() == F(3, 10)
+        assert table_mass(tables[m - 1]) == F(3, 10)
         assert column_sum(tables[m - 1], 4) == F(3, 10)
 
 
@@ -518,7 +520,7 @@ def assert_ledger_per_key(px2, keyset: ReducedKeySet, k: int) -> None:
     tables, ledger = build_pm2(px2, keyset)
     expected = {}
     for idx in anchored_indices(keyset, k):
-        sums = [table.row_sum(idx) for table in tables]
+        sums = [row_sum(table, idx) for table in tables]
         gaps = tuple(max(sums) - s for s in sums)
         if any(gaps):
             expected[idx] = gaps

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_reference import column_sum
+from layered_reference import column_sum, reference_sparse_key, row_sum, table_mass
 from keymark.core import (
     ENUMERATION_CAP,
     ExplicitKeySet,
     JointTable,
     ReducedKeySet,
+    SparseKey,
     TokenDistribution,
     WatermarkScheme,
     add_mass,
@@ -142,6 +144,102 @@ def test_sparse_round_trip_and_order_at_vocabulary_sizes(length: int, data) -> N
         assert sorted(value for _, value in pairs) == ([] if index == 0 else [1, 2, 3])
     assert ks.key(i) < ks.key(i + 1) <= ks.key(j)
     assert ks.index(ks.key(j)) == j
+
+
+def test_sparse_key_matches_the_bisection_reference_up_to_length_8() -> None:
+    for length in range(1, 9):
+        for t in range(1, length + 1):
+            ks = ReducedKeySet(length, t)
+            for index in range(ks.size):
+                assert ks.sparse_key(index) == reference_sparse_key(ks, index), (length, t, index)
+
+
+def block_edge_indices(ks: ReducedKeySet, prefix: SparseKey, m: int) -> list[int]:
+    """Indices whose rank, once the nonzero entries `prefix` are placed, is
+    perm(m, u) - 1, perm(m, u) or perm(m, u) + 1 for the u values left:
+    the edges of the block of keys with m positions after the next nonzero
+    one.  Those ranks exist in the block only below its size."""
+    u = ks.t - len(prefix)
+    after = prefix[-1][0] + 1 if prefix else 0
+    block = math.perm(ks.length - after, u)
+    left = sorted(set(range(1, ks.t + 1)) - {value for _, value in prefix})
+    # The block's first key puts the values left, ascending, at the end.
+    first = ks.unchecked_index(
+        [*prefix, *((ks.length - u + i, value) for i, value in enumerate(left))]
+    )
+    edges = (math.perm(m, u) + d for d in (-1, 0, 1))
+    return [first + rank for rank in edges if 0 <= rank < block]
+
+
+@st.composite
+def keys_at_block_edges(draw, max_length: int) -> tuple[ReducedKeySet, SparseKey, list[int]]:
+    length = draw(st.integers(1, max_length), label="L")
+    ks = ReducedKeySet(length, draw(st.integers(1, min(length, 12)), label="T"))
+    u = draw(st.integers(1, ks.t), label="values left")
+    values = draw(st.permutations(range(1, ks.t + 1)), label="values")
+    positions = sorted(
+        draw(
+            st.sets(st.integers(0, max(length - u - 1, 0)), min_size=ks.t - u, max_size=ks.t - u),
+            label="prefix positions",
+        )
+    )
+    prefix = tuple(zip(positions, values))
+    after = positions[-1] + 1 if positions else 0
+    m = draw(st.integers(u - 1, length - after - 1), label="m")
+    return ks, prefix, block_edge_indices(ks, prefix, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys_at_block_edges(10**30))
+def test_sparse_key_matches_the_reference_at_block_edges(case) -> None:
+    # Each level's rank sits at perm(m, u) - 1, perm(m, u) or perm(m, u) + 1,
+    # where the float guess is closest to a wrong position.
+    ks, prefix, indices = case
+    for index in indices:
+        pairs = ks.sparse_key(index)
+        assert pairs == reference_sparse_key(ks, index)
+        assert pairs[: len(prefix)] == prefix
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10**30, 10**40), st.integers(11, 12), st.data())
+def test_sparse_key_matches_the_reference_at_ranks_of_1000_bits(length, t, data) -> None:
+    # Ranks of 1000 bits and more take no float guess; past 1024 bits a
+    # float could not even hold them.
+    ks = ReducedKeySet(length, t)
+    assert (ks.size - 2).bit_length() >= 1000
+    index = data.draw(st.integers(2**1000 + 1, ks.size - 1), label="index")
+    for i in (index, ks.size - 1, 2**1000 + 1):
+        assert ks.sparse_key(i) == reference_sparse_key(ks, i)
+
+
+@pytest.mark.parametrize("length", [32768, 10**12])
+def test_sparse_key_makes_o_t_perm_calls(length: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    # The reference bisects with about log2(L) probes at each of the T levels
+    # (about 85 per key at L = 32,768, T = 5); the unrank makes at most 3 per level.
+    t = 5
+    ks = ReducedKeySet(length, t)
+    rng = random.Random(length)
+    indices = [rng.randrange(ks.size) for _ in range(300)]
+    for _ in range(30):
+        prefix_length = rng.randrange(t)
+        positions = sorted(rng.sample(range(length - (t - prefix_length)), prefix_length))
+        prefix = tuple(zip(positions, rng.sample(range(1, t + 1), prefix_length)))
+        m = rng.randrange(t - prefix_length - 1, length - (positions[-1] + 1 if positions else 0))
+        indices += block_edge_indices(ks, prefix, m)
+    indices += [1, 2, ks.size - 2, ks.size - 1]
+    expected = [reference_sparse_key(ks, index) for index in indices]
+    perm, calls = math.perm, []
+
+    def counted(*args: int) -> int:
+        calls[-1] += 1
+        return perm(*args)
+
+    monkeypatch.setattr(math, "perm", counted)
+    for index, pairs in zip(indices, expected):
+        calls.append(0)
+        assert ks.sparse_key(index) == pairs
+    assert max(calls) <= 3 * t
 
 
 def test_keyset_zero_key_is_first() -> None:
@@ -347,10 +445,10 @@ def test_joint_table_accessors() -> None:
     assert table.cell(3, 2) == Fraction(1, 20)
     assert table.cell(3, 1) == 0
     assert table.cell(9, 1) == 0
-    assert table.row_sum(3) == Fraction(7, 80)
-    assert table.row_sum(5) == 0
+    assert row_sum(table, 3) == Fraction(7, 80)
+    assert row_sum(table, 5) == 0
     assert column_sum(table, 4) == Fraction(1, 10) + Fraction(3, 80)
-    assert table.total_mass() == Fraction(15, 80)
+    assert table_mass(table) == Fraction(15, 80)
     assert table.key_support() == {0, 3}
     assert list(table.cells()) == [
         (0, 4, Fraction(1, 10)),
@@ -400,7 +498,7 @@ def test_merge_tables() -> None:
     merged = merge_tables(2, part1, part2)
     assert merged.cell(0, 1) == Fraction(1, 2)
     assert merged.cell(1, 2) == Fraction(1, 2)
-    assert merged.total_mass() == 1
+    assert table_mass(merged) == 1
     with pytest.raises(ParameterError):
         merge_tables(1, part1)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from keymark.core import (
 )
 from keymark.errors import ParameterError, ValidationError
 from keymark.lp import bijective_keyset
-from keymark.metrics import check_scheme
+from keymark.metrics import check_scheme, error_report
 from keymark.serialize import (
     DOCUMENT_VERSION,
     deserialize_scheme,
@@ -279,6 +280,65 @@ def test_round_trip_compares_equal(name: str) -> None:
         loaded = deserialize_scheme(json.loads(json.dumps(serialize_scheme(scheme))))
         assert loaded == scheme
         assert loaded.keyset is not scheme.keyset
+
+
+def within_rows(cells: list, rng: random.Random) -> None:
+    """Move each key's first cell to the end of its row; keys stay in order."""
+    rows: dict[int, list] = {}
+    for cell in cells:
+        rows.setdefault(cell[0], []).append(cell)
+    cells[:] = [cell for row in rows.values() for cell in [*row[1:], row[0]]]
+
+
+SHUFFLES = {
+    "within rows": within_rows,
+    "rows reversed": lambda cells, rng: cells.sort(key=lambda cell: -cell[0]),
+    "cells reversed": lambda cells, rng: cells.reverse(),
+    "across rows": lambda cells, rng: rng.shuffle(cells),
+}
+
+
+@pytest.mark.parametrize("shuffle", sorted(SHUFFLES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_shuffled_documents_load_to_the_same_scheme(
+    name: str, shuffle: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # A document in save order is adopted as it is read; one in any other
+    # order is sorted by JointTable, to the same scheme in the same order.
+    sorts = []
+    checked = JointTable.__post_init__
+    monkeypatch.setattr(JointTable, "__post_init__", lambda table: sorts.append(checked(table)))
+    px = INSTANCES[name][0]
+    rng = random.Random(f"{name}:{shuffle}")
+    for scheme in (construct_a(px, ALPHA, T), construct_b(px, ALPHA, T)):
+        text = json.dumps(serialize_scheme(scheme))
+        sorts.clear()
+        assert deserialize_scheme(json.loads(text)) == scheme
+        assert sorts == []
+        doc = json.loads(text)
+        for cells in doc["tables"].values():
+            SHUFFLES[shuffle](cells, rng)
+        # Only a scheme whose rows each hold one cell keeps its order within rows.
+        moved = json.dumps(doc) != text
+        assert moved or shuffle == "within rows" and all(
+            len(row) == 1 for table in scheme.tables for row in table.rows.values()
+        )
+        loaded = deserialize_scheme(doc)
+        assert bool(sorts) == moved
+        assert loaded == scheme
+        assert [list(t.cells()) for t in loaded.tables] == [list(t.cells()) for t in scheme.tables]
+        assert json.dumps(serialize_scheme(loaded)) == text
+        assert check_scheme(loaded) == check_scheme(scheme)
+        assert error_report(loaded) == error_report(scheme)
+
+
+def test_duplicate_cell_in_an_ordered_document_is_refused() -> None:
+    doc = json.loads(json.dumps(serialize_scheme(construct_a(PX_A, Fraction(9, 10), 3))))
+    cells = doc["tables"]["2"]
+    # The copy follows its cell, so every (key, token) before it is in order.
+    cells.insert(4, [*cells[3][:2], "0.001"])
+    with pytest.raises(ValidationError, match=r"^tables\.2\[4\]: duplicate cell for token"):
+        deserialize_scheme(doc)
 
 
 def test_round_trip_bijective_scheme_compares_equal() -> None:
