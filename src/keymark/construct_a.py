@@ -22,10 +22,16 @@ keys with one tail) and shared by the class's keys: N-K cyclic windows, not
 all perm(N-K, T-K) keys with its tail, with the same checks and optimum.
 
 The builders list every key in sparse form at its final positions, a
-member of the reduced key set by construction.  One KeyListing per key set
-ranks each distinct key once, without the validating search, and the
-scheme takes its record as sparse_keys, so it is checked, reported and
-exported without unranking a key.  The combined tables have column sums
+member of the reduced key set by construction, and rank it in closed form
+without the validating search: the keys over one support share its block
+sizes, so each index is base + sum(code[i] * w_i) for the key's Lehmer
+code (ReducedKeySet.rank_support).  One KeyListing per key set records
+each distinct key once, and the scheme takes that record as sparse_keys,
+so it is checked, reported and exported without unranking a key.  Each
+builder writes every key's cells straight into its per-message rows, in
+key order, and returns them through JointTable.unchecked; merge_tables
+then makes each merged row once, so no table of construction A takes
+JointTable's validating copy.  The combined tables have column sums
 equal to px, identical row sums across messages, and decode-to-m column
 sums exactly min(alpha/T, px(x)).  All arithmetic is exact.  Both
 constructions end in assemble_checked, whose mass check reads the decoded
@@ -36,9 +42,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .core import (
     ENUMERATION_CAP,
@@ -48,16 +56,16 @@ from .core import (
     SparseKey,
     TokenDistribution,
     WatermarkScheme,
-    add_mass,
     check_instance,
     check_listing,
     exact_int,
     exact_rational,
+    lehmer_code,
     merge_tables,
 )
 from .errors import InvariantError, ParameterError
 from .rationals import mass_to_string
-from .split import split_px
+from .split import PxSplit, split_px
 from .thot import THotDecomposition, THotTerm, decompose_t_hot
 
 __all__ = [
@@ -67,6 +75,7 @@ __all__ = [
     "build_pm2",
     "build_pm3",
     "construct_a",
+    "listed_keys",
     "restore_token_order",
 ]
 
@@ -89,16 +98,29 @@ class KeyListing:
     """The sparse keys that a construction's builders list in one key set.
 
     Keys are built from shared (position, value) tuples, one per distinct
-    pair.  add(key) ranks a key when a builder first meets it and looks it
-    up after that; keys maps each index to its key, and hand_over() adds the
-    all-zero key and gives that record to WatermarkScheme as sparse_keys.
+    pair, and ranked in closed form: every key over one support from that
+    support's one set of block sizes (ReducedKeySet.rank_support).  keys
+    maps each index to its key.  supports maps each support whose T! keys
+    part 1 listed to their indices in Lehmer-code order, so part 2 takes a
+    key part 1 listed from there instead of ranking it again.  hand_over()
+    adds the all-zero key and gives keys to WatermarkScheme as sparse_keys.
     """
 
     def __init__(self, keyset: ReducedKeySet) -> None:
         self.keyset = keyset
         self.keys: dict[int, SparseKey] = {}
-        self._indices: dict[SparseKey, int] = {}
+        self.supports: dict[tuple[int, ...], list[int]] = {}
         self._rows: dict[int, list[tuple[int, int]]] = {}
+
+    @cached_property
+    def lexicographic(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """The T! orders of the messages 1..T, lexicographic, and their
+        Lehmer codes: all T-tuples with entry i in [0:T-i), in the same order."""
+        t = self.keyset.t
+        return (
+            list(itertools.permutations(range(1, t + 1))),
+            list(itertools.product(*(range(t - i) for i in range(t)))),
+        )
 
     def row(self, pos: int) -> list[tuple[int, int]]:
         """row(pos)[v] is the shared pair (pos, v), for v in [0:T]."""
@@ -106,15 +128,6 @@ class KeyListing:
         if row is None:
             row = self._rows[pos] = [(pos, v) for v in range(self.keyset.t + 1)]
         return row
-
-    def add(self, key: SparseKey) -> int:
-        """The index of key, a member's sparse key sorted by position (as the
-        builders build it), ranked by unchecked_index on first sight."""
-        idx = self._indices.get(key)
-        if idx is None:
-            idx = self._indices[key] = self.keyset.unchecked_index(key)
-            self.keys[idx] = key
-        return idx
 
     def hand_over(self) -> dict[int, SparseKey]:
         """The listed keys and the all-zero key, by index."""
@@ -134,17 +147,28 @@ def _structural_pairs(
     cyclic: bool = False,
 ) -> list[tuple[int, SparseKey]]:
     """(index, sparse key) of the T! keys with nonzero positions support (T
-    distinct positions below the key length), or, if cyclic, of the T keys s
-    with message (j+s) mod T + 1 on support[j]; listing, when given, records
-    each.  Each is built sorted, a member, and added to the listing."""
+    distinct increasing positions below the key length), in lexicographic
+    order, or, if cyclic, of the T keys s with message (j+s) mod T + 1 on
+    support[j]; listing, when given, records each.  Each is built sorted, a
+    member, and ranked from the support's one set of block sizes; the
+    listing keeps the T! keys' indices under the support."""
     t = keyset.t
     listing = _own_listing(keyset, listing)
-    rows = [listing.row(pos) for pos in support]
-    shifts = ([(j + s) % t + 1 for j in range(t)] for s in range(t))
-    messages = shifts if cyclic else itertools.permutations(range(1, t + 1))
-    cells = ([row[v] for row, v in zip(rows, values)] for values in messages)
-    keys = [tuple(sorted(key) if cyclic else key) for key in cells]
-    return [(listing.add(key), key) for key in keys]
+    positions = sorted(support)
+    rows = [listing.row(pos) for pos in positions]
+    if cyclic:
+        slots = [support.index(pos) for pos in positions]
+        messages = [[(j + s) % t + 1 for j in slots] for s in range(t)]
+        codes = [lehmer_code(values) for values in messages]
+    else:
+        messages, codes = listing.lexicographic
+    keys = [tuple(map(operator.getitem, rows, values)) for values in messages]
+    indices = keyset.rank_support(positions, codes)
+    if not cyclic:
+        listing.supports[tuple(positions)] = indices
+    pairs = list(zip(indices, keys))
+    listing.keys.update(pairs)
+    return pairs
 
 
 def _anchored_tails(
@@ -158,21 +182,37 @@ def _anchored_tails(
     matter).  Each tail puts the other T-K messages, increasing, on free[s],
     ..., free[s+T-K-1] (mod L-K) for each shift s: L-K keys, not all
     perm(L-K, T-K) with that tail (the same keys at T-K = 1).  Each is built
-    sorted, a member by construction, and added to the listing.
+    sorted, a member by construction.  A shift's window and the anchors are
+    one support for every tail, ranked from one set of block sizes, or read
+    from the listing where part 1 has listed that support's keys.
     """
-    t, k, add = keyset.t, len(anchors), listing.add
+    t, k = keyset.t, len(anchors)
     anchor_set = set(anchors)
-    free = [listing.row(pos) for pos in order if pos not in anchor_set]
-    anchored: list[tuple[tuple[int, ...], list[int]]] = []
-    for tail in itertools.permutations(range(1, t + 1), k):
-        rest = [v for v in range(1, t + 1) if v not in tail]
-        tail_pairs = [listing.row(a)[v] for a, v in zip(anchors, tail)]
-        members: list[int] = []
-        for s in range(len(free)):
-            window = [free[(s + j) % len(free)][v] for j, v in enumerate(rest)]
-            members.append(add(tuple(sorted(window + tail_pairs))))
-        anchored.append((tail, members))
-    return anchored
+    free = [pos for pos in order if pos not in anchor_set]
+    tails = list(itertools.permutations(range(1, t + 1), k))
+    rests = [[v for v in range(1, t + 1) if v not in tail] for tail in tails]
+    radix = [math.factorial(t - 1 - i) for i in range(t)]
+    members: list[list[int]] = [[] for _ in tails]
+    for s in range(len(free)):
+        window = [free[(s + j) % len(free)] for j in range(t - k)]
+        positions = sorted(window + list(anchors))
+        rows = [listing.row(pos) for pos in positions]
+        messages = []
+        for tail, rest in zip(tails, rests):
+            held = dict(zip(anchors, tail))
+            held.update(zip(window, rest))
+            messages.append([held[pos] for pos in positions])
+        codes = [lehmer_code(values) for values in messages]
+        listed = listing.supports.get(tuple(positions))
+        if listed is None:
+            indices = keyset.rank_support(positions, codes)
+            for idx, values in zip(indices, messages):
+                listing.keys[idx] = tuple(map(operator.getitem, rows, values))
+        else:
+            indices = [listed[sum(map(operator.mul, code, radix))] for code in codes]
+        for tail_members, idx in zip(members, indices):
+            tail_members.append(idx)
+    return list(zip(tails, members))
 
 
 def anchored_cell_count(n: int, t: int, k: int) -> int:
@@ -197,6 +237,9 @@ def build_pm1(
     position i of the decomposition is the key's order[i], and the T cyclic
     shifts of 1..T over the support in that order get the weight per cell.
     Both put each message once on each support position at the term's weight.
+    Terms that share a support list its keys once, at their summed weight,
+    and each key's T cells take one share object; the tables come out in
+    key order, each row one cell.
     """
     if not isinstance(keyset, ReducedKeySet):
         raise ParameterError("part-1 allocation requires the reduced key set")
@@ -209,16 +252,25 @@ def build_pm1(
         share_denominator = math.factorial(t - 1)
     else:
         order, share_denominator = _key_order(order, keyset.length), 1
-    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    weights: dict[tuple[int, ...], Fraction] = {}
     for term in decomp.terms:
         if len(term.support) != t:
             raise ParameterError(f"support {term.support} is not {t}-hot")
-        support = term.support if order is None else [order[i] for i in term.support]
-        share = Fraction(term.weight, share_denominator)
-        for idx, key in _structural_pairs(keyset, support, listing, order is not None):
+        held = weights.get(term.support)
+        weights[term.support] = term.weight if held is None else held + term.weight
+    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    for support, weight in weights.items():
+        share = weight / share_denominator if share_denominator > 1 else weight
+        mapped = support if order is None else [order[i] for i in support]
+        for idx, key in _structural_pairs(keyset, mapped, listing, order is not None):
             for pos, m in key:
-                add_mass(rows_per_m[m - 1], idx, pos + 1, share)
-    return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+                rows_per_m[m - 1][idx] = {pos + 1: share}
+    # Every key holds each message once, so every table has the same keys.
+    ordered = sorted(rows_per_m[0])
+    return [
+        JointTable.unchecked(m, {idx: rows[idx] for idx in ordered})
+        for m, rows in enumerate(rows_per_m, start=1)
+    ]
 
 
 def _key_order(order: Sequence[int], length: int) -> list[int]:
@@ -255,7 +307,8 @@ def build_pm2(
     gets px2(x)/c in table m, where c = anchored_cell_count(L, T, K) keys
     share each (token, message) pair; a count other than c raises
     InvariantError.  Each tail class's rows, row sums and gaps are taken
-    once from its tail and shared by its members.  The ledger records each
+    once from its tail, and each member gets its own one-cell rows, in key
+    order.  The ledger records each
     class's gaps and their total (equal for every message), which must
     equal T*max(px2) - sum(px2), or InvariantError is raised.  listing,
     when given, records each anchored key.
@@ -276,20 +329,18 @@ def build_pm2(
     anchors = [i for i, v in enumerate(px2) if v > 0]
     k = len(anchors)
     if k == 0:
-        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger((), Fraction(0))
+        return [JointTable.unchecked(m, {}) for m in range(1, t + 1)], ImbalanceLedger((), Fraction(0))
     if k > t - 1:
         raise ParameterError(f"px2 has {k} positive entries, more than t-1={t - 1}")
     cell_count = anchored_cell_count(length, t, k)
     slots = [(pos + 1, Fraction(px2[pos], cell_count)) for pos in anchors]
     hits = [[0] * t for _ in range(k)]
-    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
     classes = []
     totals = [Fraction(0)] * t
-    for tail, members in _anchored_tails(keyset, anchors, order, listing):
+    anchored = _anchored_tails(keyset, anchors, order, listing)
+    for tail, members in anchored:
         sums = [Fraction(0)] * t
-        for (token, share), m, slot_hits in zip(slots, tail, hits):
-            # JointTable copies every row, so the members can share this one.
-            rows_per_m[m - 1].update(dict.fromkeys(members, {token: share}))
+        for (_, share), m, slot_hits in zip(slots, tail, hits):
             sums[m - 1] = share
             slot_hits[m - 1] += len(members)
         peak = max(sums)
@@ -308,7 +359,11 @@ def build_pm2(
         raise InvariantError(
             f"measured imbalance {totals[0]} != closed form {expected_total}"
         )
-    tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    for idx, tail in sorted((idx, tail) for tail, members in anchored for idx in members):
+        for (token, share), m in zip(slots, tail):
+            rows_per_m[m - 1][idx] = {token: share}
+    tables = [JointTable.unchecked(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
     return tables, ImbalanceLedger(tuple(classes), totals[0])
 
 
@@ -320,9 +375,10 @@ def build_pm3(
     px3 must hold one non-negative int or Fraction per key position.  Each
     key in the ledger gets gap_m * px3(x)/R under message m on every token x
     with px3(x) > 0, where R = sum(px3); this lifts its row sum under m to
-    its peak.  The cells are computed once per tail class and shared by its
-    members.  Every token with leftover cap then puts px3(x)*(1 - U/R) on
-    the all-zero key, U = ledger.total.
+    its peak.  The cells are computed once per tail class, and each member
+    gets its own rows.  Every token with leftover cap also puts
+    px3(x)*(1 - U/R) on the all-zero key, U = ledger.total.  The tables
+    come out in key order.
     """
     t, length = keyset.t, keyset.length
     px3 = _exact_entries(px3, "px3", length)
@@ -332,21 +388,26 @@ def build_pm3(
     if total_overshoot == 0:
         if ledger.total != 0:
             raise InvariantError("imbalance positive but no mass left to cancel it")
-        return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
+        return [JointTable.unchecked(m, rows) for m, rows in enumerate(tables, start=1)]
     if ledger.total > total_overshoot:
         raise InvariantError(
             f"imbalance {ledger.total} exceeds remaining mass {total_overshoot}"
         )
     weights = [(x, px3[x - 1] / total_overshoot) for x in support]
-    for members, gaps in ledger.classes:
-        for rows, gap in zip(tables, gaps):
-            if gap:
-                rows.update(dict.fromkeys(members, {x: gap * w for x, w in weights}))
     leftover = 1 - Fraction(ledger.total, total_overshoot)
-    for m in range(1, t + 1):
-        for x in support:
-            add_mass(tables[m - 1], keyset.zero_index, x, px3[x - 1] * leftover)
-    return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
+    # Each key's cells under every message: the all-zero key's leftover, and
+    # each class's lifts (none where the gap is 0).
+    zero_cells = [(x, px3[x - 1] * leftover) for x in support] if leftover else []
+    keyed = [(keyset.zero_index, [zero_cells] * t)]
+    for members, gaps in ledger.classes:
+        lifts = [[(x, gap * w) for x, w in weights] if gap else [] for gap in gaps]
+        keyed += [(idx, lifts) for idx in members]
+    keyed.sort(key=operator.itemgetter(0))
+    for idx, lifts in keyed:
+        for rows, cells in zip(tables, lifts):
+            if cells:
+                rows[idx] = dict(cells)
+    return [JointTable.unchecked(m, rows) for m, rows in enumerate(tables, start=1)]
 
 
 def restore_token_order(px: TokenDistribution, values: Sequence) -> tuple:
@@ -395,14 +456,39 @@ def assemble_checked(
     return scheme
 
 
-def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
-    """Full scheme on the reduced key set over the real tokens only."""
+def _prepare(
+    px: TokenDistribution, alpha: Fraction, t: int
+) -> tuple[Fraction, int, PxSplit, ReducedKeySet, THotDecomposition]:
+    """construct_a's instance check, split and T-hot decomposition, with
+    each term's support in px's own token order."""
     alpha, t = check_instance(px, alpha, t)
     split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
     if split.K and any(p3 and not p2 for p2, p3 in zip(split.px2, split.px3)):
         raise InvariantError("px3 is positive off the anchors")
     keyset = ReducedKeySet(px.n, t)
-    decomp = restore_supports(px, decompose_t_hot(split.px1, t))
+    return alpha, t, split, keyset, restore_supports(px, decompose_t_hot(split.px1, t))
+
+
+def listed_keys(px: TokenDistribution, alpha: Fraction, t: int) -> Iterator[SparseKey]:
+    """The keys construct_a(px, alpha, t) lists but the all-zero key, one by
+    one, without a table: each term's T! structural keys (unranked), then
+    the anchored keys.  A caller that needs them all in some key family can
+    stop at the first one missing, before the tables are built."""
+    _, t, split, keyset, decomp = _prepare(px, alpha, t)
+    messages = list(itertools.permutations(range(1, t + 1)))
+    for term in decomp.terms:
+        for values in messages:
+            yield tuple(zip(term.support, values))
+    anchors = [pos for pos, p2 in enumerate(restore_token_order(px, split.px2)) if p2]
+    if anchors:
+        listing = KeyListing(keyset)
+        _anchored_tails(keyset, anchors, px.sort_perm, listing)
+        yield from listing.keys.values()
+
+
+def construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
+    """Full scheme on the reduced key set over the real tokens only."""
+    alpha, t, split, keyset, decomp = _prepare(px, alpha, t)
     listing = KeyListing(keyset)
     pm1 = build_pm1(decomp, keyset, listing)
     pm2, ledger = build_pm2(restore_token_order(px, split.px2), keyset, listing, px.sort_perm)

@@ -7,7 +7,11 @@ key, so its size is L!/(L-T)! + 1.  Key sets are never materialized; they are
 index<->key bijections in lexicographic order on the entry tuples, which puts
 the all-zero key at index 0.  A key's working form is its sparse key, the
 (position, value) pairs of its nonzero entries: reduced keys rank and unrank
-from their T nonzero positions in O(T) exact steps, whatever L is.  A scheme
+from their T nonzero positions in O(T) exact steps, whatever L is, and all
+keys over one set of positions rank from one set of block sizes.  A
+table's rows are ordered by key index and each row by token; the
+constructions build them in that order and merge_tables keeps it, so their
+tables skip JointTable's validating copy.  A scheme
 decodes every stored cell once, on first use, into a view that the checks,
 metrics, sampler and exporter all read, with the exact sums that the checks
 and metrics compare.  The view takes each key that the construction listed
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -257,9 +262,11 @@ class ReducedKeySet(KeySet):
     Order is lexicographic on entry tuples.  The all-zero key is index 0; a
     placement key's index is 1 plus its lexicographic rank among placements.
     Rank and unrank count the completions of each candidate prefix, visiting
-    only the T nonzero positions: O(T) perm calls each way (unrank tests
-    exactly around a float guess, and bisects only past 1000-bit ranks), so
-    no key vector is ever needed.  key() and index() convert between those
+    only the T nonzero positions: O(T) perm calls each way (rank_support
+    ranks every key over one set of positions from one set of block sizes;
+    unrank tests exactly around a guess from the rank's u-th root, a float
+    root or past 2^50 positions an exact one), so no
+    key vector is ever needed.  key() and index() convert between those
     sparse keys and full vectors.  Nothing is listed, so the set has no size
     limit; only operations that list keys check one.
     """
@@ -318,12 +325,19 @@ class ReducedKeySet(KeySet):
             lo, hi = u - 1, top
             if u <= 2:
                 lo = hi = rank if u == 1 else (math.isqrt(4 * rank + 1) + 1) // 2
-            elif hi - lo > 3 and rank.bit_length() < 1000:
-                # perm(m, u) is just under (m - (u-1)/2)^u: the float guess,
-                # put in (lo, hi] by compares (cheaper than min and max here),
-                # only picks where exact tests start; bisection ends a miss,
-                # and it settles a bracket of 4 positions in as few probes.
-                probe = int(rank ** (1 / u) + (u - 1) / 2)
+            elif hi - lo > 3:
+                # perm(m, u) is just under (m - (u-1)/2)^u: the guess floor(
+                # rank^(1/u) + (u-1)/2) is a float while m < 2^50 and the
+                # rank has under 1000 bits (a float is exact to within 1/4
+                # there, and holds the rank), else it comes from the exact
+                # root of rank * 2^u.  Put in (lo, hi] by compares (cheaper
+                # than min and max here), it only picks where exact tests
+                # start; bisection ends a miss, and it settles a bracket of
+                # 4 positions in as few probes.
+                if hi < 1 << 50 and rank.bit_length() < 1000:
+                    probe = int(rank ** (1 / u) + (u - 1) / 2)
+                else:
+                    probe = (_iroot(rank << u, u) + u - 1) // 2
                 probe = lo + 1 if probe <= lo else probe if probe < hi else hi
                 for _ in range(3):
                     if lo < probe <= hi:
@@ -359,17 +373,53 @@ class ReducedKeySet(KeySet):
         key, sorted by position, such as a builder lists by construction."""
         if not pairs:
             return 0
-        # Rank only grows at nonzero positions: by every key with a zero
-        # there, then by every key with a smaller unused value there.
-        perm, last = math.perm, self.length - 1
-        rank = 0
-        unused = list(range(1, self.t + 1))
-        for pos, value in pairs:
-            remaining = last - pos
-            spot = unused.index(value)
-            rank += perm(remaining, len(unused)) + spot * perm(remaining, len(unused) - 1)
-            unused.pop(spot)
-        return rank + 1
+        code = lehmer_code([value for _, value in pairs])
+        return self.rank_support([pos for pos, _ in pairs], [code])[0]
+
+    def rank_support(self, positions: Sequence[int], codes: Iterable[Sequence[int]]) -> list[int]:
+        """Indices of the keys nonzero at positions p_0 < ... < p_{T-1}, one
+        per Lehmer code: code[i] counts the values after p_i that are smaller
+        than the value at p_i.  The codes must be of length T, each entry i
+        in [0:T-i).
+
+        Rank grows only at nonzero positions: at p_i by the perm(L-1-p_i,
+        T-i) keys with a zero there, then by code[i] blocks of w_i =
+        perm(L-1-p_i, T-1-i) keys with a smaller value there.  So every key
+        over the positions is base + sum(code[i] * w_i), base = 1 + sum of
+        the zero blocks, and one set of block sizes (T perm calls) ranks
+        them all."""
+        last, t = self.length - 1, self.t
+        base, weights = 1, []
+        for i, pos in enumerate(positions):
+            block = math.perm(last - pos, t - 1 - i)
+            weights.append(block)
+            base += block * (last - pos - (t - 1 - i))
+        return [base + sum(map(operator.mul, code, weights)) for code in codes]
+
+
+def lehmer_code(values: Sequence[int]) -> list[int]:
+    """The Lehmer code of values: code[i] counts the later values below values[i]."""
+    unused = sorted(values)
+    code = []
+    for value in values:
+        spot = unused.index(value)
+        code.append(spot)
+        del unused[spot]
+    return code
+
+
+def _iroot(n: int, u: int) -> int:
+    """floor(n^(1/u)) for n >= 0, by Newton's method on ints: from an
+    overestimate x, ((u-1)x + n // x^(u-1)) // u falls until it stops at
+    the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // u)
+    while True:
+        y = ((u - 1) * x + n // x ** (u - 1)) // u
+        if y >= x:
+            return x
+        x = y
 
 
 class ExplicitKeySet(KeySet):
@@ -500,29 +550,43 @@ def add_mass(rows: dict[int, dict[int, Fraction]], key_index: int, token: int, m
 def merge_tables(m: int, *parts: JointTable) -> JointTable:
     """Cellwise sum of partial tables for the same message.
 
-    A key that no earlier part holds takes the part's row object as it is; a
-    row is copied only before a second part adds to it, so no part's rows
-    change, and an empty row is skipped.  JointTable then makes the merged
-    table's one ordered copy, so the result aliases no part's row.
+    The parts are tables, so each is ordered by key index and each row by
+    token.  The merge makes each merged row once, as a new dict, in key
+    order: a key that one part holds takes a copy of its row, and the rows
+    of a key that several parts hold are summed cell by cell and put in
+    token order, cells that cancel to zero dropped.  An empty row is left
+    out.  So no part changes, the result aliases no part's row, and it is
+    in a table's form without a second copy, sort or zero scan.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
-    copied: set[int] = set()
     for part in parts:
         if part.m != m:
             raise ParameterError(f"cannot merge table for m={part.m} into m={m}")
-        for key_index, row in part.rows.items():
-            if not row:
-                continue
-            if key_index not in rows:
-                rows[key_index] = row
-                copied.discard(key_index)
-                continue
-            if key_index not in copied:
-                rows[key_index] = dict(rows[key_index])
-                copied.add(key_index)
-            for token, mass in row.items():
-                add_mass(rows, key_index, token, mass)
-    return JointTable(m, rows)
+    sources = [part.rows for part in parts if part.rows]
+    combined: dict[int, Mapping[int, Fraction]] = {}
+    shared: set[int] = set()
+    for source in sources:
+        shared |= combined.keys() & source.keys()
+        combined.update(source)
+    order = sorted(combined) if len(sources) > 1 else combined
+    rows = {k: dict(row) for k in order if (row := combined[k]) or k in shared}
+    for key_index in shared:
+        merged: dict[int, Fraction] = {}
+        for source in sources:
+            for token, mass in source.get(key_index, {}).items():
+                held = merged.get(token)
+                if held is None:
+                    merged[token] = mass
+                    continue
+                total = held + mass
+                if total:
+                    merged[token] = total
+                else:
+                    del merged[token]
+        if merged:
+            rows[key_index] = dict(sorted(merged.items()))
+        else:
+            del rows[key_index]
+    return JointTable.unchecked(m, rows)
 
 
 @dataclass(frozen=True)

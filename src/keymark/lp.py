@@ -28,11 +28,12 @@ only once its dual passes check_dual with the optimum as its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .construct_a import construct_a
+from .construct_a import construct_a, listed_keys
 from .core import (
     ExplicitKeySet,
     KeySet,
@@ -253,16 +254,25 @@ def _closed_form(
     """(optimum, values, dual) from construction A and the closed-form
     dual, or None unless the construction's keys are all listed, its
     primal meets every row exactly and check_dual accepts the dual at the
-    primal's value; data_common and scale are the problem's _data_scale."""
+    primal's value; data_common and scale are the problem's _data_scale.
+    A key list of another size than the reduced key set's that lacks a key
+    the construction lists returns None before any table is built."""
     n, t, nz = problem.n, problem.t, problem.nkeys
     shape = (len(problem.keys), problem.nvars, len(problem.ineq), len(problem.eq))
     if shape != (nz, t * n * nz + nz + 1, t + n, t * n + t * nz):
         return None
+    column = {pairs: k for k, pairs in enumerate(problem.keys)}
+    px = TokenDistribution(problem.px)
     try:
-        scheme = construct_a(TokenDistribution(problem.px), problem.alpha, t)
+        # A list the size of the reduced key set takes the view's check
+        # below; any other is checked key by key first, with no table built.
+        if nz != math.perm(n, t) + 1 and any(
+            pairs not in column for pairs in listed_keys(px, problem.alpha, t)
+        ):
+            return None
+        scheme = construct_a(px, problem.alpha, t)
     except (CapacityError, ParameterError, ValidationError):
         return None
-    column = {pairs: k for k, pairs in enumerate(problem.keys)}
     view = scheme.decoded
     if any(pairs not in column for pairs in view.keys.values()):
         return None

@@ -21,6 +21,16 @@ reference_sparse_key is the reduced key set's unrank as it was before it
 solved for each nonzero position: a bisection of math.perm probes over the
 positions at each of the T levels, O(T log L) probes per key.
 
+reference_unchecked_index is the reduced key set's rank as it was before it
+ranked every key over one support from one set of block sizes: two
+math.perm calls per nonzero position, per key.  The reference builders,
+listing, merge and constructions below are construction A's and B's
+build-then-merge path as it was then: each key ranked on its own through a
+key -> index listing, each cell added with add_mass, each part table
+validated, copied and sorted by JointTable, and the merged tables copied,
+sorted and scanned once more.  The tests compare the two cell for cell, in
+row and token order.
+
 The Monte Carlo references build each inverse-CDF table from a running
 Fraction sum converted to float cell by cell, and search the table once per
 draw, as keymark.sim did before it took integer prefix sums and counted
@@ -30,6 +40,7 @@ module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import insort
@@ -40,7 +51,19 @@ from typing import Sequence
 
 import numpy as np
 
-from keymark.construct_a import KeyListing, _anchored_tails, anchored_cell_count
+from keymark.construct_a import (
+    ENUMERATION_CAP,
+    ImbalanceLedger,
+    KeyListing,
+    _anchored_tails,
+    _exact_entries,
+    _key_order,
+    anchored_cell_count,
+    assemble_checked,
+    restore_supports,
+    restore_token_order,
+)
+from keymark.construct_b import _fold_back, extend_px
 from keymark.core import (
     JointTable,
     KeySet,
@@ -49,13 +72,17 @@ from keymark.core import (
     TokenDistribution,
     WatermarkScheme,
     add_mass,
+    check_instance,
+    check_listing,
     decode,
     exact_int,
     exact_rational,
 )
 from keymark.errors import InvariantError, ParameterError
 from keymark.metrics import PROPERTY_NAMES, PropertyCheck, PropertyReport
-from keymark.thot import THotDecomposition, THotTerm
+from keymark.rationals import exact_sum, mass_to_string
+from keymark.split import split_px
+from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
 
 
 @dataclass(frozen=True)
@@ -420,3 +447,271 @@ def reference_sparse_key(keyset: ReducedKeySet, index: int) -> SparseKey:
         pairs.append((pos, unused.pop(chosen)))
         pos += 1
     return tuple(pairs)
+
+
+def reference_unchecked_index(keyset: ReducedKeySet, pairs: Sequence[tuple[int, int]]) -> int:
+    """ReducedKeySet.unchecked_index with two perm calls per nonzero position."""
+    if not pairs:
+        return 0
+    # Rank only grows at nonzero positions: by every key with a zero
+    # there, then by every key with a smaller unused value there.
+    perm, last = math.perm, keyset.length - 1
+    rank = 0
+    unused = list(range(1, keyset.t + 1))
+    for pos, value in pairs:
+        remaining = last - pos
+        spot = unused.index(value)
+        rank += perm(remaining, len(unused)) + spot * perm(remaining, len(unused) - 1)
+        unused.pop(spot)
+    return rank + 1
+
+
+class ReferenceKeyListing:
+    """KeyListing with its key -> index map: add(key) ranks a key when a
+    builder first meets it and looks it up after that."""
+
+    def __init__(self, keyset: ReducedKeySet) -> None:
+        self.keyset = keyset
+        self.keys: dict[int, SparseKey] = {}
+        self._indices: dict[SparseKey, int] = {}
+        self._rows: dict[int, list[tuple[int, int]]] = {}
+
+    def row(self, pos: int) -> list[tuple[int, int]]:
+        """row(pos)[v] is the shared pair (pos, v), for v in [0:T]."""
+        row = self._rows.get(pos)
+        if row is None:
+            row = self._rows[pos] = [(pos, v) for v in range(self.keyset.t + 1)]
+        return row
+
+    def add(self, key: SparseKey) -> int:
+        """The index of key, a member's sparse key sorted by position (as the
+        builders build it), ranked by reference_unchecked_index on first sight."""
+        idx = self._indices.get(key)
+        if idx is None:
+            idx = self._indices[key] = reference_unchecked_index(self.keyset, key)
+            self.keys[idx] = key
+        return idx
+
+    def hand_over(self) -> dict[int, SparseKey]:
+        """The listed keys and the all-zero key, by index."""
+        self.keys[self.keyset.zero_index] = ()
+        return self.keys
+
+
+def reference_structural_pairs(
+    keyset: ReducedKeySet, support: Sequence[int], listing: ReferenceKeyListing,
+    cyclic: bool = False,
+) -> list[tuple[int, SparseKey]]:
+    """(index, sparse key) of the T! keys with nonzero positions support, or,
+    if cyclic, of the T keys s with message (j+s) mod T + 1 on support[j]."""
+    t = keyset.t
+    rows = [listing.row(pos) for pos in support]
+    shifts = ([(j + s) % t + 1 for j in range(t)] for s in range(t))
+    messages = shifts if cyclic else itertools.permutations(range(1, t + 1))
+    cells = ([row[v] for row, v in zip(rows, values)] for values in messages)
+    keys = [tuple(sorted(key) if cyclic else key) for key in cells]
+    return [(listing.add(key), key) for key in keys]
+
+
+def reference_anchored_tails(
+    keyset: ReducedKeySet, anchors: Sequence[int], order: Sequence[int],
+    listing: ReferenceKeyListing,
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The anchored keys by their entries at the anchors, one key ranked at
+    a time."""
+    t, k, add = keyset.t, len(anchors), listing.add
+    anchor_set = set(anchors)
+    free = [listing.row(pos) for pos in order if pos not in anchor_set]
+    anchored: list[tuple[tuple[int, ...], list[int]]] = []
+    for tail in itertools.permutations(range(1, t + 1), k):
+        rest = [v for v in range(1, t + 1) if v not in tail]
+        tail_pairs = [listing.row(a)[v] for a, v in zip(anchors, tail)]
+        members: list[int] = []
+        for s in range(len(free)):
+            window = [free[(s + j) % len(free)][v] for j, v in enumerate(rest)]
+            members.append(add(tuple(sorted(window + tail_pairs))))
+        anchored.append((tail, members))
+    return anchored
+
+
+def reference_build_pm1(
+    decomp: THotDecomposition, keyset: ReducedKeySet, listing: ReferenceKeyListing,
+    order: Sequence[int] | None = None,
+) -> list[JointTable]:
+    """build_pm1 with one add_mass per cell and a validated JointTable per message."""
+    t = keyset.t
+    if order is None:
+        count = len(decomp.terms) * math.factorial(t)
+        check_listing(count, f"structural keys ({len(decomp.terms)} terms, t={t})", ENUMERATION_CAP)
+        share_denominator = math.factorial(t - 1)
+    else:
+        order, share_denominator = _key_order(order, keyset.length), 1
+    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    for term in decomp.terms:
+        if len(term.support) != t:
+            raise ParameterError(f"support {term.support} is not {t}-hot")
+        support = term.support if order is None else [order[i] for i in term.support]
+        share = Fraction(term.weight, share_denominator)
+        for idx, key in reference_structural_pairs(keyset, support, listing, order is not None):
+            for pos, m in key:
+                add_mass(rows_per_m[m - 1], idx, pos + 1, share)
+    return [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+
+
+def reference_build_pm2(
+    px2: Sequence[Fraction], keyset: ReducedKeySet, listing: ReferenceKeyListing,
+    order: Sequence[int],
+) -> tuple[list[JointTable], ImbalanceLedger]:
+    """build_pm2 with one row map per tail class, shared by its members
+    until JointTable copies them."""
+    t, length = keyset.t, keyset.length
+    px2 = _exact_entries(px2, "px2", length)
+    order = _key_order(order, length)
+    anchors = [i for i, v in enumerate(px2) if v > 0]
+    k = len(anchors)
+    if k == 0:
+        return [JointTable(m, {}) for m in range(1, t + 1)], ImbalanceLedger((), Fraction(0))
+    cell_count = anchored_cell_count(length, t, k)
+    slots = [(pos + 1, Fraction(px2[pos], cell_count)) for pos in anchors]
+    hits = [[0] * t for _ in range(k)]
+    rows_per_m: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    classes = []
+    totals = [Fraction(0)] * t
+    for tail, members in reference_anchored_tails(keyset, anchors, order, listing):
+        sums = [Fraction(0)] * t
+        for (token, share), m, slot_hits in zip(slots, tail, hits):
+            # JointTable copies every row, so the members can share this one.
+            rows_per_m[m - 1].update(dict.fromkeys(members, {token: share}))
+            sums[m - 1] = share
+            slot_hits[m - 1] += len(members)
+        peak = max(sums)
+        gaps = tuple(peak - s for s in sums)
+        classes.append((members, gaps))
+        for m_i, gap in enumerate(gaps):
+            totals[m_i] += gap * len(members)
+    for slot_hits in hits:
+        for count in slot_hits:
+            if count != cell_count:
+                raise InvariantError(f"anchored slice size {count} != expected {cell_count}")
+    if len(set(totals)) != 1:
+        raise InvariantError(f"imbalance totals differ across messages: {totals}")
+    expected_total = t * max(px2) - sum(px2, Fraction(0))
+    if totals[0] != expected_total:
+        raise InvariantError(
+            f"measured imbalance {totals[0]} != closed form {expected_total}"
+        )
+    tables = [JointTable(m, rows) for m, rows in enumerate(rows_per_m, start=1)]
+    return tables, ImbalanceLedger(tuple(classes), totals[0])
+
+
+def reference_build_pm3(
+    px3: Sequence[Fraction], ledger: ImbalanceLedger, keyset: KeySet
+) -> list[JointTable]:
+    """build_pm3 with the all-zero key's cells added by add_mass."""
+    t, length = keyset.t, keyset.length
+    px3 = _exact_entries(px3, "px3", length)
+    total_overshoot = sum(px3, Fraction(0))
+    tables: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(t)]
+    support = [x for x in range(1, length + 1) if px3[x - 1] > 0]
+    if total_overshoot == 0:
+        if ledger.total != 0:
+            raise InvariantError("imbalance positive but no mass left to cancel it")
+        return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
+    if ledger.total > total_overshoot:
+        raise InvariantError(
+            f"imbalance {ledger.total} exceeds remaining mass {total_overshoot}"
+        )
+    weights = [(x, px3[x - 1] / total_overshoot) for x in support]
+    for members, gaps in ledger.classes:
+        for rows, gap in zip(tables, gaps):
+            if gap:
+                rows.update(dict.fromkeys(members, {x: gap * w for x, w in weights}))
+    leftover = 1 - Fraction(ledger.total, total_overshoot)
+    for m in range(1, t + 1):
+        for x in support:
+            add_mass(tables[m - 1], keyset.zero_index, x, px3[x - 1] * leftover)
+    return [JointTable(m, rows) for m, rows in enumerate(tables, start=1)]
+
+
+def reference_merge_tables(m: int, *parts: JointTable) -> JointTable:
+    """merge_tables that adopts a part's row until a second part adds to
+    it, then lets JointTable make the merged table's one ordered copy."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    copied: set[int] = set()
+    for part in parts:
+        if part.m != m:
+            raise ParameterError(f"cannot merge table for m={part.m} into m={m}")
+        for key_index, row in part.rows.items():
+            if not row:
+                continue
+            if key_index not in rows:
+                rows[key_index] = row
+                copied.discard(key_index)
+                continue
+            if key_index not in copied:
+                rows[key_index] = dict(rows[key_index])
+                copied.add(key_index)
+            for token, mass in row.items():
+                add_mass(rows, key_index, token, mass)
+    return JointTable(m, rows)
+
+
+def reference_construct_a(px: TokenDistribution, alpha: Fraction, t: int) -> WatermarkScheme:
+    """construct_a on the reference builders and merge."""
+    alpha, t = check_instance(px, alpha, t)
+    split = split_px(TokenDistribution(px.sorted_probs), alpha, t)
+    if split.K and any(p3 and not p2 for p2, p3 in zip(split.px2, split.px3)):
+        raise InvariantError("px3 is positive off the anchors")
+    keyset = ReducedKeySet(px.n, t)
+    decomp = restore_supports(px, decompose_t_hot(split.px1, t))
+    listing = ReferenceKeyListing(keyset)
+    pm1 = reference_build_pm1(decomp, keyset, listing)
+    pm2, ledger = reference_build_pm2(
+        restore_token_order(px, split.px2), keyset, listing, px.sort_perm
+    )
+    pm3 = reference_build_pm3(restore_token_order(px, split.px3), ledger, keyset)
+    tables = [
+        reference_merge_tables(m, pm1.pop(0), pm2.pop(0), pm3.pop(0)) for m in range(1, t + 1)
+    ]
+    provenance = {
+        "method": "direct",
+        "K": split.K,
+        "K_tilde": split.K_tilde,
+        "y": None if split.y is None else mass_to_string(split.y),
+        "imbalance": mass_to_string(ledger.total),
+        "overshoot": mass_to_string(sum(split.px3, Fraction(0))),
+    }
+    return assemble_checked(alpha, px, keyset, tables, provenance, listing)
+
+
+def reference_construct_b(
+    px: TokenDistribution, alpha: Fraction, t: int, force_pseudo: bool = False
+) -> WatermarkScheme:
+    """construct_b (greedy decomposition) on reference_build_pm1."""
+    alpha, t = check_instance(px, alpha, t)
+    ext = extend_px(TokenDistribution(px.sorted_probs), alpha, t, force_pseudo=force_pseudo)
+    length = px.n + ext.n
+    keyset = ReducedKeySet(length, t)
+    decomposition = decompose_t_hot(ext.px_prime, t)
+    listing = ReferenceKeyListing(keyset)
+    order = px.sort_perm + tuple(range(px.n, length))
+    prime_tables = reference_build_pm1(decomposition, keyset, listing, order)
+    leftover = restore_token_order(px, ext.r)
+    if ext.n == 0:
+        zero_row = {x: r for x, r in enumerate(leftover, start=1) if r}
+        tables = []
+        for table in prime_tables:
+            rows = {keyset.zero_index: dict(zero_row), **table.rows} if zero_row else table.rows
+            tables.append(JointTable.unchecked(table.m, rows))
+    else:
+        shares = [(x, r / ext.R) for x, r in enumerate(leftover, start=1) if r > 0]
+        if exact_sum(share for _, share in shares) != 1:
+            raise InvariantError("fold-back shares do not total 1")
+        tables = [_fold_back(table, px.n, shares) for table in prime_tables]
+    provenance = {
+        "method": "extended",
+        "pseudo_tokens": ext.n,
+        "leftover": mass_to_string(ext.R),
+        "forced": force_pseudo,
+    }
+    return assemble_checked(alpha, px, keyset, tables, provenance, listing)

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from goldens import COMBINED_A, PART1_A, PART2_A, table_as_cells
@@ -17,6 +17,8 @@ from layered_reference import (
     build_pm2_layered,
     build_pm3_layered,
     column_sum,
+    reference_construct_a,
+    reference_construct_b,
     row_sum,
     step_decomposition,
     table_mass,
@@ -662,6 +664,46 @@ def test_one_heavy_at_vocabulary_scale(monkeypatch) -> None:
     assert error_report(scheme).gap == 0
 
 
+@st.composite
+def tied_instances(draw) -> tuple[TokenDistribution, F, int]:
+    """N <= 8, T <= 4, up to T-1 heavy tokens (so K from 0 to T-1) and
+    light weights from 1..3, so that masses tie, in a drawn token order."""
+    t = draw(st.integers(1, 4), label="T")
+    n = draw(st.integers(max(t, 2), 8), label="N")
+    heavy = draw(st.integers(0, min(t - 1, n - 1)), label="heavy tokens")
+    weights = draw(st.lists(st.integers(1, 3), min_size=n - heavy, max_size=n - heavy))
+    weights += draw(st.lists(st.sampled_from([6 * n, 12 * n]), min_size=heavy, max_size=heavy))
+    weights = draw(st.permutations(weights), label="order")
+    alpha = draw(st.sampled_from([F(1, 10), F(1, 2), F(3, 4), F(9, 10)]), label="alpha")
+    total = sum(weights)
+    return TokenDistribution.from_fractions(F(w, total) for w in weights), alpha, t
+
+
+def assert_same_scheme(scheme: WatermarkScheme, reference: WatermarkScheme) -> None:
+    """Equal tables cell for cell, in the same row and token order, with the
+    same listed keys and provenance."""
+
+    def ordered(s: WatermarkScheme) -> list:
+        return [[(k, list(row.items())) for k, row in table.rows.items()] for table in s.tables]
+
+    assert ordered(scheme) == ordered(reference)
+    assert scheme.sparse_keys == reference.sparse_keys
+    assert scheme.provenance == reference.provenance
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_instances(), st.booleans())
+def test_constructions_match_the_build_then_merge_reference(instance, force) -> None:
+    px, alpha, t = instance
+    scheme = construct_a(px, alpha, t)
+    event(f"K={scheme.provenance['K']} of T={t}")
+    assert_same_scheme(scheme, reference_construct_a(px, alpha, t))
+    assert_same_scheme(
+        construct_b(px, alpha, t, force_pseudo=force),
+        reference_construct_b(px, alpha, t, force_pseudo=force),
+    )
+
+
 def shuffled_px(weights: list[F], seed: int) -> TokenDistribution:
     total = sum(weights, F(0))
     probs = [w / total for w in weights]
@@ -682,12 +724,13 @@ RANK_COUNT_CASES = {
 def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     """Both constructions build in px's own token order and hand their keys
     to the scheme: construct, check, report and export unrank no key, each
-    distinct listed key is ranked exactly once, and no key goes through the
-    validating sparse_index.  A loaded scheme unranks each key once."""
+    distinct listed key is ranked exactly once, from its support's block
+    sizes, and no key goes through the validating sparse_index or the
+    one-key unchecked_index.  A loaded scheme unranks each key once."""
     # The package attribute keymark.construct_a is the function, not the module.
     module = importlib.import_module("keymark.construct_a")
     build, px = RANK_COUNT_CASES[case]
-    calls = {"sparse_key": 0, "sparse_index": 0, "unchecked_index": 0, "listed": 0}
+    calls = {"sparse_key": 0, "sparse_index": 0, "unchecked_index": 0, "ranked": 0, "listed": 0}
 
     def counted(name):
         original = getattr(ReducedKeySet, name)
@@ -697,6 +740,15 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
             return original(self, arg)
 
         monkeypatch.setattr(ReducedKeySet, name, wrapper)
+
+    rank_support = ReducedKeySet.rank_support
+
+    def ranked(self, positions, codes):
+        codes = list(codes)
+        calls["ranked"] += len(codes)
+        return rank_support(self, positions, codes)
+
+    monkeypatch.setattr(ReducedKeySet, "rank_support", ranked)
 
     def listed(name):
         original = getattr(module, name)
@@ -725,10 +777,14 @@ def test_builders_rank_each_listed_key_once(case: str, monkeypatch) -> None:
     check_report_export(scheme)
     assert calls["sparse_key"] == 0
     assert calls["sparse_index"] == 0
+    assert calls["unchecked_index"] == 0
     assert len(scheme.key_support()) <= calls["listed"] + 1
-    # Every listed key goes through KeyListing.add: one rank per distinct
-    # key, and the all-zero key is handed over without one.
-    assert calls["unchecked_index"] == len(scheme.sparse_keys) - 1
+    # One rank per distinct listed key: an anchored key that part 1 listed
+    # is read from its support's ranks, and the all-zero key is handed over
+    # without one.
+    assert calls["ranked"] == len(scheme.sparse_keys) - 1
+    if case == "construct_a heavy":
+        assert calls["listed"] > calls["ranked"]
     loaded = deserialize_scheme(serialize_scheme(scheme))
     check_report_export(loaded)
     assert calls["sparse_key"] == len(loaded.key_support() | set(loaded.pz))

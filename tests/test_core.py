@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered_reference import column_sum, reference_sparse_key, row_sum, table_mass
+from layered_reference import (
+    column_sum,
+    reference_merge_tables,
+    reference_sparse_key,
+    reference_unchecked_index,
+    row_sum,
+    table_mass,
+)
 from keymark.core import (
     ENUMERATION_CAP,
     ExplicitKeySet,
@@ -19,6 +26,7 @@ from keymark.core import (
     SparseKey,
     TokenDistribution,
     WatermarkScheme,
+    _iroot,
     add_mass,
     decode,
     enumerate_reduced_keyset,
@@ -213,17 +221,37 @@ def test_sparse_key_matches_the_reference_at_ranks_of_1000_bits(length, t, data)
         assert ks.sparse_key(i) == reference_sparse_key(ks, i)
 
 
-@pytest.mark.parametrize("length", [32768, 10**12])
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**3000), st.integers(1, 40))
+def test_integer_root_is_exact(n: int, u: int) -> None:
+    root = _iroot(n, u)
+    assert root**u <= n < (root + 1) ** u
+
+
+def distinct_below(rng: random.Random, bound: int, count: int) -> list[int]:
+    """count distinct ints in [0, bound); rng.sample takes a range only
+    while its length fits in a C ssize_t."""
+    if bound <= sys.maxsize:
+        return rng.sample(range(bound), count)
+    drawn: set[int] = set()
+    while len(drawn) < count:
+        drawn.add(rng.randrange(bound))
+    return list(drawn)
+
+
+@pytest.mark.parametrize("length", [32768, 10**12, 10**30])
 def test_sparse_key_makes_o_t_perm_calls(length: int, monkeypatch: pytest.MonkeyPatch) -> None:
     # The reference bisects with about log2(L) probes at each of the T levels
-    # (about 85 per key at L = 32,768, T = 5); the unrank makes at most 3 per level.
-    t = 5
+    # (about 85 per key at L = 32,768, T = 5); the unrank makes at most 3 per
+    # level.  At L = 10^30, T = 12 the ranks of the first levels have 1000
+    # bits or more, where the guess comes from an exact integer root.
+    t = 12 if length == 10**30 else 5
     ks = ReducedKeySet(length, t)
     rng = random.Random(length)
     indices = [rng.randrange(ks.size) for _ in range(300)]
     for _ in range(30):
         prefix_length = rng.randrange(t)
-        positions = sorted(rng.sample(range(length - (t - prefix_length)), prefix_length))
+        positions = sorted(distinct_below(rng, length - (t - prefix_length), prefix_length))
         prefix = tuple(zip(positions, rng.sample(range(1, t + 1), prefix_length)))
         m = rng.randrange(t - prefix_length - 1, length - (positions[-1] + 1 if positions else 0))
         indices += block_edge_indices(ks, prefix, m)
@@ -240,6 +268,36 @@ def test_sparse_key_makes_o_t_perm_calls(length: int, monkeypatch: pytest.Monkey
         calls.append(0)
         assert ks.sparse_key(index) == pairs
     assert max(calls) <= 3 * t
+
+
+def test_closed_form_rank_matches_the_reference_up_to_length_7() -> None:
+    # unchecked_index on every key, and rank_support on every support with
+    # the T! Lehmer codes in lexicographic order, as construction A lists them.
+    for length in range(1, 8):
+        for t in range(1, min(length, 4) + 1):
+            ks = ReducedKeySet(length, t)
+            for index in range(ks.size):
+                pairs = ks.sparse_key(index)
+                assert ks.unchecked_index(pairs) == reference_unchecked_index(ks, pairs) == index
+            codes = list(itertools.product(*(range(t - i) for i in range(t))))
+            for positions in itertools.combinations(range(length), t):
+                expected = [
+                    reference_unchecked_index(ks, tuple(zip(positions, values)))
+                    for values in itertools.permutations(range(1, t + 1))
+                ]
+                assert ks.rank_support(positions, codes) == expected
+
+
+@pytest.mark.parametrize("length", [32768, 10**12])
+def test_closed_form_rank_matches_the_reference_on_random_keys(length: int) -> None:
+    t = 5
+    ks = ReducedKeySet(length, t)
+    rng = random.Random(length)
+    for _ in range(300):
+        pairs = tuple(zip(sorted(rng.sample(range(length), t)), rng.sample(range(1, t + 1), t)))
+        index = ks.unchecked_index(pairs)
+        assert index == reference_unchecked_index(ks, pairs)
+        assert ks.sparse_key(index) == pairs
 
 
 def test_keyset_zero_key_is_first() -> None:
@@ -524,6 +582,36 @@ def test_merge_tables_leaves_shared_rows_of_its_parts_unchanged() -> None:
         5: {1: Fraction(1, 8)},
         7: {2: Fraction(2, 5)},
     }
+    assert all(row is not part.rows.get(k) for part in parts for k, row in merged.rows.items())
+    assert_same_rows(merged, reference_merge_tables(1, *parts))
+
+
+def assert_same_rows(table: JointTable, reference: JointTable) -> None:
+    """The same cells, in the same key and token order."""
+    ordered = [(k, list(row.items())) for k, row in table.rows.items()]
+    assert ordered == [(k, list(row.items())) for k, row in reference.rows.items()]
+
+
+masses = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+part_rows = st.dictionaries(
+    st.integers(0, 6), st.dictionaries(st.integers(1, 4), masses, max_size=3), max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(part_rows, max_size=4))
+def test_merge_tables_matches_the_reference(rows_of_parts) -> None:
+    # Cells that cancel, rows that empty and keys held by several parts
+    # merge to the reference's cells in its key and token order, with no
+    # part changed and no part's row aliased.
+    parts = [
+        JointTable(2, {k: {x: v for x, v in row.items() if v} for k, row in rows.items()})
+        for rows in rows_of_parts
+    ]
+    before = [{k: dict(row) for k, row in part.rows.items()} for part in parts]
+    merged = merge_tables(2, *parts)
+    assert_same_rows(merged, reference_merge_tables(2, *parts))
+    assert [part.rows for part in parts] == before
     assert all(row is not part.rows.get(k) for part in parts for k, row in merged.rows.items())
 
 

@@ -413,6 +413,32 @@ def test_edited_problem_runs_the_simplex() -> None:
     assert check_dual(edited, solution.dual) == (True, solution.objective)
 
 
+def test_closed_form_exits_before_building_tables(monkeypatch) -> None:
+    # The bijective key list lacks a key that construction A lists, so the
+    # closed form gives up before construct_a builds a table or a decoded
+    # view; the full simplex then runs as before.
+    expected = solve(bijective_problem())
+    built = []
+    real = lp_module.construct_a
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp_module, "construct_a", counted)
+    solution = solve(bijective_problem())
+    assert built == []
+    assert (solution.objective, solution.values, solution.dual) == (
+        expected.objective,
+        expected.values,
+        expected.dual,
+    )
+    assert solution.pivots == expected.pivots > 0
+    # A reduced key list holds every key, so the tables are built.
+    solve(full_problem())
+    assert len(built) == 1
+
+
 def test_closed_form_refuses_negative_masses(monkeypatch) -> None:
     # Moving 1/200 around four cells of message 1 that do not decode to 1
     # keeps every row of the LP and the value, but leaves two masses < 0.
