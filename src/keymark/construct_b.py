@@ -2,9 +2,13 @@
 
 The capped vector a = min(alpha/T, px) is extended with n pseudo entries of
 R/n each (R = leftover mass above the cap) until the extension is T-hot
-representable.  Part 1 gives each term's weight, per cell, to the T cyclic
-shifts of 1..T over its support in the sorted view's order (not T! keys) on
-keys of length N+n, and every key's pseudo-column mass is folded back onto
+representable.  R, n and the extension's checks are taken on px's
+numerators over split.capped's common denominator, with one Fraction for
+R and one for R/n.  n grows as T/alpha, so a part-1 bound above
+ENUMERATION_CAP raises CapacityError before the extension is built.
+Part 1 gives each term's weight, per cell, to the T cyclic shifts of 1..T
+over its support in the sorted view's order (not T! keys) on keys of
+length N+n, and every key's pseudo-column mass is folded back onto
 real tokens with weights r(x)/R.  Fold-back never lands on a cell decoding to
 the embedded message, so decode-to-m column sums still equal min(alpha/T, px(x)).
 The weights total 1, one exact check, so each folded row keeps its part-1
@@ -16,24 +20,25 @@ totals, which check_scheme then reuses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    ENUMERATION_CAP,
     JointTable,
     ReducedKeySet,
     TokenDistribution,
     WatermarkScheme,
     add_mass,
     check_instance,
+    check_listing,
 )
 from .errors import InvariantError, ParameterError
 from .rationals import exact_sum, mass_to_string
-from .split import cap_vector
+from .split import capped
 from .construct_a import KeyListing, assemble_checked, build_pm1, restore_token_order
-from .thot import THotDecomposition, decompose_t_hot, is_t_hot_representable
+from .thot import THotDecomposition, decompose_t_hot
 
 __all__ = ["Extension", "extend_px", "construct_b"]
 
@@ -57,25 +62,36 @@ def extend_px(
     (force_pseudo overrides, taking the extension path anyway when there is
     leftover mass).  Otherwise n = ceil(R / a_max) pseudo entries of R/n
     make the total 1 while keeping every entry at most a_max, which
-    guarantees representability since T * a_max <= alpha < 1.
+    guarantees representability since T * a_max <= alpha < 1.  Part 1 lists
+    at most T cyclic keys for each of at most N + n terms, so more than
+    ENUMERATION_CAP of those raise CapacityError before px_prime is built.
+    R, n and every check are taken on ints over split.capped's E.
     """
-    a, r = cap_vector(px, alpha, t)
-    big_r = sum(r, Fraction(0))
-    representable = is_t_hot_representable(a, t)
-    if (representable and not force_pseudo) or big_r == 0:
-        return Extension(0, a, r, big_r)
-    a_max = a[-1]
+    alpha, t = check_instance(px, alpha, t)
+    c = capped(px, alpha, t)
+    leftover = c.scale * sum(c.numerators[c.light :]) - c.cap * (px.n - c.light)  # R * E
+    big_r = Fraction(leftover, c.common)
+    a_max = c.entry(px.n - 1)
+    if (t * a_max <= c.total and not force_pseudo) or leftover == 0:
+        return Extension(0, c.a, c.r, big_r)
     if a_max == 0:
         raise ParameterError(
             "cannot extend: cap alpha/T is zero but mass remains above it"
         )
-    n = math.ceil(big_r / a_max)
-    px_prime = a + (Fraction(big_r, n),) * n
-    if sum(px_prime) != 1:
-        raise InvariantError(f"extended vector sums to {sum(px_prime)}")
-    if not is_t_hot_representable(px_prime, t):
+    n = -(-leftover // a_max)
+    length = px.n + n
+    check_listing(
+        t * length, f"part-1 keys ({length} terms of {t} cyclic keys, {n} pseudo tokens)",
+        ENUMERATION_CAP,
+    )
+    px_prime = c.a + (Fraction(leftover, c.common * n),) * n
+    # Over E * n: a(i) reads a(i) * E * n and each pseudo entry R * E.
+    total = n * c.total + n * leftover
+    if total != n * c.common:
+        raise InvariantError(f"extended vector sums to {Fraction(total, n * c.common)}")
+    if t * max(n * a_max, leftover) > total:
         raise InvariantError("extended vector is not representable")
-    return Extension(n, px_prime, r, big_r)
+    return Extension(n, px_prime, c.r, big_r)
 
 
 def construct_b(

@@ -149,9 +149,14 @@ class TokenDistribution:
     """Exact probability vector over tokens, in the caller's token order.
 
     Every entry is an int or a Fraction (stored as a Fraction); a float or a
-    bool raises ParameterError.  sort_perm is derived, not given:
-    sort_perm[i] is the 0-based original index of the i-th smallest
-    probability (stable, so ties keep their original relative order).
+    bool raises ParameterError.  scaled is the pair (numerators, D): the
+    entries as ints over their common denominator D, the LCM of their
+    denominators, taken once when the distribution is made.  It is not a
+    dataclass field, so equality, hashing, repr and dataclasses.replace see
+    probs alone.  The cap, the split, the extension and the optimum all work
+    on those ints.  sort_perm is derived, not given: sort_perm[i] is the
+    0-based original index of the i-th smallest probability (stable, so ties
+    keep their original relative order), sorted on the numerators.
     """
 
     probs: tuple[Fraction, ...]
@@ -162,10 +167,11 @@ class TokenDistribution:
         if not probs:
             raise ValidationError("empty distribution")
         scaled, common = common_numerators(probs)
-        if any(v < 0 for v in scaled):
+        if min(scaled) < 0:
             raise ValidationError("negative probability entry")
         if sum(scaled) != common:
             raise ValidationError(f"probabilities sum to {Fraction(sum(scaled), common)}, not 1")
+        object.__setattr__(self, "scaled", (tuple(scaled), common))
 
     @classmethod
     def from_fractions(cls, probs: Iterable[Fraction]) -> "TokenDistribution":
@@ -181,10 +187,8 @@ class TokenDistribution:
 
     @cached_property
     def sort_perm(self) -> tuple[int, ...]:
-        # Sorted on the numerators over the entries' common denominator: the
-        # same stable order as on the Fractions, without a Fraction compare.
-        scaled, _ = common_numerators(self.probs)
-        return tuple(sorted(range(self.n), key=scaled.__getitem__))
+        numerators, _ = self.scaled
+        return tuple(sorted(range(self.n), key=numerators.__getitem__))
 
     @property
     def sorted_probs(self) -> tuple[Fraction, ...]:

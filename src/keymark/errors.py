@@ -22,10 +22,12 @@ class CapacityError(KeymarkError, RuntimeError):
     """An operation would list more keys or LP variables than its fixed cap.
 
     Only the operations that list items one by one check one: the
-    structural keys of construction A's part 1 (T! per decomposition term)
-    and the key entries of a CSV row (ENUMERATION_CAP), and an LP's table
-    variables (VARIABLE_CAP).  A's anchored windows and B's T cyclic keys
-    per term are linear and have no cap, and key sets no size limit.
+    structural keys of construction A's part 1 (T! per decomposition term),
+    construction B's part-1 bound (T cyclic keys for each of at most N + n
+    terms, n the pseudo-token count, which grows as T/alpha) and the key
+    entries of a CSV row (ENUMERATION_CAP), and an LP's table variables
+    (VARIABLE_CAP).  A's anchored windows are linear and have no cap, and
+    key sets no size limit.
     """
 
 

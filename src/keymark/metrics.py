@@ -12,7 +12,9 @@ come from the same walk: the miss rate for m is table m's mass on cells
 that do not decode to m, and the worst false alarm is the largest per-token
 key-marginal mass on nonzero entries (the supremum over token distributions
 of the false-alarm rate is attained at a single token), taken on the
-integers before it becomes a Fraction.
+integers before it becomes a Fraction.  optimal_value sums min(alpha/T,
+px(x)) on px's own numerators (TokenDistribution.scaled), read over the
+LCM of their denominator and alpha/T's, and makes one Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterator
 
 from .core import DecodedCells, ErrorReport, TokenDistribution, WatermarkScheme, check_instance
 from .errors import ParameterError
-from .rationals import exact_sum
+from .split import cap_scale
 
 __all__ = [
     "PropertyCheck",
@@ -172,8 +174,10 @@ def worst_false_alarm(scheme: WatermarkScheme) -> Fraction:
 def optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:
     """Smallest achievable worst-case miss rate: 1 - sum_x min(alpha/T, px(x))."""
     alpha, t = check_instance(px, alpha, t)
-    cap = Fraction(alpha, t)
-    return 1 - exact_sum(min(cap, p) for p in px.probs)
+    numerators, _ = px.scaled
+    common, scale, cap, threshold = cap_scale(px, Fraction(alpha, t))
+    light = [v for v in numerators if v < threshold]
+    return Fraction(common - scale * sum(light) - cap * (px.n - len(light)), common)
 
 
 def error_report(scheme: WatermarkScheme) -> ErrorReport:

@@ -7,6 +7,9 @@ keeps the residual non-negative and representable; each round zeroes an entry
 or drives another to the boundary, so at most L rounds run.
 
 Entries must be ints or Fractions and T an integer, else ParameterError.
+Both entry points scale the entries once to ints over their common
+denominator and test the sign, the representability and every greedy step
+on those ints.
 """
 
 from __future__ import annotations
@@ -61,24 +64,25 @@ class THotDecomposition:
         return tuple(total)
 
 
-def _check_inputs(a: Sequence[Fraction], t: int) -> tuple[list[Fraction], int]:
-    """The entries as Fractions and t as an int; a float or bool entry, a
-    negative entry, or a t outside [1:len(a)] raises ParameterError."""
+def _check_inputs(a: Sequence[Fraction], t: int) -> tuple[list[int], int, int]:
+    """The entries as ints over their common denominator D, D, and t as an
+    int; a float or bool entry, a negative entry, or a t outside [1:len(a)]
+    raises ParameterError.  The sign is read on the ints."""
     entries = [exact_rational(v, "entry") for v in a]
     if not entries:
         raise ParameterError("empty vector")
     t = exact_int(t, "t")
     if not 1 <= t <= len(entries):
         raise ParameterError(f"t={t} outside [1:{len(entries)}]")
-    if any(v < 0 for v in entries):
+    scaled, common = common_numerators(entries)
+    if min(scaled) < 0:
         raise ParameterError("negative entry in vector")
-    return entries, t
+    return scaled, common, t
 
 
 def is_t_hot_representable(a: Sequence[Fraction], t: int) -> bool:
     """True iff t * max(a) <= sum(a)."""
-    entries, t = _check_inputs(a, t)
-    scaled, _ = common_numerators(entries)
+    scaled, _, t = _check_inputs(a, t)
     return t * max(scaled) <= sum(scaled)
 
 
@@ -114,9 +118,8 @@ def decompose_t_hot(a: Sequence[Fraction], t: int) -> THotDecomposition:
     moves for the order, so after the initial sort the at most L rounds take
     O(L T log L) integer operations, on integers no larger than sum(v)*unit.
     """
-    entries, t = _check_inputs(a, t)
-    length = len(entries)
-    scaled, common = common_numerators(entries)
+    scaled, common, t = _check_inputs(a, t)
+    length = len(scaled)
     unit = t * common
     residual = [t * v for v in scaled]
     level = sum(scaled)

@@ -31,6 +31,12 @@ validated, copied and sorted by JointTable, and the merged tables copied,
 sorted and scanned once more.  The tests compare the two cell for cell, in
 row and token order.
 
+reference_cap_vector, reference_split_px, reference_extend_px and
+reference_optimal_value are the cap, the split, the extension and the
+optimum on Fractions, one Fraction compare, subtraction or sum per token,
+as keymark ran them before it took them on P_X's numerators over its
+common denominator.  The tests compare every field exactly.
+
 The Monte Carlo references build each inverse-CDF table from a running
 Fraction sum converted to float cell by cell, and search the table once per
 draw, as keymark.sim did before it took integer prefix sums and counted
@@ -63,7 +69,7 @@ from keymark.construct_a import (
     restore_supports,
     restore_token_order,
 )
-from keymark.construct_b import _fold_back, extend_px
+from keymark.construct_b import Extension, _fold_back, extend_px
 from keymark.core import (
     JointTable,
     KeySet,
@@ -81,8 +87,8 @@ from keymark.core import (
 from keymark.errors import InvariantError, ParameterError
 from keymark.metrics import PROPERTY_NAMES, PropertyCheck, PropertyReport
 from keymark.rationals import exact_sum, mass_to_string
-from keymark.split import split_px
-from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
+from keymark.split import PxSplit, split_px
+from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot, is_t_hot_representable
 
 
 @dataclass(frozen=True)
@@ -715,3 +721,78 @@ def reference_construct_b(
         "forced": force_pseudo,
     }
     return assemble_checked(alpha, px, keyset, tables, provenance, listing)
+
+
+def reference_cap_vector(
+    px: TokenDistribution, alpha: Fraction, t: int
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Cap at alpha/T: a = min(alpha/T, px) elementwise, r = px - a."""
+    alpha, t = check_instance(px, alpha, t)
+    if not px.is_sorted:
+        raise ParameterError("distribution must be sorted non-decreasing")
+    cap = Fraction(alpha, t)
+    a = tuple(min(cap, p) for p in px.probs)
+    r = tuple(p - v for p, v in zip(px.probs, a))
+    return a, r
+
+
+def reference_split_px(px: TokenDistribution, alpha: Fraction, t: int) -> PxSplit:
+    """split_px with a Fraction compare, subtraction or sum per token."""
+    alpha, t = check_instance(px, alpha, t)
+    a, px3 = reference_cap_vector(px, alpha, t)
+    n = px.n
+    cap = Fraction(alpha, t)
+    k_tilde = sum(1 for p in px.probs if p >= cap)
+    if is_t_hot_representable(a, t):
+        return PxSplit(
+            px1=a,
+            px2=(Fraction(0),) * n,
+            px3=px3,
+            K=0,
+            K_tilde=k_tilde,
+            y=None,
+            a=a,
+        )
+
+    for k in range(k_tilde, t):
+        head = sum(a[: n - k], Fraction(0))
+        y = Fraction(head, t - k)
+        if y >= a[n - k - 1]:
+            px1 = a[: n - k] + (y,) * k
+            px2 = tuple(av - pv for av, pv in zip(a, px1))
+            if any(v <= 0 for v in px2[n - k :]):
+                raise InvariantError("leveled tail entry not strictly positive")
+            if t * y != sum(px1):
+                raise InvariantError("leveled base missed the boundary identity")
+            return PxSplit(px1=px1, px2=px2, px3=px3, K=k, K_tilde=k_tilde, y=y, a=a)
+    raise InvariantError("leveling scan did not stop by k = T-1")
+
+
+def reference_extend_px(
+    px: TokenDistribution, alpha: Fraction, t: int, force_pseudo: bool = False
+) -> Extension:
+    """extend_px on Fractions, with no cap on the pseudo-token count."""
+    a, r = reference_cap_vector(px, alpha, t)
+    big_r = sum(r, Fraction(0))
+    representable = is_t_hot_representable(a, t)
+    if (representable and not force_pseudo) or big_r == 0:
+        return Extension(0, a, r, big_r)
+    a_max = a[-1]
+    if a_max == 0:
+        raise ParameterError(
+            "cannot extend: cap alpha/T is zero but mass remains above it"
+        )
+    n = math.ceil(big_r / a_max)
+    px_prime = a + (Fraction(big_r, n),) * n
+    if sum(px_prime) != 1:
+        raise InvariantError(f"extended vector sums to {sum(px_prime)}")
+    if not is_t_hot_representable(px_prime, t):
+        raise InvariantError("extended vector is not representable")
+    return Extension(n, px_prime, r, big_r)
+
+
+def reference_optimal_value(px: TokenDistribution, alpha: Fraction, t: int) -> Fraction:
+    """1 - sum_x min(alpha/T, px(x)), summed as Fractions."""
+    alpha, t = check_instance(px, alpha, t)
+    cap = Fraction(alpha, t)
+    return 1 - exact_sum(min(cap, p) for p in px.probs)

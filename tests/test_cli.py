@@ -480,6 +480,10 @@ def test_capacity_errors_exit_3(capsys) -> None:
     argv = ["construct", "--px", twelve, "--alpha", "1/2", "--t", "10", "--method", "a"]
     assert main(argv) == 3
     assert "structural keys" in capsys.readouterr().err
+    # Method b at alpha = 10^-6 would need about 3 * 10^6 pseudo tokens.
+    argv = ["construct", "--px", "0.0000001,0.5,0.4999999", "--alpha", "0.000001", "--t", "3", "--method", "b"]
+    assert main(argv) == 3
+    assert "pseudo tokens" in capsys.readouterr().err
 
 
 def test_method_b_builds_at_t_10(capsys, tmp_path) -> None:

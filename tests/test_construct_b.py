@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -19,7 +20,7 @@ from keymark.core import (
     enumerate_reduced_keyset,
     merge_tables,
 )
-from keymark.errors import InvariantError, ParameterError
+from keymark.errors import CapacityError, InvariantError, ParameterError
 from keymark.metrics import check_scheme, error_report, optimal_value
 from keymark.thot import THotDecomposition, THotTerm, decompose_t_hot
 
@@ -366,3 +367,33 @@ def test_pseudo_path_memory_grows_linearly_in_key_length() -> None:
             tracemalloc.stop()
         assert scheme.keyset.length == 2 / alpha
     assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+TINY_FIRST = TokenDistribution.from_strings(["0.0000001", "0.5", "0.4999999"])
+
+
+def test_pseudo_path_is_capped_before_anything_is_built() -> None:
+    # At T=3 the first token sits below the cap alpha/3 once alpha > 3e-7,
+    # and the pseudo count n = ceil(R / a_max) grows as T/alpha: 298 at
+    # alpha = 1/100.  At alpha = 10^-6 it is about 3 * 10^6, so part 1's
+    # bound of T cyclic keys for each of N + n terms passes the cap, and
+    # extend_px refuses before it builds the extended vector.
+    tiny_sorted = TokenDistribution(TINY_FIRST.sorted_probs)
+    assert extend_px(tiny_sorted, F(1, 100), 3).n == 298
+    scheme = construct_b(TINY_FIRST, F(1, 100), 3)
+    assert scheme.provenance["pseudo_tokens"] == 298
+    assert check_scheme(scheme).ok and error_report(scheme).gap == 0
+    for alpha, force in ((F(1, 10**6), False), (F(1, 10**9), True)):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError, match="pseudo tokens"):
+                construct_b(TINY_FIRST, alpha, 3, force_pseudo=force)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1 and peak < 10**6, (alpha, elapsed, peak)
+    # At alpha = 10^-9 every token is at the cap, so a is representable
+    # and no pseudo token is needed unless forced.
+    assert extend_px(tiny_sorted, F(1, 10**9), 3).n == 0

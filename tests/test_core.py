@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -38,6 +39,7 @@ from keymark.construct_b import construct_b, extend_px
 from keymark.errors import ParameterError, ValidationError
 from keymark.lp import bijective_keyset, build_primal
 from keymark.metrics import optimal_value
+from keymark.rationals import common_numerators
 from keymark.serialize import serialize_scheme
 from keymark.split import cap_vector, split_px
 from keymark.thot import decompose_t_hot, is_t_hot_representable
@@ -459,6 +461,24 @@ def test_token_distribution_sort_perm_matches_fraction_sort(weights) -> None:
     total = sum(masses)
     px = TokenDistribution.from_fractions(m / total for m in masses)
     assert px.sort_perm == tuple(sorted(range(px.n), key=px.probs.__getitem__))
+    numerators, common = common_numerators(px.probs)
+    assert px.scaled == (tuple(numerators), common)
+
+
+def test_token_distribution_numerators_are_not_a_field() -> None:
+    # probs is the one field: equality, hashing, repr and replace read it
+    # alone, and a replaced distribution takes its own numerators.
+    px = TokenDistribution.from_strings(["0.25", "0.6", "0.15"])
+    same = TokenDistribution((Fraction(1, 4), Fraction(3, 5), Fraction(3, 20)))
+    assert [f.name for f in dataclasses.fields(px)] == ["probs"]
+    assert px == same and hash(px) == hash(same) == hash((px.probs,))
+    assert repr(px) == "TokenDistribution(probs=(Fraction(1, 4), Fraction(3, 5), Fraction(3, 20)))"
+    assert px.scaled == ((5, 12, 3), 20)
+    other = dataclasses.replace(px, probs=(Fraction(1, 3), Fraction(2, 3)))
+    assert other == TokenDistribution((Fraction(1, 3), Fraction(2, 3)))
+    assert other.scaled == ((1, 2), 3)
+    with pytest.raises(ValidationError, match="^probabilities sum to 9/10, not 1$"):
+        dataclasses.replace(px, probs=(Fraction(1, 2), Fraction(2, 5)))
 
 
 def test_token_distribution_validation() -> None:

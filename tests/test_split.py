@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keymark.core import TokenDistribution
-from keymark.errors import ParameterError
+from layered_reference import (
+    reference_cap_vector,
+    reference_extend_px,
+    reference_optimal_value,
+    reference_split_px,
+)
+from keymark.construct_b import extend_px
+from keymark.core import ENUMERATION_CAP, TokenDistribution
+from keymark.errors import CapacityError, ParameterError
+from keymark.metrics import optimal_value
 from keymark.split import cap_vector, split_px
 from keymark.thot import is_t_hot_representable
 
@@ -133,3 +142,114 @@ def test_overshoot_lies_inside_the_leveled_tail() -> None:
             assert split.K >= split.K_tilde
             assert all(p2 > 0 for p2, p3 in zip(split.px2, split.px3) if p3 > 0)
     assert leveled >= 200
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ParameterError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reference_instances(draw):
+    """Sorted px of at most 12 tokens whose weights come from a few
+    numerators over unrelated denominators, so ties and several
+    denominators meet; alpha from a fixed set and a forced flag."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    weight = st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 7, 16, 99]))
+    weights = draw(st.lists(weight, min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    px = TokenDistribution.from_fractions(sorted(w / total for w in weights))
+    t = draw(st.integers(min_value=1, max_value=n))
+    alpha = draw(st.sampled_from([F(0), F(1, 10**4), F(1, 2), F(99, 100)]))
+    return px, alpha, t, draw(st.booleans())
+
+
+def assert_matches_reference(px, alpha, t, force) -> tuple[int, str]:
+    """The cap, split, optimum and extension equal the Fraction reference
+    field for field; returns the split's K and the extension's path."""
+    assert cap_vector(px, alpha, t) == reference_cap_vector(px, alpha, t)
+    split = split_px(px, alpha, t)
+    assert split == reference_split_px(px, alpha, t)
+    assert optimal_value(px, alpha, t) == reference_optimal_value(px, alpha, t)
+    ext = outcome(extend_px, px, alpha, t, force)
+    if isinstance(ext, tuple) and ext[0] is CapacityError:
+        # The reference would list every pseudo entry: check the count instead.
+        a, r = reference_cap_vector(px, alpha, t)
+        n = -(-sum(r) // a[-1])
+        assert t * (px.n + n) > ENUMERATION_CAP and f"{n} pseudo tokens" in ext[1]
+        return split.K, "capped"
+    assert ext == outcome(reference_extend_px, px, alpha, t, force)
+    if isinstance(ext, tuple):
+        return split.K, "refused"
+    if ext.R == 0:
+        return split.K, "no leftover"
+    if ext.n == 0:
+        return split.K, "representable"
+    return split.K, "forced" if force and extend_px(px, alpha, t).n == 0 else "pseudo"
+
+
+@settings(max_examples=80, deadline=None)
+@given(reference_instances())
+def test_int_path_matches_the_fraction_reference(case) -> None:
+    assert_matches_reference(*case)
+
+
+def test_reference_draws_reach_every_path() -> None:
+    """A seeded sweep over the same kind of instance reaches every K from 0
+    to T-1 at T = 4, and the pseudo, forced, zero-leftover and refused
+    paths, each matching the reference.  alpha = 1/10^4 is left to the
+    Hypothesis draws: its pseudo path has about T * 10^4 entries, which the
+    reference sums one Fraction at a time."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        weights = [F(rng.randint(0, 9), rng.choice([1, 2, 3, 7, 16, 99])) for _ in range(n)]
+        if not any(weights):
+            continue
+        px = TokenDistribution.from_fractions(sorted(w / sum(weights) for w in weights))
+        t = rng.randint(1, n)
+        alpha = rng.choice([F(0), F(1, 2), F(99, 100)])
+        k, path = assert_matches_reference(px, alpha, t, rng.random() < 0.5)
+        seen.add(path)
+        if t == 4:
+            seen.add(("K", k))
+    assert {("K", k) for k in range(4)} <= seen
+    assert {"pseudo", "forced", "no leftover", "representable", "refused"} <= seen
+
+
+def test_int_path_raises_like_the_reference() -> None:
+    unsorted = TokenDistribution.from_strings(["0.6", "0.4"])
+    sorted_px = TokenDistribution.from_strings(["0.4", "0.6"])
+    cases = [
+        (cap_vector, reference_cap_vector, (unsorted, F(1, 2), 1)),
+        (split_px, reference_split_px, (unsorted, F(1, 2), 1)),
+        (extend_px, reference_extend_px, (unsorted, F(1, 2), 1)),
+        (extend_px, reference_extend_px, (sorted_px, F(0), 1, True)),
+    ]
+    for t in (0, 3):
+        cases += [
+            (cap_vector, reference_cap_vector, (sorted_px, F(1, 2), t)),
+            (split_px, reference_split_px, (sorted_px, F(1, 2), t)),
+            (extend_px, reference_extend_px, (sorted_px, F(1, 2), t)),
+            (optimal_value, reference_optimal_value, (unsorted, F(1, 2), t)),
+        ]
+    for fn, reference, args in cases:
+        raised = outcome(fn, *args)
+        assert isinstance(raised, tuple) and raised[0] is ParameterError, (fn, args)
+        assert raised == outcome(reference, *args)
+
+
+def test_int_path_takes_a_numpy_t_on_wide_numerators() -> None:
+    # T arrives as a numpy integer and the numerators are wider than 64
+    # bits (exact Zipf over 300 tokens): every product with T stays a
+    # Python int.
+    harmonic = sum((F(1, k) for k in range(1, 301)), F(0))
+    px = TokenDistribution.from_fractions(sorted(F(1, k) / harmonic for k in range(1, 301)))
+    for alpha in (F(1, 2), F(99, 100)):
+        assert split_px(px, alpha, np.int64(3)) == split_px(px, alpha, 3)
+        assert extend_px(px, alpha, np.int64(3), True) == extend_px(px, alpha, 3, True)
+        assert optimal_value(px, alpha, np.int64(3)) == optimal_value(px, alpha, 3)
